@@ -1,9 +1,10 @@
 // Scaling of the bag-sharded parallel tree DP: one partial k-tree instance
 // large enough to shard, the same Solve queries at num_threads = 1/2/4/...,
-// wall-clock and speedup per thread count. The num_threads = 1 row is the
-// sequential driver (no pool, no sharding pass); every other row runs
-// RunTreeDpSharded on a work-stealing pool. Table caches are warmed before
-// timing so the rows compare pure DP traversals, not decomposition builds.
+// wall-clock and speedup per thread count. Every row runs core::RunDp: at
+// num_threads = 1 its walk is a single chunk (no pool, no sharding pass);
+// every other row walks the shard schedule on a work-stealing pool. Table
+// caches are warmed before timing so the rows compare pure DP traversals,
+// not decomposition builds.
 //
 // The sharding rows also print the modeled load balance of node-count vs
 // cost-aware sharding (slowest shard cost / mean shard cost) — a

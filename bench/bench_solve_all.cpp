@@ -1,6 +1,6 @@
-// The SolveAll fusion win: five independent Solve traversals vs one fused
-// MultiDp traversal over the same cached normal form, sequential and
-// sharded-parallel, plus the SaveSession/LoadSession cost next to the
+// The SolveAll fusion win: five Solve calls (each a one-pass walk of
+// core::RunDp) vs one SolveAll walk carrying all five passes over the same
+// cached normal form, sequential and sharded-parallel, plus the SaveSession/LoadSession cost next to the
 // artifact-build cost it amortizes away, and the table-memory ceiling a
 // budgeted session holds (peak table bytes with vs without eviction).
 //

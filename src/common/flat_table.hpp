@@ -17,10 +17,10 @@
 // malloc'd block per growth step instead of one heap node per state, and
 // Release() frees the whole table at once — the primitive behind the DP's
 // shard-table eviction. MemoryBytes() reports the arena footprint, which the
-// drivers aggregate into DpStats::peak_table_bytes.
+// tree-DP walk aggregates into DpStats::peak_table_bytes.
 //
 // Iteration order is insertion order — deterministic given a deterministic
-// emission sequence, identical between the sequential and sharded drivers
+// emission sequence, identical between sequential and sharded walks
 // (each node's transitions run on exactly one thread, in post order within a
 // shard). The table is not thread-safe; the DP guarantees a node's table is
 // written by one thread and read by its parent only after completion.

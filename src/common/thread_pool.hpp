@@ -174,22 +174,28 @@ class ThreadPool {
 /// Waits on the submitting thread.
 class WaitGroup {
  public:
-  void Add(size_t n = 1) { count_.fetch_add(n, std::memory_order_acq_rel); }
+  void Add(size_t n = 1) {
+    std::lock_guard<std::mutex> lock(mu_);
+    count_ += n;
+  }
 
+  // The decrement happens under the lock: Wait can only observe zero after
+  // the last Done has released mu_, so the waiter may destroy the WaitGroup
+  // (it usually lives on the waiter's stack) as soon as Wait returns. With
+  // the decrement outside the lock, a waiter could see zero, return and free
+  // the group while that Done was still about to lock mu_.
   void Done() {
-    if (count_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::lock_guard<std::mutex> lock(mu_);
-      cv_.notify_all();
-    }
+    std::lock_guard<std::mutex> lock(mu_);
+    if (--count_ == 0) cv_.notify_all();
   }
 
   void Wait() {
     std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [this] { return count_.load(std::memory_order_acquire) == 0; });
+    cv_.wait(lock, [this] { return count_ == 0; });
   }
 
  private:
-  std::atomic<size_t> count_{0};
+  size_t count_ = 0;  // guarded by mu_
   std::mutex mu_;
   std::condition_variable cv_;
 };

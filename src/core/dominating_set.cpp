@@ -2,8 +2,6 @@
 
 #include "common/byte_vec.hpp"
 #include "core/extensions.hpp"
-#include "engine/passes.hpp"
-#include "engine/pipeline.hpp"
 
 namespace treedl::core {
 
@@ -42,6 +40,7 @@ class DominatingProblem {
 
   void Leaf(const std::vector<ElementId>& bag, const Emit& emit) const {
     size_t n = bag.size();
+    TREEDL_DCHECK(n < 64);
     for (uint64_t mask = 0; mask < (uint64_t{1} << n); ++mask) {
       State s;
       s.status.resize(n);
@@ -140,7 +139,7 @@ class DominatingProblem {
   const Graph& graph_;
 };
 
-// Root scan shared by the standalone solver and the fused-pass finalizer.
+// Root scan: the pass's finalizer.
 StatusOr<size_t> FinalizeDominating(const Graph& graph,
                                     const NormalizedTreeDecomposition& ntd,
                                     const DpTable<DomState, size_t>& table) {
@@ -162,17 +161,6 @@ StatusOr<size_t> FinalizeDominating(const Graph& graph,
 
 }  // namespace
 
-StatusOr<size_t> MinDominatingSetNormalized(
-    const Graph& graph, const NormalizedTreeDecomposition& ntd,
-    DpStats* stats, const DpExec& exec) {
-  DominatingProblem problem(graph);
-  auto table = RunTreeDpAuto(ntd, &problem, exec, stats);
-  if (exec.budget != nullptr && exec.budget->Aborted()) {
-    return exec.budget->AbortStatus();
-  }
-  return FinalizeDominating(graph, ntd, table);
-}
-
 std::function<StatusOr<size_t>()> AddDominatingSetPass(
     MultiDp* multi, const Graph& graph,
     const NormalizedTreeDecomposition& ntd) {
@@ -181,14 +169,6 @@ std::function<StatusOr<size_t>()> AddDominatingSetPass(
   return [table, &graph, &ntd]() -> StatusOr<size_t> {
     return FinalizeDominating(graph, ntd, *table);
   };
-}
-
-StatusOr<size_t> MinDominatingSetTd(const Graph& graph,
-                                    const TreeDecomposition& td,
-                                    DpStats* stats) {
-  TREEDL_ASSIGN_OR_RETURN(NormalizedTreeDecomposition ntd,
-                          engine::PrepareForGraph(graph, td));
-  return MinDominatingSetNormalized(graph, ntd, stats);
 }
 
 }  // namespace treedl::core

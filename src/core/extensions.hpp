@@ -13,54 +13,23 @@
 
 namespace treedl::core {
 
+// Pass registration (Engine::Solve / SolveAll), same contract as
+// core::AddThreeColorPass (three_color.hpp): registers one pass of a MultiDp
+// and returns a finalizer valid once RunDp ran the traversal; `graph` and
+// `ntd` must outlive both. The Leaf hooks enumerate 2^|bag| subsets, so the
+// caller must reject bags of more than 63 elements before the walk.
+
 /// Size of a minimum vertex cover.
-StatusOr<size_t> MinVertexCoverTd(const Graph& graph,
-                                  const TreeDecomposition& td,
-                                  DpStats* stats = nullptr);
-StatusOr<size_t> MinVertexCoverNormalized(const Graph& graph,
-                                          const NormalizedTreeDecomposition& ntd,
-                                          DpStats* stats = nullptr,
-                                          const DpExec& exec = {});
-/// Deprecated convenience: rebuilds a decomposition per call (one-shot
-/// treedl::Engine); batch callers should hold an Engine instead.
-StatusOr<size_t> MinVertexCoverTd(const Graph& graph, DpStats* stats = nullptr);
-
-/// Size of a maximum independent set.
-StatusOr<size_t> MaxIndependentSetTd(const Graph& graph,
-                                     const TreeDecomposition& td,
-                                     DpStats* stats = nullptr);
-StatusOr<size_t> MaxIndependentSetNormalized(
-    const Graph& graph, const NormalizedTreeDecomposition& ntd,
-    DpStats* stats = nullptr, const DpExec& exec = {});
-/// Deprecated convenience (one-shot Engine).
-StatusOr<size_t> MaxIndependentSetTd(const Graph& graph,
-                                     DpStats* stats = nullptr);
-
-/// Size of a minimum dominating set.
-StatusOr<size_t> MinDominatingSetTd(const Graph& graph,
-                                    const TreeDecomposition& td,
-                                    DpStats* stats = nullptr);
-StatusOr<size_t> MinDominatingSetNormalized(
-    const Graph& graph, const NormalizedTreeDecomposition& ntd,
-    DpStats* stats = nullptr, const DpExec& exec = {});
-/// Deprecated convenience (one-shot Engine).
-StatusOr<size_t> MinDominatingSetTd(const Graph& graph,
-                                    DpStats* stats = nullptr);
-
-// --- Fused-traversal registration (Engine::SolveAll) ------------------------
-//
-// Same contract as core::AddThreeColorPass (three_color.hpp): registers one
-// pass of a MultiDp, returns a finalizer valid once the fused traversal ran;
-// `graph` and `ntd` must outlive both.
-
 std::function<StatusOr<size_t>()> AddVertexCoverPass(
     MultiDp* multi, const Graph& graph,
     const NormalizedTreeDecomposition& ntd);
 
+/// Size of a maximum independent set.
 std::function<StatusOr<size_t>()> AddIndependentSetPass(
     MultiDp* multi, const Graph& graph,
     const NormalizedTreeDecomposition& ntd);
 
+/// Size of a minimum dominating set.
 std::function<StatusOr<size_t>()> AddDominatingSetPass(
     MultiDp* multi, const Graph& graph,
     const NormalizedTreeDecomposition& ntd);

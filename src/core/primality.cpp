@@ -15,7 +15,7 @@ using internal::PrimalityContext;
 using internal::PrimJoinKey;
 using internal::PrimState;
 
-// Adapter plugging PrimalityContext into the generic RunTreeDp driver.
+// Adapter plugging PrimalityContext into the generic tree DP (RunDp).
 struct PrimalityProblem {
   using State = PrimState;
   using Value = std::monostate;
@@ -59,17 +59,17 @@ namespace internal {
 
 bool DecidePrimePrepared(const PrimalityContext& context,
                          const NormalizedTreeDecomposition& ntd,
-                         ElementId a_elem, RunStats* stats) {
-  PrimalityProblem problem{&context};
+                         ElementId a_elem, RunStats* stats,
+                         const DpExec& exec) {
+  MultiDp multi;
+  const auto* table =
+      multi.Add(PrimalityProblem{&context}, /*retain_tables=*/false);
   DpStats dp;
-  auto table = RunTreeDp(ntd, &problem, &dp);
-  if (stats != nullptr) {
-    stats->dp_states += dp.total_states;
-    stats->dp_max_states_per_node =
-        std::max(stats->dp_max_states_per_node, dp.max_states_per_node);
-  }
+  RunDp(ntd, &multi, exec, &dp);
+  if (stats != nullptr) FoldDpStats(dp, stats);
+  if (exec.budget != nullptr && exec.budget->Aborted()) return false;
   const auto& bag = ntd.Bag(ntd.root());
-  for (const auto& [state, value] : table.at(ntd.root())) {
+  for (const auto& [state, value] : table->at(ntd.root())) {
     if (context.Accepts(bag, state, a_elem)) return true;
   }
   return false;
@@ -102,18 +102,6 @@ StatusOr<bool> IsPrimeViaTd(const Schema& schema, const SchemaEncoding& encoding
 
   return internal::DecidePrimePrepared(context, *state.normalized, a_elem,
                                        stats);
-}
-
-StatusOr<bool> IsPrimeViaTd(const Schema& schema, const SchemaEncoding& encoding,
-                            const TreeDecomposition& td, AttributeId a,
-                            DpStats* stats) {
-  RunStats run;
-  auto result = IsPrimeViaTd(schema, encoding, td, a, &run);
-  if (stats != nullptr) {
-    stats->total_states = run.dp_states;
-    stats->max_states_per_node = run.dp_max_states_per_node;
-  }
-  return result;
 }
 
 }  // namespace treedl::core

@@ -22,21 +22,6 @@ StatusOr<bool> IsPrimeViaTd(const Schema& schema, const SchemaEncoding& encoding
                             const TreeDecomposition& td, AttributeId a,
                             RunStats* stats = nullptr);
 
-/// Deprecated shim: forwards into the RunStats form and copies the DP slice
-/// back into the legacy struct.
-StatusOr<bool> IsPrimeViaTd(const Schema& schema, const SchemaEncoding& encoding,
-                            const TreeDecomposition& td, AttributeId a,
-                            DpStats* stats);
-
-/// Deprecated convenience: re-encodes the schema and rebuilds a min-fill
-/// decomposition on every call (a one-shot treedl::Engine). Batch callers
-/// should hold an Engine instead, which pays for the encoding and the
-/// decomposition once across all queries (see engine/engine.hpp).
-StatusOr<bool> IsPrimeViaTd(const Schema& schema, AttributeId a,
-                            RunStats* stats = nullptr);
-StatusOr<bool> IsPrimeViaTd(const Schema& schema, AttributeId a,
-                            DpStats* stats);
-
 }  // namespace treedl::core
 
 #endif  // TREEDL_CORE_PRIMALITY_HPP_

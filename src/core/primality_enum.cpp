@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <unordered_map>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -265,24 +266,19 @@ std::vector<bool> EnumeratePrimesPrepared(const PrimalityContext& context,
   std::vector<StateSet> down(num_nodes);
   TableMemoryTracker memory;
   const bool evict = exec.table_memory_budget > 0;
-  const bool parallel = exec.Parallel();
 
-  // Pass 1: bottom-up solve() tables, child shards before their parent.
-  if (parallel) {
-    RunShardedWalk(
-        exec,
-        [&](const std::vector<TdNodeId>& nodes, DpStats* local) {
-          BottomUpChunk(context, ntd, nodes, &up, &memory, evict, exec.budget,
-                        local);
-        },
-        &dp, WalkDirection::kBottomUp);
-  } else {
-    std::vector<TdNodeId> post = ntd.PostOrder();
-    BottomUpChunk(context, ntd, post, &up, &memory, evict, exec.budget, &dp);
-  }
+  // Pass 1: bottom-up solve() tables, children before their parent.
+  WalkChunks(
+      ntd, exec,
+      [&](const std::vector<TdNodeId>& nodes, DpStats* local) {
+        BottomUpChunk(context, ntd, nodes, &up, &memory, evict, exec.budget,
+                      local);
+      },
+      &dp, WalkDirection::kBottomUp);
 
-  // Pass 2: top-down solve↓() tables on the inverted schedule — the root
-  // shard first, each shard's nodes in reverse post order.
+  // Pass 2: top-down solve↓() tables on the inverted walk — parents before
+  // their children (sharded: the root shard first, each shard's nodes in
+  // reverse post order).
   std::vector<std::atomic<size_t>> down_pending(num_nodes);
   if (evict) {
     for (size_t id = 0; id < num_nodes; ++id) {
@@ -290,35 +286,20 @@ std::vector<bool> EnumeratePrimesPrepared(const PrimalityContext& context,
                              std::memory_order_relaxed);
     }
   }
-  if (parallel) {
-    RunShardedWalk(
-        exec,
-        [&](const std::vector<TdNodeId>& nodes, DpStats* local) {
-          TopDownChunk(context, ntd, nodes, &up, &down, &memory, evict,
-                       exec.budget, &down_pending, local);
-        },
-        &dp, WalkDirection::kTopDown);
-  } else {
-    std::vector<TdNodeId> post = ntd.PostOrder();
-    std::vector<TdNodeId> pre(post.rbegin(), post.rend());
-    TopDownChunk(context, ntd, pre, &up, &down, &memory, evict, exec.budget,
-                 &down_pending, &dp);
-  }
+  WalkChunks(
+      ntd, exec,
+      [&](const std::vector<TdNodeId>& nodes, DpStats* local) {
+        TopDownChunk(context, ntd, nodes, &up, &down, &memory, evict,
+                     exec.budget, &down_pending, local);
+      },
+      &dp, WalkDirection::kTopDown);
 
   memory.FoldInto(&dp);
   if (stats != nullptr) {
-    stats->dp_states += dp.total_states;
-    stats->dp_max_states_per_node =
-        std::max(stats->dp_max_states_per_node, dp.max_states_per_node);
-    stats->primality_shards += dp.shards;
-    stats->dp_shard_millis.insert(stats->dp_shard_millis.end(),
-                                  dp.shard_millis.begin(),
-                                  dp.shard_millis.end());
-    stats->dp_traversals += 2;
-    stats->dp_passes += 2;
-    stats->dp_peak_table_bytes =
-        std::max(stats->dp_peak_table_bytes, dp.peak_table_bytes);
-    stats->dp_tables_evicted += dp.tables_evicted;
+    // Both walks' shards count as enumeration shards, not Solve DP shards.
+    dp.traversals = dp.passes = 2;
+    stats->primality_shards += std::exchange(dp.shards, 0);
+    FoldDpStats(dp, stats);
   }
 
   // prime(a) is read off at the leaves (every attribute occurs in some leaf
@@ -371,19 +352,6 @@ StatusOr<std::vector<bool>> EnumeratePrimes(const Schema& schema,
 
   return internal::EnumeratePrimesPrepared(
       context, encoding, schema.NumAttributes(), *state.normalized, stats);
-}
-
-StatusOr<std::vector<bool>> EnumeratePrimes(const Schema& schema,
-                                            const SchemaEncoding& encoding,
-                                            const TreeDecomposition& td,
-                                            DpStats* stats) {
-  RunStats run;
-  auto result = EnumeratePrimes(schema, encoding, td, &run);
-  if (stats != nullptr) {
-    stats->total_states = run.dp_states;
-    stats->max_states_per_node = run.dp_max_states_per_node;
-  }
-  return result;
 }
 
 StatusOr<std::vector<bool>> EnumeratePrimesQuadratic(

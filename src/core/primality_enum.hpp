@@ -25,19 +25,6 @@ StatusOr<std::vector<bool>> EnumeratePrimes(const Schema& schema,
                                             const TreeDecomposition& td,
                                             RunStats* stats = nullptr);
 
-/// Deprecated shim: forwards into the RunStats form.
-StatusOr<std::vector<bool>> EnumeratePrimes(const Schema& schema,
-                                            const SchemaEncoding& encoding,
-                                            const TreeDecomposition& td,
-                                            DpStats* stats);
-
-/// Deprecated convenience: re-encodes and re-decomposes per call (one-shot
-/// treedl::Engine); batch callers should hold an Engine instead.
-StatusOr<std::vector<bool>> EnumeratePrimes(const Schema& schema,
-                                            RunStats* stats = nullptr);
-StatusOr<std::vector<bool>> EnumeratePrimes(const Schema& schema,
-                                            DpStats* stats);
-
 /// The quadratic baseline: one decision run per attribute ("obviously, this
 /// method has quadratic time complexity" — §5.3).
 StatusOr<std::vector<bool>> EnumeratePrimesQuadratic(

@@ -140,10 +140,13 @@ NormalizeOptions PrimalityNormalizeOptions(const SchemaEncoding& encoding,
 /// Fig. 6 bottom-up DP over a *prepared* decomposition — already validated,
 /// rhs-closed, re-rooted at a bag containing `a_elem`, and normalized with
 /// PrimalityNormalizeOptions(·, false). Used by IsPrimeViaTd after its pass
-/// pipeline, and by the Engine with its cached artifacts.
+/// pipeline, and by the Engine with its cached artifacts. One pass, one
+/// RunDp walk; its DpStats fold into `stats`. After an `exec.budget` abort
+/// the verdict is meaningless: the caller surfaces budget->AbortStatus().
 bool DecidePrimePrepared(const PrimalityContext& context,
                          const NormalizedTreeDecomposition& ntd,
-                         ElementId a_elem, RunStats* stats);
+                         ElementId a_elem, RunStats* stats,
+                         const DpExec& exec = {});
 
 /// §5.3 two-pass enumeration over a prepared decomposition — validated,
 /// rhs-closed, normalized with PrimalityNormalizeOptions(·, true). When

@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "common/byte_vec.hpp"
-#include "engine/passes.hpp"
-#include "engine/pipeline.hpp"
 
 namespace treedl::core {
 
@@ -189,7 +187,7 @@ std::vector<int> ExtractColoring(const Graph& graph,
 }
 
 // Reads the decision verdict (and optionally a coloring) off a completed
-// table — shared by the standalone solver and the fused-pass finalizer.
+// table — the decision pass's finalizer.
 ThreeColorResult FinalizeDecision(const Graph& graph,
                                   const NormalizedTreeDecomposition& ntd,
                                   const DpTable<ColorState, std::monostate>& table,
@@ -216,22 +214,18 @@ uint64_t FinalizeCount(const NormalizedTreeDecomposition& ntd,
 StatusOr<ThreeColorResult> SolveThreeColorNormalized(
     const Graph& graph, const NormalizedTreeDecomposition& ntd,
     bool extract_coloring, const DpExec& exec) {
-  ColorProblem<false> problem(graph);
-  ThreeColorResult result;
-  // Witness extraction re-reads interior tables after the run, so it is
-  // incompatible with dead-table eviction — drop any memory budget.
-  DpExec run_exec = exec;
-  if (extract_coloring) run_exec.table_memory_budget = 0;
-  auto table = RunTreeDpAuto(ntd, &problem, run_exec, &result.stats);
+  MultiDp multi;
+  auto finalize = AddThreeColorPass(&multi, graph, ntd, extract_coloring);
+  DpStats stats;
+  RunDp(ntd, &multi, exec, &stats);
   // An aborted budget leaves partial tables — the witness walk's predecessor
   // checks would fire on them, so surface the abort before finalizing.
-  if (run_exec.budget != nullptr && run_exec.budget->Aborted()) {
-    return run_exec.budget->AbortStatus();
+  if (exec.budget != nullptr && exec.budget->Aborted()) {
+    return exec.budget->AbortStatus();
   }
-  ThreeColorResult finalized =
-      FinalizeDecision(graph, ntd, table, extract_coloring);
-  finalized.stats = result.stats;
-  return finalized;
+  TREEDL_ASSIGN_OR_RETURN(ThreeColorResult result, finalize());
+  result.stats = std::move(stats);
+  return result;
 }
 
 std::function<StatusOr<ThreeColorResult>()> AddThreeColorPass(
@@ -255,32 +249,6 @@ std::function<StatusOr<uint64_t>()> AddThreeColorCountPass(
   return [table, &ntd]() -> StatusOr<uint64_t> {
     return FinalizeCount(ntd, *table);
   };
-}
-
-StatusOr<ThreeColorResult> SolveThreeColor(const Graph& graph,
-                                           const TreeDecomposition& td,
-                                           bool extract_coloring) {
-  TREEDL_ASSIGN_OR_RETURN(NormalizedTreeDecomposition ntd,
-                          engine::PrepareForGraph(graph, td));
-  return SolveThreeColorNormalized(graph, ntd, extract_coloring);
-}
-
-StatusOr<uint64_t> CountThreeColoringsNormalized(
-    const Graph& graph, const NormalizedTreeDecomposition& ntd,
-    DpStats* stats, const DpExec& exec) {
-  ColorProblem<true> problem(graph);
-  auto table = RunTreeDpAuto(ntd, &problem, exec, stats);
-  if (exec.budget != nullptr && exec.budget->Aborted()) {
-    return exec.budget->AbortStatus();
-  }
-  return FinalizeCount(ntd, table);
-}
-
-StatusOr<uint64_t> CountThreeColorings(const Graph& graph,
-                                       const TreeDecomposition& td) {
-  TREEDL_ASSIGN_OR_RETURN(NormalizedTreeDecomposition ntd,
-                          engine::PrepareForGraph(graph, td));
-  return CountThreeColoringsNormalized(graph, ntd);
 }
 
 }  // namespace treedl::core

@@ -27,39 +27,19 @@ struct ThreeColorResult {
   DpStats stats;
 };
 
-/// Decides 3-colorability using the supplied tree decomposition (validated
-/// against `graph`, then normalized — both as named pipeline passes).
-StatusOr<ThreeColorResult> SolveThreeColor(const Graph& graph,
-                                           const TreeDecomposition& td,
-                                           bool extract_coloring = true);
-
 /// DP kernel over an already-normalized decomposition (no validation or
-/// normalization; the Engine calls this with its cached normal form). `exec`
-/// optionally carries a bag sharding and thread pool for the parallel driver.
+/// normalization): one decision pass, one RunDp walk. `exec` optionally
+/// carries a bag sharding and thread pool for a parallel walk. Sessions
+/// answer through Engine::Solve instead; this is the bare kernel.
 StatusOr<ThreeColorResult> SolveThreeColorNormalized(
     const Graph& graph, const NormalizedTreeDecomposition& ntd,
     bool extract_coloring = true, const DpExec& exec = {});
 
-/// Deprecated convenience: rebuilds a min-fill decomposition per call (a
-/// one-shot treedl::Engine); batch callers should hold an Engine instead.
-StatusOr<ThreeColorResult> SolveThreeColor(const Graph& graph,
-                                           bool extract_coloring = true);
-
-/// Counts proper 3-colorings (extension: same DP over the counting
-/// semiring). Exact for any graph the decomposition covers.
-StatusOr<uint64_t> CountThreeColorings(const Graph& graph,
-                                       const TreeDecomposition& td);
-StatusOr<uint64_t> CountThreeColoringsNormalized(
-    const Graph& graph, const NormalizedTreeDecomposition& ntd,
-    DpStats* stats = nullptr, const DpExec& exec = {});
-/// Deprecated convenience (one-shot Engine; see SolveThreeColor above).
-StatusOr<uint64_t> CountThreeColorings(const Graph& graph);
-
-// --- Fused-traversal registration (Engine::SolveAll) ------------------------
+// --- Pass registration (Engine::Solve / SolveAll) ---------------------------
 //
 // Each Add*Pass registers the problem's transitions as one pass of a MultiDp
 // and returns a finalizer that reads the answer out of the pass's table —
-// call it only after RunMultiTreeDp[Sharded|Auto] ran the traversal.
+// call it only after RunDp ran the traversal (and its budget did not abort).
 // `graph` and `ntd` must outlive both the traversal and the finalizer call.
 
 std::function<StatusOr<ThreeColorResult>()> AddThreeColorPass(

@@ -17,7 +17,7 @@
 //   };
 //
 // `emit(state, value)` may be called any number of times per transition.
-// Merge must be commutative and associative — the drivers rely on this for
+// Merge must be commutative and associative — the walks rely on this for
 // order-independence of the final tables.
 //
 // State tables are flat, arena-backed open-addressing tables (StateTable =
@@ -26,35 +26,36 @@
 // node per state — and a whole table can be released at once, which is the
 // primitive behind dead-table eviction (below).
 //
-// Two drivers share the per-node transition logic:
-//   RunTreeDp         — sequential post-order traversal;
-//   RunTreeDpSharded  — bag-sharded parallel traversal: independent subtree
-//                       shards (td/shard.hpp) execute concurrently on a
-//                       ThreadPool, a shard becoming runnable when all of its
-//                       child shards have completed. Problem hooks must be
-//                       const and stateless (all in-tree problems are); the
-//                       resulting table is bit-identical to the sequential
-//                       one, because every node still sees fully-built child
-//                       tables and processes them in the same order.
+// RunDp runs every tree DP: problems register as passes of a MultiDp
+// (below) and one walk feeds them all. The walk is a list of node chunks
+// (internal::WalkChunks): a sequential run is one chunk, the post order; a
+// parallel run is the bag-sharded schedule — independent subtree shards
+// (td/shard.hpp) execute concurrently on a ThreadPool, a shard becoming
+// runnable when all of its child shards have completed. Problem
+// hooks must be const and stateless (all in-tree problems are); the
+// resulting tables are bit-identical to the sequential ones, because every
+// node still sees fully-built child tables and processes them in the same
+// order. The §5.3 enumeration drives the same walk directly, top-down
+// included.
 //
 // Dead-table eviction (DpExec::table_memory_budget > 0): a node's table is
 // consumed exactly once — by its parent node (in the same shard, or as the
-// boundary table of a child shard that the parent shard reads). The drivers
-// therefore release every child table right after its parent node is
+// boundary table of a child shard that the parent shard reads). RunDp
+// therefore releases every child table right after its parent node is
 // processed, bounding peak table memory by the live frontier of the
 // traversal instead of the whole decomposition. The root's table is never
 // evicted (the finalizers read it), and problems that re-read interior
-// tables after the run (witness extraction) opt out per pass/run.
+// tables after the run (witness extraction) opt out per pass.
 // DpStats::peak_table_bytes / tables_evicted report the effect.
 //
-// MultiDp fuses several problems into ONE traversal: each registered problem
+// MultiDp fuses the registered problems into ONE traversal: each problem
 // keeps its own state table, but the tree (and, in the parallel case, the
 // shard schedule) is walked once. Within a chunk of nodes (the whole
 // post-order, or one shard's node list) execution is *pass-major*: pass 1
 // processes every node of the chunk, then pass 2, and so on — one state
 // table streams through the cache at a time, instead of five tables
-// thrashing it per node. This is what Engine::SolveAll runs — N problems
-// cost one traversal family instead of N.
+// thrashing it per node. Engine::Solve registers one pass, Engine::SolveAll
+// five — N problems cost one traversal instead of N.
 #ifndef TREEDL_CORE_TREE_DP_HPP_
 #define TREEDL_CORE_TREE_DP_HPP_
 
@@ -72,6 +73,7 @@
 #include "common/thread_pool.hpp"
 #include "common/timer.hpp"
 #include "common/work_budget.hpp"
+#include "engine/run_stats.hpp"
 #include "td/normalize.hpp"
 #include "td/shard.hpp"
 
@@ -84,7 +86,7 @@ struct MemberHash {
 
 /// One bag's state table: flat open addressing over an arena (see header
 /// comment). Iteration order is insertion order — deterministic and identical
-/// between the sequential and sharded drivers.
+/// between sequential and sharded walks.
 template <typename State, typename Value>
 using StateTable = FlatTable<State, Value>;
 
@@ -117,9 +119,8 @@ struct DpStats {
   size_t tables_evicted = 0;
 };
 
-/// Execution context for the drivers. Default-constructed (or with either
-/// pointer null, or a single shard) every driver below degrades to the
-/// sequential traversal.
+/// Execution context of a walk. Default-constructed (or with either pointer
+/// null, or a single shard) the walk is sequential.
 struct DpExec {
   const BagSharding* sharding = nullptr;
   ThreadPool* pool = nullptr;
@@ -127,8 +128,9 @@ struct DpExec {
   /// live table bytes. Eviction frees tables as soon as the traversal proves
   /// them dead, so peak memory tracks the traversal frontier; a budget
   /// smaller than the frontier itself is exceeded, never enforced by
-  /// aborting. 0 keeps every table alive until the run ends (required by
-  /// callers that re-read interior tables, e.g. witness extraction).
+  /// aborting. 0 keeps every table alive until the run ends. Passes that
+  /// re-read interior tables (witness extraction) opt out per pass via
+  /// MultiDp::Add's retain_tables.
   size_t table_memory_budget = 0;
   /// Optional cooperative cancellation: each node step of each pass claims
   /// one work unit, and live table bytes are checked against the budget's
@@ -176,7 +178,7 @@ struct TableMemoryTracker {
 };
 
 /// Computes one node's state table from its children's completed tables — the
-/// single source of the transition semantics for both drivers.
+/// single source of the transition semantics.
 template <typename Problem>
 void DpProcessNode(const NormalizedTreeDecomposition& ntd, TdNodeId id,
                    Problem* problem,
@@ -241,10 +243,10 @@ void DpProcessNode(const NormalizedTreeDecomposition& ntd, TdNodeId id,
   }
 }
 
-/// Eviction step shared by every driver: after node `id` was processed, its
-/// children's tables have been consumed for the last time — release them.
-/// Exactly-once by construction (every node has one parent); the root is
-/// never anyone's child, so the root table always survives the run.
+/// Eviction step: after node `id` was processed, its children's tables have
+/// been consumed for the last time — release them. Exactly-once by
+/// construction (every node has one parent); the root is never anyone's
+/// child, so the root table always survives the run.
 template <typename State, typename Value>
 void EvictChildTables(const NormalizedTreeDecomposition& ntd, TdNodeId id,
                       DpTable<State, Value>* table, TableMemoryTracker* memory) {
@@ -258,7 +260,7 @@ void EvictChildTables(const NormalizedTreeDecomposition& ntd, TdNodeId id,
 }
 
 /// One pass's node step: transition + stats + memory accounting + optional
-/// child eviction. Shared by the single-problem drivers and MultiDp.
+/// child eviction — what MultiDp runs per pass and node.
 ///
 /// Budgeted runs claim one work unit per step and verify the hard live-byte
 /// cap after the node's table lands. An exhausted budget turns remaining
@@ -271,7 +273,7 @@ void DpStepNode(const NormalizedTreeDecomposition& ntd, TdNodeId id,
                 DpTable<typename Problem::State, typename Problem::Value>*
                     table,
                 TableMemoryTracker* memory, bool evict, DpStats* stats,
-                WorkBudget* budget = nullptr) {
+                WorkBudget* budget) {
   if (budget != nullptr && !budget->ConsumeUnit()) return;
   DpProcessNode(ntd, id, problem, table);
   const auto& states = table->nodes[static_cast<size_t>(id)];
@@ -293,7 +295,7 @@ void DpStepNode(const NormalizedTreeDecomposition& ntd, TdNodeId id,
 /// chunks delivered by one traversal. Holds type-erased (problem, table)
 /// pairs; Add() copies the problem in and returns a stable pointer to its
 /// table, valid for the MultiDp's lifetime — callers read their results out
-/// of it after the traversal ran (see RunMultiTreeDpAuto).
+/// of it after RunDp ran the traversal.
 class MultiDp {
  public:
   /// Registers a pass. `retain_tables` = false declares that the pass's
@@ -324,12 +326,12 @@ class MultiDp {
   /// all tables per node. Safe to call concurrently for the node lists of
   /// distinct shards (each pass writes only the chunk's slots, and the shard
   /// schedule orders child-table reads), which is exactly the sharded
-  /// driver's access pattern.
+  /// walk's access pattern.
   void ProcessChunk(const NormalizedTreeDecomposition& ntd,
                     const std::vector<TdNodeId>& nodes,
                     internal::TableMemoryTracker* memory,
                     size_t table_memory_budget, DpStats* stats,
-                    WorkBudget* budget = nullptr) {
+                    WorkBudget* budget) {
     for (auto& pass : passes_) {
       pass->ProcessChunk(ntd, nodes, memory, table_memory_budget, stats,
                          budget);
@@ -377,27 +379,34 @@ class MultiDp {
 
 namespace internal {
 
-/// Direction of a sharded walk. kBottomUp is the DP default: a shard runs
-/// once its child shards are done, nodes in post order. kTopDown inverts the
-/// schedule for root-to-leaves passes (the §5.3 solve↓ tables): a shard runs
-/// once its parent shard is done, nodes in reverse post order (parents
-/// before children within the shard).
+/// Direction of a walk. kBottomUp is the DP default: children before their
+/// parent — nodes in post order, a shard once its child shards are done.
+/// kTopDown inverts it for root-to-leaves passes (the §5.3 solve↓ tables):
+/// nodes in reverse post order, a shard once its parent shard is done.
 enum class WalkDirection { kBottomUp, kTopDown };
 
-/// The shard schedule shared by every parallel driver: executes
-/// `process_chunk(shard_nodes, &local_stats)` once per shard on the pool; a
-/// shard is submitted once all of its dependencies (child shards bottom-up,
-/// the parent shard top-down) are done, and the calling thread helps drain
-/// the pool while waiting. `process_chunk` is invoked concurrently from
-/// multiple threads for distinct shards.
+/// The one chunk walk under every tree DP: calls `process_chunk(nodes,
+/// stats)` on chunks of `ntd` whose concatenation respects `direction`. A
+/// sequential run (!exec.Parallel()) is one chunk — the whole post order, or
+/// its reverse top-down. A parallel run is the shard schedule: one chunk per
+/// shard, submitted to the pool once its dependencies (child shards
+/// bottom-up, the parent shard top-down) are done, with the calling thread
+/// helping to drain the pool while it waits. `process_chunk` is then invoked
+/// concurrently from several threads for distinct shards, each with its own
+/// stats slot (merged at the end).
 template <typename ProcessChunk>
-void RunShardedWalk(const DpExec& exec, ProcessChunk&& process_chunk,
-                    DpStats* stats,
-                    WalkDirection direction = WalkDirection::kBottomUp) {
-  TREEDL_CHECK(exec.Parallel());
+void WalkChunks(const NormalizedTreeDecomposition& ntd, const DpExec& exec,
+                ProcessChunk&& process_chunk, DpStats* stats,
+                WalkDirection direction = WalkDirection::kBottomUp) {
+  const bool top_down = direction == WalkDirection::kTopDown;
+  if (!exec.Parallel()) {
+    std::vector<TdNodeId> order = ntd.PostOrder();
+    if (top_down) std::reverse(order.begin(), order.end());
+    process_chunk(order, stats);
+    return;
+  }
   const BagSharding& sharding = *exec.sharding;
   size_t num_shards = sharding.NumShards();
-  const bool top_down = direction == WalkDirection::kTopDown;
 
   // Per-shard bookkeeping: dependency counters, isolated stats slots (merged
   // at the end — no contention), and the completion group.
@@ -474,92 +483,20 @@ void RunShardedWalk(const DpExec& exec, ProcessChunk&& process_chunk,
 
 }  // namespace internal
 
-/// Runs the bottom-up pass of `problem` over `ntd` sequentially and returns
-/// the full table. The table at the root characterizes the whole structure.
-/// table_memory_budget > 0 releases child tables as the walk consumes them
-/// (see the eviction contract in the header comment) — only valid when the
-/// caller reads nothing but the root table afterwards.
-template <typename Problem>
-DpTable<typename Problem::State, typename Problem::Value> RunTreeDp(
-    const NormalizedTreeDecomposition& ntd, Problem* problem,
-    DpStats* stats = nullptr, size_t table_memory_budget = 0,
-    WorkBudget* budget = nullptr) {
-  DpTable<typename Problem::State, typename Problem::Value> table;
-  table.nodes.resize(ntd.NumNodes());
-  internal::TableMemoryTracker memory;
-  bool evict = table_memory_budget > 0;
-  for (TdNodeId id : ntd.PostOrder()) {
-    internal::DpStepNode(ntd, id, problem, &table, &memory, evict, stats,
-                         budget);
-  }
-  memory.FoldInto(stats);
-  if (stats != nullptr) {
-    ++stats->traversals;
-    ++stats->passes;
-  }
-  return table;
-}
-
-/// Parallel driver: one shard-scheduled walk (internal::RunShardedWalk) of
-/// `problem`'s transitions. Requires exec.Parallel(); the problem's hooks are
-/// invoked concurrently from multiple threads and must be const/stateless.
-/// Honors exec.table_memory_budget (root-only readers only; see RunTreeDp).
-template <typename Problem>
-DpTable<typename Problem::State, typename Problem::Value> RunTreeDpSharded(
-    const NormalizedTreeDecomposition& ntd, Problem* problem,
-    const DpExec& exec, DpStats* stats = nullptr) {
-  DpTable<typename Problem::State, typename Problem::Value> table;
-  table.nodes.resize(ntd.NumNodes());
-  internal::TableMemoryTracker memory;
-  bool evict = exec.table_memory_budget > 0;
-  internal::RunShardedWalk(
-      exec,
-      [&](const std::vector<TdNodeId>& nodes, DpStats* local) {
-        for (TdNodeId id : nodes) {
-          internal::DpStepNode(ntd, id, problem, &table, &memory, evict,
-                               local, exec.budget);
-        }
-      },
-      stats);
-  memory.FoldInto(stats);
-  if (stats != nullptr) {
-    ++stats->traversals;
-    ++stats->passes;
-  }
-  return table;
-}
-
-/// Fused sequential driver: one pass-major walk of the post order feeding
-/// every pass of `multi`. Results are read out of the table pointers Add()
-/// returned. table_memory_budget applies per pass, honoring each pass's
-/// retain_tables flag.
-inline void RunMultiTreeDp(const NormalizedTreeDecomposition& ntd,
-                           MultiDp* multi, DpStats* stats = nullptr,
-                           size_t table_memory_budget = 0,
-                           WorkBudget* budget = nullptr) {
+/// Runs a tree DP: ONE bottom-up walk (internal::WalkChunks) of `ntd`
+/// feeds every pass registered on `multi`, pass-major within each chunk.
+/// Sequential by default; bag-sharded on exec.pool when exec.Parallel(), in
+/// which case the problems' hooks run concurrently and must be const and
+/// stateless. exec.table_memory_budget evicts dead tables per pass, honoring
+/// each pass's retain_tables flag. After an exec.budget abort the tables are
+/// partial: the caller surfaces budget->AbortStatus() before any finalizer.
+/// Results are read out of the table pointers MultiDp::Add returned.
+inline void RunDp(const NormalizedTreeDecomposition& ntd, MultiDp* multi,
+                  const DpExec& exec = {}, DpStats* stats = nullptr) {
   multi->Prepare(ntd.NumNodes());
   internal::TableMemoryTracker memory;
-  std::vector<TdNodeId> post = ntd.PostOrder();
-  multi->ProcessChunk(ntd, post, &memory, table_memory_budget, stats, budget);
-  memory.FoldInto(stats);
-  if (stats != nullptr) {
-    ++stats->traversals;
-    stats->passes += multi->NumPasses();
-  }
-}
-
-/// Fused parallel driver: ONE shard-scheduled walk drives every pass of
-/// `multi` — each bag is visited once, `stats->shards` grows by the shard
-/// count of a single traversal (not one per pass). Within a shard the passes
-/// run chunked pass-major (cache locality); across shards the schedule is
-/// unchanged. Requires exec.Parallel().
-inline void RunMultiTreeDpSharded(const NormalizedTreeDecomposition& ntd,
-                                  MultiDp* multi, const DpExec& exec,
-                                  DpStats* stats = nullptr) {
-  multi->Prepare(ntd.NumNodes());
-  internal::TableMemoryTracker memory;
-  internal::RunShardedWalk(
-      exec,
+  internal::WalkChunks(
+      ntd, exec,
       [&](const std::vector<TdNodeId>& nodes, DpStats* local) {
         multi->ProcessChunk(ntd, nodes, &memory, exec.table_memory_budget,
                             local, exec.budget);
@@ -572,24 +509,20 @@ inline void RunMultiTreeDpSharded(const NormalizedTreeDecomposition& ntd,
   }
 }
 
-/// Dispatches the fused traversal to the sharded driver when `exec` carries a
-/// usable sharding and pool, else to the sequential one.
-inline void RunMultiTreeDpAuto(const NormalizedTreeDecomposition& ntd,
-                               MultiDp* multi, const DpExec& exec,
-                               DpStats* stats = nullptr) {
-  if (exec.Parallel()) return RunMultiTreeDpSharded(ntd, multi, exec, stats);
-  return RunMultiTreeDp(ntd, multi, stats, exec.table_memory_budget,
-                        exec.budget);
-}
-
-/// Dispatches to the sharded driver when `exec` carries a usable sharding and
-/// pool, else to the sequential one.
-template <typename Problem>
-DpTable<typename Problem::State, typename Problem::Value> RunTreeDpAuto(
-    const NormalizedTreeDecomposition& ntd, Problem* problem,
-    const DpExec& exec, DpStats* stats = nullptr) {
-  if (exec.Parallel()) return RunTreeDpSharded(ntd, problem, exec, stats);
-  return RunTreeDp(ntd, problem, stats, exec.table_memory_budget, exec.budget);
+/// Folds one run's DpStats into a query's RunStats.
+inline void FoldDpStats(const DpStats& dp, RunStats* stats) {
+  stats->dp_states += dp.total_states;
+  stats->dp_max_states_per_node =
+      std::max(stats->dp_max_states_per_node, dp.max_states_per_node);
+  stats->dp_shards += dp.shards;
+  stats->dp_shard_millis.insert(stats->dp_shard_millis.end(),
+                                dp.shard_millis.begin(),
+                                dp.shard_millis.end());
+  stats->dp_traversals += dp.traversals;
+  stats->dp_passes += dp.passes;
+  stats->dp_peak_table_bytes =
+      std::max(stats->dp_peak_table_bytes, dp.peak_table_bytes);
+  stats->dp_tables_evicted += dp.tables_evicted;
 }
 
 }  // namespace treedl::core

@@ -2,8 +2,6 @@
 
 #include "common/byte_vec.hpp"
 #include "core/extensions.hpp"
-#include "engine/passes.hpp"
-#include "engine/pipeline.hpp"
 
 namespace treedl::core {
 
@@ -52,6 +50,7 @@ class SubsetProblem {
 
   void Leaf(const std::vector<ElementId>& bag, const Emit& emit) const {
     size_t n = bag.size();
+    TREEDL_DCHECK(n < 64);
     for (uint64_t mask = 0; mask < (uint64_t{1} << n); ++mask) {
       State s;
       s.in_set.resize(n);
@@ -103,7 +102,7 @@ class SubsetProblem {
   const Graph& graph_;
 };
 
-// Root scans shared by the standalone solvers and the fused-pass finalizers.
+// Root scans: the passes' finalizers.
 size_t FinalizeCover(const Graph& graph,
                      const NormalizedTreeDecomposition& ntd,
                      const DpTable<SubsetState, size_t>& table) {
@@ -125,17 +124,6 @@ size_t FinalizeIndependent(const NormalizedTreeDecomposition& ntd,
 
 }  // namespace
 
-StatusOr<size_t> MinVertexCoverNormalized(
-    const Graph& graph, const NormalizedTreeDecomposition& ntd,
-    DpStats* stats, const DpExec& exec) {
-  SubsetProblem<true> problem(graph);
-  auto table = RunTreeDpAuto(ntd, &problem, exec, stats);
-  if (exec.budget != nullptr && exec.budget->Aborted()) {
-    return exec.budget->AbortStatus();
-  }
-  return FinalizeCover(graph, ntd, table);
-}
-
 std::function<StatusOr<size_t>()> AddVertexCoverPass(
     MultiDp* multi, const Graph& graph,
     const NormalizedTreeDecomposition& ntd) {
@@ -154,32 +142,6 @@ std::function<StatusOr<size_t>()> AddIndependentSetPass(
   return [table, &ntd]() -> StatusOr<size_t> {
     return FinalizeIndependent(ntd, *table);
   };
-}
-
-StatusOr<size_t> MinVertexCoverTd(const Graph& graph,
-                                  const TreeDecomposition& td, DpStats* stats) {
-  TREEDL_ASSIGN_OR_RETURN(NormalizedTreeDecomposition ntd,
-                          engine::PrepareForGraph(graph, td));
-  return MinVertexCoverNormalized(graph, ntd, stats);
-}
-
-StatusOr<size_t> MaxIndependentSetNormalized(
-    const Graph& graph, const NormalizedTreeDecomposition& ntd,
-    DpStats* stats, const DpExec& exec) {
-  SubsetProblem<false> problem(graph);
-  auto table = RunTreeDpAuto(ntd, &problem, exec, stats);
-  if (exec.budget != nullptr && exec.budget->Aborted()) {
-    return exec.budget->AbortStatus();
-  }
-  return FinalizeIndependent(ntd, table);
-}
-
-StatusOr<size_t> MaxIndependentSetTd(const Graph& graph,
-                                     const TreeDecomposition& td,
-                                     DpStats* stats) {
-  TREEDL_ASSIGN_OR_RETURN(NormalizedTreeDecomposition ntd,
-                          engine::PrepareForGraph(graph, td));
-  return MaxIndependentSetNormalized(graph, ntd, stats);
 }
 
 }  // namespace treedl::core

@@ -1,6 +1,8 @@
 #include "engine/engine.hpp"
 
 #include <algorithm>
+#include <functional>
+#include <string>
 #include <utility>
 
 #include "common/binary_io.hpp"
@@ -49,20 +51,57 @@ StatusOr<Structure> RunBackend(const datalog::Program& program,
   return result;
 }
 
-void MergeDp(const core::DpStats& dp, RunStats* stats) {
-  stats->dp_states += dp.total_states;
-  stats->dp_max_states_per_node =
-      std::max(stats->dp_max_states_per_node, dp.max_states_per_node);
-  stats->dp_shards += dp.shards;
-  stats->dp_shard_millis.insert(stats->dp_shard_millis.end(),
-                                dp.shard_millis.begin(),
-                                dp.shard_millis.end());
-  stats->dp_traversals += dp.traversals;
-  stats->dp_passes += dp.passes;
-  stats->dp_peak_table_bytes =
-      std::max(stats->dp_peak_table_bytes, dp.peak_table_bytes);
-  stats->dp_tables_evicted += dp.tables_evicted;
+/// Fills one field of a SolveAllResult from a pass finalizer.
+using SolveFinalizer = std::function<Status(Engine::SolveAllResult*)>;
+
+template <typename T>
+SolveFinalizer Assign(std::function<StatusOr<T>()> finalize,
+                      T Engine::SolveAllResult::*field) {
+  return [finalize = std::move(finalize),
+          field](Engine::SolveAllResult* out) -> Status {
+    TREEDL_ASSIGN_OR_RETURN(out->*field, finalize());
+    return Status::OK();
+  };
 }
+
+/// Registers `problem`'s pass on `multi`; the returned finalizer writes its
+/// answer into the matching SolveAllResult field once the walk ran.
+SolveFinalizer AddSolvePass(core::MultiDp* multi, Engine::Problem problem,
+                            const Graph& graph,
+                            const NormalizedTreeDecomposition& ntd,
+                            bool extract_witness) {
+  using Result = Engine::SolveAllResult;
+  switch (problem) {
+    case Engine::Problem::kThreeColor: {
+      auto finalize =
+          core::AddThreeColorPass(multi, graph, ntd, extract_witness);
+      return [finalize](Result* out) -> Status {
+        TREEDL_ASSIGN_OR_RETURN(core::ThreeColorResult tc, finalize());
+        out->three_colorable = tc.colorable;
+        out->coloring = std::move(tc.coloring);
+        return Status::OK();
+      };
+    }
+    case Engine::Problem::kThreeColorCount:
+      return Assign(core::AddThreeColorCountPass(multi, graph, ntd),
+                    &Result::three_colorings);
+    case Engine::Problem::kVertexCover:
+      return Assign(core::AddVertexCoverPass(multi, graph, ntd),
+                    &Result::min_vertex_cover);
+    case Engine::Problem::kIndependentSet:
+      return Assign(core::AddIndependentSetPass(multi, graph, ntd),
+                    &Result::max_independent_set);
+    case Engine::Problem::kDominatingSet:
+      return Assign(core::AddDominatingSetPass(multi, graph, ntd),
+                    &Result::min_dominating_set);
+  }
+  TREEDL_CHECK(false) << "unknown problem";
+  return nullptr;
+}
+
+/// Widest bag the graph DPs accept: the subset problems enumerate 2^|bag|
+/// leaf states in a 64-bit mask (and 3COL's 3^|bag| could never finish).
+constexpr int kMaxDpBagSize = 63;
 
 }  // namespace
 
@@ -335,6 +374,7 @@ StatusOr<bool> Engine::IsPrime(AttributeId a, RunStats* stats) {
     const TreeDecomposition* closed = nullptr;
     const core::internal::PrimalityContext* context = nullptr;
     const SchemaEncoding* encoding = nullptr;
+    core::DpExec exec;
     {
       std::lock_guard<std::mutex> lock(sync_->cache_mu);
       // O(1) from the memoized §5.3 enumeration, if it already ran.
@@ -345,6 +385,8 @@ StatusOr<bool> Engine::IsPrime(AttributeId a, RunStats* stats) {
       TREEDL_ASSIGN_OR_RETURN(closed, EnsureClosedTd(s));
       TREEDL_ASSIGN_OR_RETURN(context, EnsurePrimality(s));
       encoding = encoding_.get();
+      exec.table_memory_budget = options_.table_memory_budget;
+      exec.budget = options_.work_budget;
     }
     // Per-query work on the immutable artifacts, outside the lock.
     ElementId a_elem = encoding->AttrElement(a);
@@ -359,8 +401,12 @@ StatusOr<bool> Engine::IsPrime(AttributeId a, RunStats* stats) {
         pipeline.Run(state, options_.collect_pass_timings ? s : nullptr));
     ++s->normalize_builds;
     ++GlobalEngineCounters().normalize_builds;
-    return core::internal::DecidePrimePrepared(*context, *state.normalized,
-                                               a_elem, s);
+    bool prime = core::internal::DecidePrimePrepared(
+        *context, *state.normalized, a_elem, s, exec);
+    if (exec.budget != nullptr && exec.budget->Aborted()) {
+      return exec.budget->AbortStatus();
+    }
+    return prime;
   }();
   s->total_millis = timer.ElapsedMillis();
   Record(*s);
@@ -558,76 +604,9 @@ StatusOr<std::vector<bool>> Engine::EvaluateMsoUnary(
 
 StatusOr<Engine::SolveResult> Engine::Solve(Problem problem, RunStats* stats,
                                             WorkBudget* budget) {
-  RunStats local;
-  RunStats* s = stats != nullptr ? (*stats = RunStats{}, stats) : &local;
-  Timer timer;
-  StatusOr<SolveResult> result = [&]() -> StatusOr<SolveResult> {
-    const Graph* graph = nullptr;
-    const NormalizedTreeDecomposition* ntd = nullptr;
-    core::DpExec exec;
-    {
-      std::lock_guard<std::mutex> lock(sync_->cache_mu);
-      TREEDL_ASSIGN_OR_RETURN(graph, EnsureGaifman(s));
-      TREEDL_ASSIGN_OR_RETURN(ntd, EnsurePlainNtd(s));
-      exec.pool = EnsurePool();
-      exec.sharding = sharding_.has_value() ? &*sharding_ : nullptr;
-      exec.table_memory_budget = options_.table_memory_budget;
-      exec.budget = budget != nullptr ? budget : options_.work_budget;
-    }
-    // The DP itself runs outside the lock — concurrent Solve calls share the
-    // pool, and with num_threads > 1 each traversal is itself sharded.
-    SolveResult out;
-    core::DpStats dp;
-    switch (problem) {
-      case Problem::kThreeColor: {
-        TREEDL_ASSIGN_OR_RETURN(
-            core::ThreeColorResult r,
-            core::SolveThreeColorNormalized(*graph, *ntd,
-                                            options_.extract_witness, exec));
-        out.feasible = r.colorable;
-        out.witness = std::move(r.coloring);
-        dp = r.stats;
-        break;
-      }
-      case Problem::kThreeColorCount: {
-        TREEDL_ASSIGN_OR_RETURN(
-            uint64_t count,
-            core::CountThreeColoringsNormalized(*graph, *ntd, &dp, exec));
-        out.feasible = count > 0;
-        out.count = count;
-        break;
-      }
-      case Problem::kVertexCover: {
-        TREEDL_ASSIGN_OR_RETURN(
-            size_t best,
-            core::MinVertexCoverNormalized(*graph, *ntd, &dp, exec));
-        out.feasible = true;
-        out.optimum = best;
-        break;
-      }
-      case Problem::kIndependentSet: {
-        TREEDL_ASSIGN_OR_RETURN(
-            size_t best,
-            core::MaxIndependentSetNormalized(*graph, *ntd, &dp, exec));
-        out.feasible = true;
-        out.optimum = best;
-        break;
-      }
-      case Problem::kDominatingSet: {
-        TREEDL_ASSIGN_OR_RETURN(
-            size_t best,
-            core::MinDominatingSetNormalized(*graph, *ntd, &dp, exec));
-        out.feasible = true;
-        out.optimum = best;
-        break;
-      }
-    }
-    MergeDp(dp, s);
-    return out;
-  }();
-  s->total_millis = timer.ElapsedMillis();
-  Record(*s);
-  return result;
+  TREEDL_ASSIGN_OR_RETURN(SolveAllResult all,
+                          SolveProblems({problem}, stats, budget));
+  return all.Result(problem);
 }
 
 Engine::SolveResult Engine::SolveAllResult::Result(Problem problem) const {
@@ -659,6 +638,15 @@ Engine::SolveResult Engine::SolveAllResult::Result(Problem problem) const {
 
 StatusOr<Engine::SolveAllResult> Engine::SolveAll(RunStats* stats,
                                                   WorkBudget* budget) {
+  return SolveProblems({Problem::kThreeColor, Problem::kThreeColorCount,
+                        Problem::kVertexCover, Problem::kIndependentSet,
+                        Problem::kDominatingSet},
+                       stats, budget);
+}
+
+StatusOr<Engine::SolveAllResult> Engine::SolveProblems(
+    std::initializer_list<Problem> problems, RunStats* stats,
+    WorkBudget* budget) {
   RunStats local;
   RunStats* s = stats != nullptr ? (*stats = RunStats{}, stats) : &local;
   Timer timer;
@@ -675,34 +663,34 @@ StatusOr<Engine::SolveAllResult> Engine::SolveAll(RunStats* stats,
       exec.table_memory_budget = options_.table_memory_budget;
       exec.budget = budget != nullptr ? budget : options_.work_budget;
     }
-    // One fused traversal outside the lock: five state tables, each bag of
-    // the normal form visited exactly once (sharded when exec.Parallel()).
+    if (ntd->Width() + 1 > kMaxDpBagSize) {
+      return Status::ResourceExhausted(
+          "decomposition bag of " + std::to_string(ntd->Width() + 1) +
+          " elements exceeds the graph-DP limit of " +
+          std::to_string(kMaxDpBagSize));
+    }
+    // One walk outside the lock: one state table per problem, each bag of
+    // the normal form visited exactly once (sharded when exec.Parallel()),
+    // so concurrent queries share the pool.
     core::MultiDp multi;
-    auto three_color = core::AddThreeColorPass(&multi, *graph, *ntd,
-                                               options_.extract_witness);
-    auto count = core::AddThreeColorCountPass(&multi, *graph, *ntd);
-    auto vertex_cover = core::AddVertexCoverPass(&multi, *graph, *ntd);
-    auto independent = core::AddIndependentSetPass(&multi, *graph, *ntd);
-    auto dominating = core::AddDominatingSetPass(&multi, *graph, *ntd);
+    std::vector<SolveFinalizer> finalizers;
+    for (Problem problem : problems) {
+      finalizers.push_back(AddSolvePass(&multi, problem, *graph, *ntd,
+                                        options_.extract_witness));
+    }
     core::DpStats dp;
-    core::RunMultiTreeDpAuto(*ntd, &multi, exec, &dp);
-    // The finalizers below re-read root (and, for witness extraction,
-    // interior) tables; on an aborted budget those are partial — surface the
-    // abort before any finalizer can trip over them.
+    core::RunDp(*ntd, &multi, exec, &dp);
+    core::FoldDpStats(dp, s);
+    // The finalizers re-read root (and, for witness extraction, interior)
+    // tables; on an aborted budget those are partial — surface the abort
+    // before any finalizer can trip over them.
     if (exec.budget != nullptr && exec.budget->Aborted()) {
-      MergeDp(dp, s);
       return exec.budget->AbortStatus();
     }
-
     SolveAllResult out;
-    TREEDL_ASSIGN_OR_RETURN(core::ThreeColorResult tc, three_color());
-    out.three_colorable = tc.colorable;
-    out.coloring = std::move(tc.coloring);
-    TREEDL_ASSIGN_OR_RETURN(out.three_colorings, count());
-    TREEDL_ASSIGN_OR_RETURN(out.min_vertex_cover, vertex_cover());
-    TREEDL_ASSIGN_OR_RETURN(out.max_independent_set, independent());
-    TREEDL_ASSIGN_OR_RETURN(out.min_dominating_set, dominating());
-    MergeDp(dp, s);
+    for (const SolveFinalizer& finalize : finalizers) {
+      TREEDL_RETURN_IF_ERROR(finalize(&out));
+    }
     return out;
   }();
   s->total_millis = timer.ElapsedMillis();

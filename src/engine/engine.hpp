@@ -25,7 +25,7 @@
 // outside the lock against the immutable cached artifacts. With
 // EngineOptions::num_threads > 1 the per-query engines themselves are
 // parallel on one shared work-stealing pool: the Solve/SolveAll tree DP runs
-// bag-sharded (core::RunTreeDpSharded), the AllPrimes enumeration runs both
+// bag-sharded (core::RunDp), the AllPrimes enumeration runs both
 // of its passes shard-scheduled on the same pool (bottom-up, then the
 // inverted top-down schedule), and the semi-naive datalog fixpoint evaluates
 // each round's rules (and wide delta batches) as pool tasks with a
@@ -35,13 +35,13 @@
 //
 // Every query reports a RunStats (build/cache counters, DP and fixpoint
 // work, shard counts/timings, optional per-pass timings); CumulativeStats()
-// aggregates the session. The deprecated free functions
-// (core::IsPrimeViaTd(schema, a), ...) forward into a one-shot Engine, so
-// they pay encoding + decomposition on every call — the quadratic pattern
-// §5.3 argues against.
+// aggregates the session. The Engine is the entry point for every query:
+// there are no one-shot free functions that re-encode and re-decompose per
+// call — the quadratic pattern §5.3 argues against.
 #ifndef TREEDL_ENGINE_ENGINE_HPP_
 #define TREEDL_ENGINE_ENGINE_HPP_
 
+#include <initializer_list>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -123,7 +123,9 @@ class Engine {
 
   /// §5.2 decision: is attribute `a` prime? Reuses the cached encoding and
   /// decomposition; re-roots and normalizes per query (linear). After
-  /// AllPrimes() has run, answers O(1) from the memoized enumeration.
+  /// AllPrimes() has run, answers O(1) from the memoized enumeration. The DP
+  /// runs under EngineOptions::work_budget and table_memory_budget; a
+  /// tripped budget returns its DeadlineExceeded/ResourceExhausted status.
   StatusOr<bool> IsPrime(AttributeId a, RunStats* stats = nullptr);
 
   /// §5.3 enumeration: all prime attributes in one two-pass run. The result
@@ -166,10 +168,14 @@ class Engine {
 
   // --- Graph DPs -----------------------------------------------------------
 
-  /// A tripped `budget` (per-call, overriding EngineOptions::work_budget)
-  /// aborts the traversal and returns its DeadlineExceeded /
-  /// ResourceExhausted status; no partial result escapes and the session's
-  /// cached artifacts are untouched, so the next query answers normally.
+  /// One problem: a one-pass SolveAll — the same walk with a single state
+  /// table, answering Result(problem). A tripped `budget` (per-call,
+  /// overriding EngineOptions::work_budget) aborts the traversal and returns
+  /// its DeadlineExceeded / ResourceExhausted status; no partial result
+  /// escapes and the session's cached artifacts are untouched, so the next
+  /// query answers normally. A normal form with a bag of more than 63
+  /// elements fails with ResourceExhausted before the walk starts (the
+  /// subset DPs enumerate 2^|bag| states in a 64-bit mask).
   StatusOr<SolveResult> Solve(Problem problem, RunStats* stats = nullptr,
                               WorkBudget* budget = nullptr);
 
@@ -317,6 +323,12 @@ class Engine {
   /// width >= 1).
   StatusOr<bool> UseDirectMso(RunStats* stats);
   void Record(const RunStats& stats);
+  /// The one graph-DP path behind Solve and SolveAll: one MultiDp pass per
+  /// problem, one core::RunDp walk of the cached normal form, the abort
+  /// check, then each pass's finalizer fills its SolveAllResult field.
+  StatusOr<SolveAllResult> SolveProblems(
+      std::initializer_list<Problem> problems, RunStats* stats,
+      WorkBudget* budget);
 
   EngineOptions options_;
   // Owned inputs (unique_ptr keeps references inside cached artifacts stable

@@ -1,7 +1,6 @@
 // Concrete pipeline passes for the §5 preparation flows.
 //
 //   ValidateStructurePass  — §2.2 conditions against a τ-structure
-//   ValidateGraphPass      — §2.2 conditions against a graph
 //   RhsClosurePass         — §5.2 bag closure: add rhs(f) to every bag with f
 //   ReRootAtElementPass    — re-root at a bag containing the query element
 //   NormalizePass          — modified normal form (Fig. 4) per state options
@@ -17,7 +16,6 @@
 
 #include "core/primality_internal.hpp"
 #include "engine/pipeline.hpp"
-#include "graph/graph.hpp"
 #include "td/improve.hpp"
 #include "td/normalize.hpp"
 #include "td/shard.hpp"
@@ -35,19 +33,6 @@ class ValidateStructurePass final : public Pass {
     }
     return ValidateForStructure(*state.structure, state.td);
   }
-};
-
-/// Graph flavor of validation (edges instead of facts).
-class ValidateGraphPass final : public Pass {
- public:
-  explicit ValidateGraphPass(const Graph* graph) : graph_(graph) {}
-  std::string name() const override { return "validate-graph"; }
-  Status apply(PipelineState& state) const override {
-    return ValidateForGraph(*graph_, state.td);
-  }
-
- private:
-  const Graph* graph_;
 };
 
 /// §5.2 preprocessing: extends every bag containing an FD element with that
@@ -117,7 +102,7 @@ class NormalizePass final : public Pass {
 };
 
 /// Partitions the normalized decomposition into independent subtree shards
-/// for the parallel DP driver (core::RunTreeDpSharded). Cost-aware: shards
+/// for the parallel tree-DP walk (core::RunDp). Cost-aware: shards
 /// are balanced by the EstimateNodeCost state-count model, not node count,
 /// so wide-bag regions near the root no longer dominate the critical path.
 /// Runs after NormalizePass; deposits the sharding in state.sharding.
@@ -137,20 +122,6 @@ class ShardBagsPass final : public Pass {
  private:
   size_t target_;
 };
-
-/// Validate-against-graph + normalize as one pipeline — the shared
-/// preparation of the graph DPs (3-coloring, vertex cover, independent set,
-/// dominating set).
-inline StatusOr<NormalizedTreeDecomposition> PrepareForGraph(
-    const Graph& graph, const TreeDecomposition& td,
-    RunStats* stats = nullptr) {
-  PipelineState state;
-  state.td = td;
-  PassPipeline pipeline;
-  pipeline.Emplace<ValidateGraphPass>(&graph).Emplace<NormalizePass>();
-  TREEDL_RETURN_IF_ERROR(pipeline.Run(state, stats));
-  return *std::move(state.normalized);
-}
 
 }  // namespace treedl::engine
 

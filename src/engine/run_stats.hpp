@@ -3,9 +3,8 @@
 // Supersedes the scattered per-subsystem out-params (core::DpStats,
 // datalog::EvalStats, datalog::GroundingStats): one struct carries build/cache
 // counters of the session cache, DP table sizes, datalog fixpoint work, and
-// optional per-pass timings. The deprecated free-function signatures keep
-// their old stats structs, now populated by forwarding from a RunStats
-// computed internally (see engine/compat.cpp).
+// optional per-pass timings. core::DpStats remains as the tree-DP walk's own
+// record; core::FoldDpStats (core/tree_dp.hpp) folds it into a RunStats.
 //
 // Header-only on purpose: core/ and datalog/ include this file to fill in
 // their slices without linking against the engine library.
@@ -47,7 +46,7 @@ struct RunStats {
   // --- Tree-DP work (core::DpStats slice) ---------------------------------
   size_t dp_states = 0;
   size_t dp_max_states_per_node = 0;
-  /// Shard tasks run by the parallel DP driver (0 = sequential traversal).
+  /// Shard tasks run by the parallel DP walk (0 = sequential traversal).
   size_t dp_shards = 0;
   /// Wall-clock per shard task, in shard order. Per-query only: Accumulate
   /// folds it into dp_slowest_shard_millis instead of concatenating, so a
@@ -168,11 +167,9 @@ struct RunStats {
   std::string ToString() const;
 };
 
-/// Process-wide build counters, bumped by every Engine (and therefore by every
-/// deprecated convenience free function, which forwards into a one-shot
-/// Engine). Tests use the deltas to demonstrate the §5.3 amortization
-/// argument: N queries on one Engine cost one encoding + one decomposition,
-/// N convenience calls cost N of each.
+/// Process-wide build counters, bumped by every Engine. Tests use the deltas
+/// to demonstrate the §5.3 amortization argument: N queries on one Engine
+/// cost one encoding + one decomposition, N one-shot Engines cost N of each.
 struct EngineCounters {
   std::atomic<size_t> encode_builds{0};
   std::atomic<size_t> td_builds{0};

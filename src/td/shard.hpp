@@ -7,13 +7,13 @@
 // tree into connected regions ("shards") of roughly balanced size; the shards
 // themselves form a tree, and a shard becomes runnable exactly when all of
 // its child shards have completed. core/tree_dp.hpp executes this schedule on
-// a ThreadPool (see RunTreeDpSharded).
+// a ThreadPool (see RunDp).
 //
 // The same partition also serves root-to-leaves passes: because every shard
 // is a connected region whose nodes are listed in global post order, running
 // the shard tree *inverted* (a shard after its parent shard, its nodes
 // reversed) is a valid parents-before-children schedule — how the §5.3
-// enumeration runs its top-down solve↓ pass (tree_dp.hpp,
+// enumeration runs its top-down solve↓ pass (tree_dp.hpp, WalkChunks with
 // WalkDirection::kTopDown).
 #ifndef TREEDL_TD_SHARD_HPP_
 #define TREEDL_TD_SHARD_HPP_

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <new>
+
 #include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "common/small_bitset.hpp"
 #include "common/status.hpp"
 #include "common/string_util.hpp"
+#include "common/thread_pool.hpp"
 
 #include "test_util.hpp"
 
@@ -162,6 +166,26 @@ TEST(HashTest, CombineIsOrderSensitive) {
 
 TEST(HashTest, HashRangeDistinguishesLengths) {
   EXPECT_NE(HashRange<int>({1, 2}), HashRange<int>({1, 2, 0}));
+}
+
+// The waiter owns the group and ends its lifetime the moment Wait returns, as
+// the sharded DP walk and the parallel fixpoint round do with a WaitGroup on
+// their stack. Scribbling over the dead group's storage stands in for the
+// frame being reused: a Done that still touches the group after Wait could
+// observe zero finds a garbage mutex and aborts, crashes or hangs.
+TEST(WaitGroupTest, WaiterMayEndTheGroupAsSoonAsWaitReturns) {
+  ThreadPool pool(8);
+  alignas(WaitGroup) unsigned char storage[sizeof(WaitGroup)];
+  for (int round = 0; round < 50000; ++round) {
+    WaitGroup* done = new (storage) WaitGroup();
+    done->Add(4);
+    for (int t = 0; t < 4; ++t) pool.Submit([done] { done->Done(); });
+    while (pool.RunOneTask()) {
+    }
+    done->Wait();
+    done->~WaitGroup();
+    std::memset(storage, 0xff, sizeof(storage));
+  }
 }
 
 }  // namespace

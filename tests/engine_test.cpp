@@ -1,9 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "core/extensions.hpp"
-#include "core/primality.hpp"
-#include "core/primality_enum.hpp"
-#include "core/three_color.hpp"
+#include "common/work_budget.hpp"
 #include "datalog/parser.hpp"
 #include "engine/engine.hpp"
 #include "graph/gaifman.hpp"
@@ -44,12 +41,12 @@ TEST(EngineTest, AmortizesEncodingAndDecompositionAcrossQueries) {
   EXPECT_EQ(global.encode_builds - encode_before, 1u);
   EXPECT_EQ(global.td_builds - td_before, 1u);
 
-  // N calls to the deprecated convenience overload: N encodings and N
-  // decomposition builds (the quadratic pattern the paper argues against).
+  // N one-shot sessions, one query each: N encodings and N decomposition
+  // builds (the quadratic pattern the paper argues against).
   encode_before = global.encode_builds;
   td_before = global.td_builds;
   for (AttributeId a = 0; a < n; ++a) {
-    ASSERT_TRUE(core::IsPrimeViaTd(schema, a).ok());
+    ASSERT_TRUE(Engine(schema).IsPrime(a).ok());
   }
   EXPECT_EQ(global.encode_builds - encode_before, static_cast<size_t>(n));
   EXPECT_EQ(global.td_builds - td_before, static_cast<size_t>(n));
@@ -190,20 +187,6 @@ TEST(EngineTest, SolveAllBatchesFiveProblemsIntoOneTraversal) {
   EXPECT_EQ(again.normalize_builds, 0u);
   EXPECT_EQ(again.dp_traversals, 1u);
   EXPECT_GT(again.cache_hits, 0u);
-}
-
-TEST(EngineTest, DeprecatedGraphShimsForwardStats) {
-  Graph g = CycleGraph(5);
-  core::DpStats stats;
-  auto vc = core::MinVertexCoverTd(g, &stats);
-  ASSERT_TRUE(vc.ok());
-  EXPECT_EQ(*vc, 3u);
-  EXPECT_GT(stats.total_states, 0u);  // numbers flow through RunStats
-
-  auto colored = core::SolveThreeColor(g);
-  ASSERT_TRUE(colored.ok());
-  EXPECT_TRUE(colored->colorable);
-  EXPECT_GT(colored->stats.total_states, 0u);
 }
 
 // --- Datalog backends ---------------------------------------------------------
@@ -387,20 +370,43 @@ TEST(EngineTest, PassTimingsAreCollectedWhenRequested) {
   EXPECT_FALSE(run.ToString().empty());
 }
 
-// --- Deprecated primality shims ----------------------------------------------
+// --- IsPrime: full DP accounting and session budgets --------------------------
 
-TEST(EngineTest, DeprecatedPrimalityShimsForwardStats) {
-  Schema schema = Schema::PaperExampleSchema();
-  core::DpStats stats;
-  auto result = core::IsPrimeViaTd(schema, 0, &stats);
-  ASSERT_TRUE(result.ok());
-  EXPECT_GT(stats.total_states, 0u);
+TEST(EngineTest, IsPrimeReportsTheFullDpRecord) {
+  // IsPrime runs one pass on one walk, like Solve: the traversal, pass and
+  // table-byte counters are filled, not just the state counts.
+  EngineOptions options;
+  options.num_threads = 1;
+  Engine engine(Schema::PaperExampleSchema(), options);
+  RunStats run;
+  ASSERT_TRUE(engine.IsPrime(0, &run).ok());
+  EXPECT_GT(run.dp_states, 0u);
+  EXPECT_EQ(run.dp_traversals, 1u);
+  EXPECT_EQ(run.dp_passes, 1u);
+  EXPECT_GT(run.dp_peak_table_bytes, 0u);
+  EXPECT_EQ(run.dp_tables_evicted, 0u);
 
-  core::DpStats enum_stats;
-  auto primes = core::EnumeratePrimes(schema, &enum_stats);
-  ASSERT_TRUE(primes.ok());
-  EXPECT_GT(enum_stats.total_states, 0u);
-  EXPECT_EQ(*primes, AllPrimesBruteForce(schema));
+  // The session's table_memory_budget reaches the IsPrime walk: dead tables
+  // are evicted and the answer is unchanged.
+  options.table_memory_budget = 1;
+  Engine budgeted(Schema::PaperExampleSchema(), options);
+  RunStats evicting;
+  auto prime = budgeted.IsPrime(0, &evicting);
+  ASSERT_TRUE(prime.ok()) << prime.status();
+  EXPECT_EQ(*prime, engine.IsPrime(0).value());
+  EXPECT_GT(evicting.dp_tables_evicted, 0u);
+}
+
+TEST(EngineTest, IsPrimeHonorsTheSessionWorkBudget) {
+  WorkBudget budget;
+  budget.SetDeadline(1);
+  EngineOptions options;
+  options.work_budget = &budget;
+  Engine engine(Schema::PaperExampleSchema(), options);
+  auto result = engine.IsPrime(0);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded)
+      << result.status();
 }
 
 }  // namespace

@@ -1,37 +1,37 @@
 #include <gtest/gtest.h>
 
-#include "core/extensions.hpp"
+#include "engine/engine.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph_algorithms.hpp"
 
-namespace treedl::core {
+namespace treedl {
 namespace {
 
+using Problem = Engine::Problem;
+
+size_t Optimum(Engine& engine, Problem problem) {
+  auto result = engine.Solve(problem);
+  EXPECT_TRUE(result.ok()) << result.status();
+  return result.ok() ? result->optimum : 0;
+}
+
+void ExpectOptima(const Graph& g, size_t vc, size_t is, size_t ds) {
+  Engine engine = Engine::FromGraph(g);
+  EXPECT_EQ(Optimum(engine, Problem::kVertexCover), vc);
+  EXPECT_EQ(Optimum(engine, Problem::kIndependentSet), is);
+  EXPECT_EQ(Optimum(engine, Problem::kDominatingSet), ds);
+}
+
 TEST(ExtensionsTest, KnownGraphs) {
-  Graph c5 = CycleGraph(5);
-  EXPECT_EQ(MinVertexCoverTd(c5).value(), 3u);
-  EXPECT_EQ(MaxIndependentSetTd(c5).value(), 2u);
-  EXPECT_EQ(MinDominatingSetTd(c5).value(), 2u);
+  ExpectOptima(CycleGraph(5), 3, 2, 2);
 
   Graph star(6);
   for (VertexId v = 1; v < 6; ++v) star.AddEdge(0, v);
-  EXPECT_EQ(MinVertexCoverTd(star).value(), 1u);
-  EXPECT_EQ(MaxIndependentSetTd(star).value(), 5u);
-  EXPECT_EQ(MinDominatingSetTd(star).value(), 1u);
+  ExpectOptima(star, 1, 5, 1);
 
-  Graph k4 = CompleteGraph(4);
-  EXPECT_EQ(MinVertexCoverTd(k4).value(), 3u);
-  EXPECT_EQ(MaxIndependentSetTd(k4).value(), 1u);
-  EXPECT_EQ(MinDominatingSetTd(k4).value(), 1u);
-
-  Graph edgeless(4);
-  EXPECT_EQ(MinVertexCoverTd(edgeless).value(), 0u);
-  EXPECT_EQ(MaxIndependentSetTd(edgeless).value(), 4u);
-  EXPECT_EQ(MinDominatingSetTd(edgeless).value(), 4u);
-
-  EXPECT_EQ(MinVertexCoverTd(PetersenGraph()).value(), 6u);
-  EXPECT_EQ(MaxIndependentSetTd(PetersenGraph()).value(), 4u);
-  EXPECT_EQ(MinDominatingSetTd(PetersenGraph()).value(), 3u);
+  ExpectOptima(CompleteGraph(4), 3, 1, 1);
+  ExpectOptima(Graph(4), 0, 4, 4);  // edgeless
+  ExpectOptima(PetersenGraph(), 6, 4, 3);
 }
 
 class ExtensionsPropertyTest : public ::testing::TestWithParam<int> {};
@@ -39,20 +39,21 @@ class ExtensionsPropertyTest : public ::testing::TestWithParam<int> {};
 TEST_P(ExtensionsPropertyTest, MatchesBruteForce) {
   Rng rng(static_cast<uint64_t>(GetParam()) * 7 + 1);
   Graph g = RandomPartialKTree(11, 3, 0.7, &rng);
-  EXPECT_EQ(MinVertexCoverTd(g).value(), MinVertexCoverBruteForce(g));
-  EXPECT_EQ(MaxIndependentSetTd(g).value(), MaxIndependentSetBruteForce(g));
-  EXPECT_EQ(MinDominatingSetTd(g).value(), MinDominatingSetBruteForce(g));
+  ExpectOptima(g, MinVertexCoverBruteForce(g), MaxIndependentSetBruteForce(g),
+               MinDominatingSetBruteForce(g));
 }
 
 TEST_P(ExtensionsPropertyTest, GallaiIdentity) {
   Rng rng(static_cast<uint64_t>(GetParam()) * 13 + 2);
   Graph g = RandomPartialKTree(16, 3, 0.6, &rng);
+  Engine engine = Engine::FromGraph(g);
   // min VC + max IS = n, checked DP-vs-DP at sizes beyond the brute force.
-  EXPECT_EQ(MinVertexCoverTd(g).value() + MaxIndependentSetTd(g).value(),
+  EXPECT_EQ(Optimum(engine, Problem::kVertexCover) +
+                Optimum(engine, Problem::kIndependentSet),
             g.NumVertices());
   // DS never exceeds VC on graphs without isolated vertices; with possible
   // isolated vertices only the trivial bound DS <= n holds, so check that.
-  EXPECT_LE(MinDominatingSetTd(g).value(), g.NumVertices());
+  EXPECT_LE(Optimum(engine, Problem::kDominatingSet), g.NumVertices());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ExtensionsPropertyTest, ::testing::Range(0, 15));
@@ -61,10 +62,14 @@ TEST(ExtensionsTest, RejectsInvalidDecomposition) {
   Graph g = CycleGraph(4);
   TreeDecomposition bad;
   bad.AddNode({0});
-  EXPECT_FALSE(MinVertexCoverTd(g, bad).ok());
-  EXPECT_FALSE(MaxIndependentSetTd(g, bad).ok());
-  EXPECT_FALSE(MinDominatingSetTd(g, bad).ok());
+  EngineOptions options;
+  options.decomposition = bad;
+  Engine engine = Engine::FromGraph(g, options);
+  for (Problem problem : {Problem::kVertexCover, Problem::kIndependentSet,
+                          Problem::kDominatingSet}) {
+    EXPECT_FALSE(engine.Solve(problem).ok());
+  }
 }
 
 }  // namespace
-}  // namespace treedl::core
+}  // namespace treedl

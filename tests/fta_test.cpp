@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "core/three_color.hpp"
+#include "engine/engine.hpp"
 #include "fta/tree_automaton.hpp"
 #include "fta/type_automaton.hpp"
 #include "graph/generators.hpp"
@@ -127,6 +127,17 @@ TEST(TreeAutomatonTest, EmptinessViaReachability) {
   EXPECT_FALSE(reachable.count(2));
 }
 
+// The §5.1 DP on the same decomposition, via a session pinned to it.
+StatusOr<Engine::SolveResult> SolveOn(const Graph& g,
+                                      const TreeDecomposition& td,
+                                      RunStats* stats) {
+  EngineOptions options;
+  options.decomposition = td;
+  options.extract_witness = false;
+  return Engine::FromGraph(g, options)
+      .Solve(Engine::Problem::kThreeColor, stats);
+}
+
 TEST(TypeAutomatonTest, MeasuresSubsetStates) {
   Rng rng(TestSeed());
   Graph g = RandomPartialKTree(14, 3, 0.8, &rng);
@@ -138,9 +149,9 @@ TEST(TypeAutomatonTest, MeasuresSubsetStates) {
   EXPECT_GT(usage->total_facts, 0u);
   EXPECT_GE(usage->max_subset_size, 1u);
   // Consistency with the solver (whatever the verdict is for this seed).
-  auto solve = core::SolveThreeColor(g, *td, /*extract_coloring=*/false);
+  auto solve = SolveOn(g, *td, nullptr);
   ASSERT_TRUE(solve.ok());
-  EXPECT_EQ(solve->colorable, BruteForceColoring(g, 3).has_value());
+  EXPECT_EQ(solve->feasible, BruteForceColoring(g, 3).has_value());
 }
 
 TEST(TypeAutomatonTest, FactCountTracksDatalogStates) {
@@ -151,9 +162,10 @@ TEST(TypeAutomatonTest, FactCountTracksDatalogStates) {
   ASSERT_TRUE(td.ok());
   auto usage = MeasureThreeColorAutomaton(g, *td);
   ASSERT_TRUE(usage.ok());
-  auto solve = core::SolveThreeColor(g, *td, false);
+  RunStats stats;
+  auto solve = SolveOn(g, *td, &stats);
   ASSERT_TRUE(solve.ok());
-  EXPECT_EQ(usage->total_facts, solve->stats.total_states);
+  EXPECT_EQ(usage->total_facts, stats.dp_states);
 }
 
 }  // namespace

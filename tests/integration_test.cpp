@@ -1,13 +1,12 @@
 // End-to-end flows across module boundaries, mirroring the example binaries.
 #include <gtest/gtest.h>
 
-#include "core/extensions.hpp"
 #include "core/primality.hpp"
 #include "core/primality_enum.hpp"
-#include "core/three_color.hpp"
 #include "datalog/eval.hpp"
 #include "datalog/grounder.hpp"
 #include "datalog/parser.hpp"
+#include "engine/engine.hpp"
 #include "graph/gaifman.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph_algorithms.hpp"
@@ -34,7 +33,7 @@ TEST(IntegrationTest, SchemaTextToPrimes) {
       "d e -> g\n"
       "g -> e\n");
   ASSERT_TRUE(schema.ok());
-  auto primes = core::EnumeratePrimes(*schema);
+  auto primes = Engine(*schema).AllPrimes();
   ASSERT_TRUE(primes.ok()) << primes.status();
   std::vector<std::string> prime_names;
   for (AttributeId a = 0; a < schema->NumAttributes(); ++a) {
@@ -51,12 +50,14 @@ TEST(IntegrationTest, GraphPipelineAgreesAcrossSolvers) {
   for (int trial = 0; trial < 4; ++trial) {
     Graph g = RandomPartialKTree(8, 3, 0.85, &rng);
     bool brute = BruteForceColoring(g, 3).has_value();
-    auto dp = core::SolveThreeColor(g, /*extract_coloring=*/false);
+    EngineOptions options;
+    options.extract_witness = false;
+    auto dp = Engine::FromGraph(g, options).Solve(Engine::Problem::kThreeColor);
     ASSERT_TRUE(dp.ok());
     auto direct = mso::EvaluateSentence(GraphToStructure(g),
                                         *mso::ThreeColorabilitySentence());
     ASSERT_TRUE(direct.ok());
-    EXPECT_EQ(dp->colorable, brute);
+    EXPECT_EQ(dp->feasible, brute);
     EXPECT_EQ(*direct, brute);
   }
 }
@@ -117,12 +118,13 @@ TEST(IntegrationTest, ExtensionsConsistentWithColorability) {
   Rng rng(TestSeed());
   for (int trial = 0; trial < 5; ++trial) {
     Graph g = RandomPartialKTree(12, 3, 0.75, &rng);
-    auto colorable = core::SolveThreeColor(g, false);
+    Engine engine = Engine::FromGraph(g);
+    auto colorable = engine.Solve(Engine::Problem::kThreeColor);
     ASSERT_TRUE(colorable.ok());
-    if (!colorable->colorable) continue;
-    auto is = core::MaxIndependentSetTd(g);
+    if (!colorable->feasible) continue;
+    auto is = engine.Solve(Engine::Problem::kIndependentSet);
     ASSERT_TRUE(is.ok());
-    EXPECT_GE(*is * 3, g.NumVertices());
+    EXPECT_GE(is->optimum * 3, g.NumVertices());
   }
 }
 

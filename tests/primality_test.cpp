@@ -2,6 +2,7 @@
 
 #include "core/primality.hpp"
 #include "core/primality_enum.hpp"
+#include "engine/engine.hpp"
 #include "schema/generators.hpp"
 #include "schema/primality_bruteforce.hpp"
 #include "td/heuristics.hpp"
@@ -9,18 +10,21 @@
 namespace treedl::core {
 namespace {
 
+using treedl::Engine;
+
 TEST(PrimalityTest, PaperExampleDecision) {
   Schema schema = Schema::PaperExampleSchema();
+  Engine engine(schema);
   // Ex 2.1: primes are a, b, c, d; e and g are not prime.
   for (const char* name : {"a", "b", "c", "d"}) {
     AttributeId a = schema.AttributeByName(name).value();
-    auto result = IsPrimeViaTd(schema, a);
+    auto result = engine.IsPrime(a);
     ASSERT_TRUE(result.ok()) << result.status();
     EXPECT_TRUE(*result) << name;
   }
   for (const char* name : {"e", "g"}) {
     AttributeId a = schema.AttributeByName(name).value();
-    auto result = IsPrimeViaTd(schema, a);
+    auto result = engine.IsPrime(a);
     ASSERT_TRUE(result.ok()) << result.status();
     EXPECT_FALSE(*result) << name;
   }
@@ -28,7 +32,7 @@ TEST(PrimalityTest, PaperExampleDecision) {
 
 TEST(PrimalityTest, PaperExampleEnumeration) {
   Schema schema = Schema::PaperExampleSchema();
-  auto primes = EnumeratePrimes(schema);
+  auto primes = Engine(schema).AllPrimes();
   ASSERT_TRUE(primes.ok()) << primes.status();
   EXPECT_EQ(*primes, AllPrimesBruteForce(schema));
 }
@@ -37,22 +41,22 @@ TEST(PrimalityTest, TrivialSchemas) {
   // Single attribute, no FDs: the attribute is the key, hence prime.
   Schema s1;
   s1.AddAttribute("a");
-  EXPECT_TRUE(IsPrimeViaTd(s1, 0).value());
+  EXPECT_TRUE(Engine(s1).IsPrime(0).value());
   // a -> b: key is {a}; b is not prime.
   Schema s2;
   AttributeId a = s2.AddAttribute("a");
   AttributeId b = s2.AddAttribute("b");
   ASSERT_TRUE(s2.AddFd({a}, b).ok());
-  EXPECT_TRUE(IsPrimeViaTd(s2, a).value());
-  EXPECT_FALSE(IsPrimeViaTd(s2, b).value());
+  EXPECT_TRUE(Engine(s2).IsPrime(a).value());
+  EXPECT_FALSE(Engine(s2).IsPrime(b).value());
   // a -> b, b -> a: both keys {a} and {b} exist; both prime.
   Schema s3;
   a = s3.AddAttribute("a");
   b = s3.AddAttribute("b");
   ASSERT_TRUE(s3.AddFd({a}, b).ok());
   ASSERT_TRUE(s3.AddFd({b}, a).ok());
-  EXPECT_TRUE(IsPrimeViaTd(s3, a).value());
-  EXPECT_TRUE(IsPrimeViaTd(s3, b).value());
+  EXPECT_TRUE(Engine(s3).IsPrime(a).value());
+  EXPECT_TRUE(Engine(s3).IsPrime(b).value());
 }
 
 TEST(PrimalityTest, SelfDependency) {
@@ -61,7 +65,7 @@ TEST(PrimalityTest, SelfDependency) {
   AttributeId a = s.AddAttribute("a");
   AttributeId b = s.AddAttribute("b");
   ASSERT_TRUE(s.AddFd({a}, a).ok());
-  auto primes = EnumeratePrimes(s);
+  auto primes = Engine(s).AllPrimes();
   ASSERT_TRUE(primes.ok()) << primes.status();
   EXPECT_EQ(*primes, AllPrimesBruteForce(s));
   (void)b;

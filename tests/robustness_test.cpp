@@ -6,11 +6,9 @@
 #include <algorithm>
 #include <string>
 
-#include "core/primality.hpp"
-#include "core/primality_enum.hpp"
-#include "core/three_color.hpp"
 #include "datalog/eval.hpp"
 #include "datalog/parser.hpp"
+#include "engine/engine.hpp"
 #include "graph/gaifman.hpp"
 #include "graph/generators.hpp"
 #include "schema/closure.hpp"
@@ -91,9 +89,12 @@ TEST(TdRobustnessTest, LongPathNormalizationIsIterative) {
   auto norm = Normalize(*td);
   ASSERT_TRUE(norm.ok());
   EXPECT_TRUE(ValidateForGraph(g, norm->ToRaw()).ok());
-  auto result = core::SolveThreeColor(g, *td, /*extract_coloring=*/true);
+  EngineOptions options;
+  options.decomposition = *td;
+  auto result = Engine::FromGraph(g, options).Solve(Engine::Problem::kThreeColor);
   ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result->colorable);
+  EXPECT_TRUE(result->feasible);
+  ASSERT_TRUE(result->witness.has_value());
 }
 
 TEST(TdRobustnessTest, StarGraphDecomposition) {
@@ -103,19 +104,44 @@ TEST(TdRobustnessTest, StarGraphDecomposition) {
   ASSERT_TRUE(td.ok());
   EXPECT_EQ(td->Width(), 1);
   // Center gets one of 3 colors, each leaf one of the remaining 2.
-  EXPECT_EQ(core::CountThreeColorings(star, *td).value(),
-            3u * (uint64_t{1} << 19));
+  EngineOptions options;
+  options.decomposition = *td;
+  auto count =
+      Engine::FromGraph(star, options).Solve(Engine::Problem::kThreeColorCount);
+  ASSERT_TRUE(count.ok());
+  EXPECT_EQ(count->count, 3u * (uint64_t{1} << 19));
 }
 
 TEST(TdRobustnessTest, SingleVertexAndSingleEdge) {
   Graph one(1);
-  auto r1 = core::SolveThreeColor(one);
+  Engine one_session = Engine::FromGraph(one);
+  auto r1 = one_session.Solve(Engine::Problem::kThreeColor);
   ASSERT_TRUE(r1.ok());
-  EXPECT_TRUE(r1->colorable);
-  EXPECT_EQ(core::CountThreeColorings(one).value(), 3u);
+  EXPECT_TRUE(r1->feasible);
+  EXPECT_EQ(one_session.Solve(Engine::Problem::kThreeColorCount)->count, 3u);
   Graph two(2);
   two.AddEdge(0, 1);
-  EXPECT_EQ(core::CountThreeColorings(two).value(), 6u);
+  EXPECT_EQ(
+      Engine::FromGraph(two).Solve(Engine::Problem::kThreeColorCount)->count,
+      6u);
+}
+
+TEST(TdRobustnessTest, BagsWiderThan63ElementsAreTypedErrors) {
+  // K65 normalizes to a 65-element bag. The subset DPs enumerate a leaf
+  // bag's subsets in a 64-bit mask, so the graph-DP path refuses such a bag
+  // with a typed error before any walk starts instead of answering wrongly.
+  Engine engine = Engine::FromGraph(CompleteGraph(65));
+  for (Engine::Problem problem :
+       {Engine::Problem::kVertexCover, Engine::Problem::kIndependentSet}) {
+    auto result = engine.Solve(problem);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted)
+        << result.status();
+  }
+  auto all = engine.SolveAll();
+  ASSERT_FALSE(all.ok());
+  EXPECT_EQ(all.status().code(), StatusCode::kResourceExhausted)
+      << all.status();
 }
 
 // --- PRIMALITY: adversarial schema shapes ---------------------------------------
@@ -129,7 +155,7 @@ TEST(PrimalityRobustnessTest, MultipleFdsSameRhs) {
   AttributeId c = s.AddAttribute("c");
   ASSERT_TRUE(s.AddFd({a}, c).ok());
   ASSERT_TRUE(s.AddFd({b}, c).ok());
-  auto primes = core::EnumeratePrimes(s);
+  auto primes = Engine(s).AllPrimes();
   ASSERT_TRUE(primes.ok());
   EXPECT_EQ(*primes, AllPrimesBruteForce(s));
 }
@@ -143,7 +169,7 @@ TEST(PrimalityRobustnessTest, CyclicDerivations) {
   ASSERT_TRUE(s.AddFd({a}, b).ok());
   ASSERT_TRUE(s.AddFd({b}, c).ok());
   ASSERT_TRUE(s.AddFd({c}, a).ok());
-  auto primes = core::EnumeratePrimes(s);
+  auto primes = Engine(s).AllPrimes();
   ASSERT_TRUE(primes.ok());
   EXPECT_EQ(*primes, (std::vector<bool>{true, true, true}));
 }
@@ -160,7 +186,7 @@ TEST(PrimalityRobustnessTest, LongDerivationChain) {
                         attrs[static_cast<size_t>(i + 1)])
                     .ok());
   }
-  auto primes = core::EnumeratePrimes(s);
+  auto primes = Engine(s).AllPrimes();
   ASSERT_TRUE(primes.ok());
   for (int i = 0; i < 20; ++i) {
     EXPECT_EQ((*primes)[static_cast<size_t>(i)], i == 0) << i;
@@ -178,7 +204,7 @@ TEST(PrimalityRobustnessTest, WideLhsFd) {
   ASSERT_TRUE(
       s.AddFd({attrs[0], attrs[1], attrs[2], attrs[3], attrs[4]}, attrs[5])
           .ok());
-  auto primes = core::EnumeratePrimes(s);
+  auto primes = Engine(s).AllPrimes();
   ASSERT_TRUE(primes.ok());
   EXPECT_EQ(*primes, AllPrimesBruteForce(s));
 }
@@ -187,7 +213,7 @@ TEST(PrimalityRobustnessTest, AllAttributesIsolated) {
   // No FDs at all: the only key is R itself; every attribute is prime.
   Schema s;
   for (int i = 0; i < 5; ++i) s.AddAttribute("a" + std::to_string(i));
-  auto primes = core::EnumeratePrimes(s);
+  auto primes = Engine(s).AllPrimes();
   ASSERT_TRUE(primes.ok());
   EXPECT_EQ(*primes, std::vector<bool>(5, true));
 }
@@ -205,7 +231,7 @@ TEST(ClosureRobustnessTest, EmptyLhsFd) {
   EXPECT_FALSE(IsPrimeBruteForce(s, a));  // derivable from {} — never needed
   EXPECT_TRUE(IsPrimeBruteForce(s, b));
   // The DP agrees: every closed set contains a, so a is in no key.
-  auto primes = core::EnumeratePrimes(s);
+  auto primes = Engine(s).AllPrimes();
   ASSERT_TRUE(primes.ok()) << primes.status();
   EXPECT_EQ(*primes, AllPrimesBruteForce(s));
 }

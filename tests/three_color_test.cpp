@@ -1,12 +1,38 @@
 #include <gtest/gtest.h>
 
-#include "core/three_color.hpp"
+#include "engine/engine.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph_algorithms.hpp"
 #include "td/heuristics.hpp"
 
-namespace treedl::core {
+namespace treedl {
 namespace {
+
+using Problem = Engine::Problem;
+
+// One session per query: the graphs are tiny, and some queries pin their own
+// decomposition.
+StatusOr<Engine::SolveResult> SolveThreeColor(const Graph& g,
+                                              EngineOptions options = {}) {
+  Engine engine = Engine::FromGraph(g, options);
+  return engine.Solve(Problem::kThreeColor);
+}
+
+StatusOr<Engine::SolveResult> SolveThreeColor(const Graph& g,
+                                              const TreeDecomposition& td,
+                                              RunStats* stats = nullptr) {
+  EngineOptions options;
+  options.decomposition = td;
+  Engine engine = Engine::FromGraph(g, options);
+  return engine.Solve(Problem::kThreeColor, stats);
+}
+
+StatusOr<uint64_t> CountThreeColorings(const Graph& g) {
+  Engine engine = Engine::FromGraph(g);
+  TREEDL_ASSIGN_OR_RETURN(Engine::SolveResult result,
+                          engine.Solve(Problem::kThreeColorCount));
+  return result.count;
+}
 
 void ExpectProper(const Graph& g, const std::vector<int>& coloring) {
   ASSERT_EQ(coloring.size(), g.NumVertices());
@@ -20,31 +46,33 @@ void ExpectProper(const Graph& g, const std::vector<int>& coloring) {
 }
 
 TEST(ThreeColorTest, KnownGraphs) {
-  EXPECT_TRUE(SolveThreeColor(CompleteGraph(3))->colorable);
-  EXPECT_FALSE(SolveThreeColor(CompleteGraph(4))->colorable);
-  EXPECT_TRUE(SolveThreeColor(CycleGraph(5))->colorable);
-  EXPECT_TRUE(SolveThreeColor(CycleGraph(6))->colorable);
-  EXPECT_TRUE(SolveThreeColor(PetersenGraph())->colorable);
-  EXPECT_TRUE(SolveThreeColor(GridGraph(3, 4))->colorable);
-  EXPECT_TRUE(SolveThreeColor(PathGraph(1))->colorable);
-  EXPECT_TRUE(SolveThreeColor(Graph(3))->colorable);  // edgeless
+  EXPECT_TRUE(SolveThreeColor(CompleteGraph(3))->feasible);
+  EXPECT_FALSE(SolveThreeColor(CompleteGraph(4))->feasible);
+  EXPECT_TRUE(SolveThreeColor(CycleGraph(5))->feasible);
+  EXPECT_TRUE(SolveThreeColor(CycleGraph(6))->feasible);
+  EXPECT_TRUE(SolveThreeColor(PetersenGraph())->feasible);
+  EXPECT_TRUE(SolveThreeColor(GridGraph(3, 4))->feasible);
+  EXPECT_TRUE(SolveThreeColor(PathGraph(1))->feasible);
+  EXPECT_TRUE(SolveThreeColor(Graph(3))->feasible);  // edgeless
 }
 
 TEST(ThreeColorTest, ExtractedColoringsAreProper) {
   for (const Graph& g : {CycleGraph(7), PetersenGraph(), GridGraph(4, 4)}) {
     auto result = SolveThreeColor(g);
     ASSERT_TRUE(result.ok()) << result.status();
-    ASSERT_TRUE(result->colorable);
-    ASSERT_TRUE(result->coloring.has_value());
-    ExpectProper(g, *result->coloring);
+    ASSERT_TRUE(result->feasible);
+    ASSERT_TRUE(result->witness.has_value());
+    ExpectProper(g, *result->witness);
   }
 }
 
 TEST(ThreeColorTest, NoWitnessWhenNotRequested) {
-  auto result = SolveThreeColor(CycleGraph(5), /*extract_coloring=*/false);
+  EngineOptions options;
+  options.extract_witness = false;
+  auto result = SolveThreeColor(CycleGraph(5), options);
   ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result->colorable);
-  EXPECT_FALSE(result->coloring.has_value());
+  EXPECT_TRUE(result->feasible);
+  EXPECT_FALSE(result->witness.has_value());
 }
 
 class ThreeColorPropertyTest : public ::testing::TestWithParam<int> {};
@@ -56,10 +84,10 @@ TEST_P(ThreeColorPropertyTest, MatchesBruteForceOnPartialKTrees) {
   auto result = SolveThreeColor(g);
   ASSERT_TRUE(result.ok()) << result.status();
   bool expected = BruteForceColoring(g, 3).has_value();
-  EXPECT_EQ(result->colorable, expected);
-  if (result->colorable) {
-    ASSERT_TRUE(result->coloring.has_value());
-    ExpectProper(g, *result->coloring);
+  EXPECT_EQ(result->feasible, expected);
+  if (result->feasible) {
+    ASSERT_TRUE(result->witness.has_value());
+    ExpectProper(g, *result->witness);
   }
 }
 
@@ -93,10 +121,11 @@ TEST(ThreeColorTest, WorksWithProvidedDecomposition) {
   Graph g = CycleGraph(6);
   auto td = Decompose(g, TdHeuristic::kMinDegree);
   ASSERT_TRUE(td.ok());
-  auto result = SolveThreeColor(g, *td);
+  RunStats stats;
+  auto result = SolveThreeColor(g, *td, &stats);
   ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result->colorable);
-  EXPECT_GT(result->stats.total_states, 0u);
+  EXPECT_TRUE(result->feasible);
+  EXPECT_GT(stats.dp_states, 0u);
 }
 
 TEST(ThreeColorTest, DisconnectedGraphs) {
@@ -110,10 +139,10 @@ TEST(ThreeColorTest, DisconnectedGraphs) {
   g.AddEdge(3, 5);
   auto result = SolveThreeColor(g);
   ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result->colorable);
-  ExpectProper(g, *result->coloring);
+  EXPECT_TRUE(result->feasible);
+  ExpectProper(g, *result->witness);
   EXPECT_EQ(CountThreeColorings(g).value(), 6u * 6u * 3u);
 }
 
 }  // namespace
-}  // namespace treedl::core
+}  // namespace treedl

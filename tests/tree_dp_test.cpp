@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
 #include <variant>
+#include <vector>
 
 #include "core/program_listings.hpp"
+#include "common/thread_pool.hpp"
 #include "core/tree_dp.hpp"
 #include "graph/generators.hpp"
 #include "td/heuristics.hpp"
+#include "td/shard.hpp"
 
 #include "test_util.hpp"
 
@@ -49,6 +54,20 @@ struct CountProblem {
   }
 };
 
+// Runs the toy problem through RunDp; returns its root entries.
+std::vector<std::pair<UnitState, size_t>> RunCount(
+    const NormalizedTreeDecomposition& ntd, const DpExec& exec,
+    DpStats* stats) {
+  MultiDp multi;
+  const auto* table = multi.Add(CountProblem{}, /*retain_tables=*/false);
+  RunDp(ntd, &multi, exec, stats);
+  std::vector<std::pair<UnitState, size_t>> root;
+  for (const auto& [state, value] : table->at(ntd.root())) {
+    root.emplace_back(state, value);
+  }
+  return root;
+}
+
 TEST(TreeDpTest, CountsVerticesOnRandomDecompositions) {
   Rng rng(TestSeed());
   for (int trial = 0; trial < 10; ++trial) {
@@ -60,14 +79,15 @@ TEST(TreeDpTest, CountsVerticesOnRandomDecompositions) {
     options.copy_above_branches = trial % 3 == 0;
     auto ntd = Normalize(*td, options);
     ASSERT_TRUE(ntd.ok());
-    CountProblem problem;
     DpStats stats;
-    auto table = RunTreeDp(*ntd, &problem, &stats);
-    const auto& root = table.at(ntd->root());
+    auto root = RunCount(*ntd, {}, &stats);
     ASSERT_EQ(root.size(), 1u);
-    EXPECT_EQ(root.begin()->second, g.NumVertices());
+    EXPECT_EQ(root[0].second, g.NumVertices());
     EXPECT_GT(stats.total_states, 0u);
     EXPECT_GE(stats.max_states_per_node, 1u);
+    EXPECT_EQ(stats.traversals, 1u);
+    EXPECT_EQ(stats.passes, 1u);
+    EXPECT_EQ(stats.shards, 0u);
   }
 }
 
@@ -76,9 +96,51 @@ TEST(TreeDpTest, SingleNodeDecomposition) {
   td.AddNode({0, 1, 2});
   auto ntd = Normalize(td);
   ASSERT_TRUE(ntd.ok());
-  CountProblem problem;
-  auto table = RunTreeDp(*ntd, &problem);
-  EXPECT_EQ(table.at(ntd->root()).begin()->second, 3u);
+  auto root = RunCount(*ntd, {}, nullptr);
+  ASSERT_EQ(root.size(), 1u);
+  EXPECT_EQ(root[0].second, 3u);
+}
+
+// The sequential walk (one chunk) and the shard schedule on a pool must give
+// the same root table and the same deterministic counters, with and without
+// dead-table eviction.
+TEST(TreeDpTest, ShardedWalkMatchesSequentialWalk) {
+  Rng rng(TestSeed());
+  Graph g = RandomPartialKTree(300, 3, 0.6, &rng);
+  auto td = Decompose(g);
+  ASSERT_TRUE(td.ok());
+  auto ntd = Normalize(*td);
+  ASSERT_TRUE(ntd.ok());
+  BagSharding sharding = ComputeBagShardingByCost(*ntd, 16);
+  ASSERT_GT(sharding.NumShards(), 1u);
+  ThreadPool pool(4);
+  for (size_t table_budget : {size_t{0}, size_t{1}}) {
+    SCOPED_TRACE("table_memory_budget=" + std::to_string(table_budget));
+    DpExec sequential;
+    sequential.table_memory_budget = table_budget;
+    DpExec parallel = sequential;
+    parallel.sharding = &sharding;
+    parallel.pool = &pool;
+    ASSERT_TRUE(parallel.Parallel());
+
+    DpStats seq_stats;
+    DpStats par_stats;
+    auto seq_root = RunCount(*ntd, sequential, &seq_stats);
+    auto par_root = RunCount(*ntd, parallel, &par_stats);
+    ASSERT_EQ(seq_root.size(), 1u);
+    EXPECT_EQ(seq_root[0].second, g.NumVertices());
+    EXPECT_EQ(par_root, seq_root);
+    EXPECT_EQ(par_stats.total_states, seq_stats.total_states);
+    EXPECT_EQ(par_stats.max_states_per_node, seq_stats.max_states_per_node);
+    EXPECT_EQ(par_stats.traversals, seq_stats.traversals);
+    EXPECT_EQ(par_stats.passes, seq_stats.passes);
+    EXPECT_EQ(par_stats.tables_evicted, seq_stats.tables_evicted);
+    EXPECT_EQ(seq_stats.shards, 0u);
+    EXPECT_EQ(par_stats.shards, sharding.NumShards());
+    // Eviction releases every table but the root's, in either walk.
+    EXPECT_EQ(seq_stats.tables_evicted,
+              table_budget > 0 ? ntd->NumNodes() - 1 : 0u);
+  }
 }
 
 TEST(ProgramListingsTest, ListingsPresent) {
