@@ -7,6 +7,9 @@
 // writes the deterministic quality counters (total widths per heuristic,
 // pipeline excess over exact, reduction-rule fire counts, proven lower
 // bounds — no wall-clock, so the artifact is comparable across runners).
+// --scale instead prints only the wall-clock of min-fill, min-degree and MCS
+// (order plus DecompositionFromOrder) on partial 5-trees of n = 2000 and
+// 4000, where a superlinear heuristic shows; it writes no JSON.
 #include <cstdio>
 #include <cstring>
 
@@ -23,6 +26,12 @@ struct BenchConfig {
   int vertices = 14;
   uint64_t seed = 99;
   const char* json_path = nullptr;
+  bool scale = false;
+};
+
+struct HeuristicRow {
+  const char* name;
+  TdHeuristic heuristic;
 };
 
 /// Deterministic quality totals over the graph family. Every field is an
@@ -92,14 +101,11 @@ void PrintTable(const BenchConfig& config, const std::vector<Graph>& graphs,
               config.vertices);
   std::printf("%10s %10s %10s %12s\n", "heuristic", "avg width", "excess",
               "time ms/graph");
-  struct Row {
-    const char* name;
-    TdHeuristic heuristic;
-  };
-  for (Row row : {Row{"min-fill", TdHeuristic::kMinFill},
-                  Row{"min-degree", TdHeuristic::kMinDegree},
-                  Row{"mcs", TdHeuristic::kMcs},
-                  Row{"tie-break", TdHeuristic::kMinFillTieBreak}}) {
+  for (HeuristicRow row :
+       {HeuristicRow{"min-fill", TdHeuristic::kMinFill},
+        HeuristicRow{"min-degree", TdHeuristic::kMinDegree},
+        HeuristicRow{"mcs", TdHeuristic::kMcs},
+        HeuristicRow{"tie-break", TdHeuristic::kMinFillTieBreak}}) {
     double total_width = 0, total_excess = 0;
     Timer timer;
     for (size_t i = 0; i < graphs.size(); ++i) {
@@ -175,7 +181,30 @@ void WriteJson(const BenchConfig& config, const QualityTotals& totals) {
   std::printf("  wrote %s\n", config.json_path);
 }
 
+void RunScaleRows(const BenchConfig& config) {
+  std::printf("Large-n decomposition time, RandomPartialKTree(n, 5, 0.55)\n");
+  std::printf("%6s %10s %6s %10s\n", "n", "heuristic", "width", "ms");
+  for (size_t n : {2000, 4000}) {
+    Rng rng(config.seed + n);
+    Graph graph = RandomPartialKTree(n, 5, 0.55, &rng);
+    for (HeuristicRow row :
+         {HeuristicRow{"min-fill", TdHeuristic::kMinFill},
+          HeuristicRow{"min-degree", TdHeuristic::kMinDegree},
+          HeuristicRow{"mcs", TdHeuristic::kMcs}}) {
+      Timer timer;
+      auto td = Decompose(graph, row.heuristic);
+      double ms = timer.ElapsedMillis();
+      TREEDL_CHECK(td.ok()) << td.status();
+      std::printf("%6zu %10s %6d %10.1f\n", n, row.name, td->Width(), ms);
+    }
+  }
+}
+
 void RunHeuristicsBench(const BenchConfig& config) {
+  if (config.scale) {
+    RunScaleRows(config);
+    return;
+  }
   Rng rng(config.seed);
   std::vector<Graph> graphs;
   std::vector<int> exact;
@@ -197,6 +226,8 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       config.graphs = 16;
+    } else if (std::strcmp(argv[i], "--scale") == 0) {
+      config.scale = true;
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       config.json_path = argv[++i];
     }

@@ -1,6 +1,7 @@
 #include "td/heuristics.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
 #include <set>
 #include <utility>
@@ -14,126 +15,95 @@ namespace treedl {
 
 namespace {
 
-// Number of fill edges created by eliminating v given set-based adjacency.
-size_t FillIn(const std::vector<std::set<VertexId>>& adj, VertexId v) {
-  size_t fill = 0;
-  std::vector<VertexId> nbrs(adj[v].begin(), adj[v].end());
-  for (size_t a = 0; a < nbrs.size(); ++a) {
-    for (size_t b = a + 1; b < nbrs.size(); ++b) {
-      if (!adj[nbrs[a]].count(nbrs[b])) ++fill;
+// Live vertices ordered by (primary score, secondary score, id). The minimum
+// is the lowest-id vertex of the best score — the pick of a strict-< scan in
+// id order. Session decompositions, and the transcripts and bench baselines
+// pinned to them, depend on that tie-break (see OrderOracleTest).
+class ScoreQueue {
+ public:
+  using Score = std::pair<int64_t, int64_t>;
+
+  template <typename ScoreFn>
+  ScoreQueue(size_t n, ScoreFn score) : key_(n) {
+    for (VertexId v = 0; v < n; ++v) {
+      key_[v] = {score(v), v};
+      queue_.insert(key_[v]);
     }
   }
-  return fill;
-}
 
-std::vector<VertexId> GreedyOrder(const Graph& graph, bool min_fill) {
-  size_t n = graph.NumVertices();
-  std::vector<std::set<VertexId>> adj(n);
-  for (auto [u, v] : graph.Edges()) {
-    adj[u].insert(v);
-    adj[v].insert(u);
+  bool Empty() const { return queue_.empty(); }
+
+  void Rescore(VertexId v, Score score) {
+    queue_.erase(key_[v]);
+    key_[v].first = score;
+    queue_.insert(key_[v]);
   }
-  std::vector<bool> eliminated(n, false);
+
+  // Removes and returns the minimum; with `rng`, a uniform pick among the
+  // vertices tied on the minimum score (walked in id order).
+  VertexId Pop(Rng* rng) {
+    auto best = queue_.begin();
+    if (rng != nullptr) {
+      size_t ties = 0;
+      for (auto it = best; it != queue_.end() && it->first == best->first;
+           ++it) {
+        ++ties;
+      }
+      if (ties > 1) best = std::next(best, rng->UniformIndex(ties));
+    }
+    VertexId v = best->second;
+    queue_.erase(best);
+    return v;
+  }
+
+ private:
+  using Key = std::pair<Score, VertexId>;
+  std::set<Key> queue_;
+  std::vector<Key> key_;
+};
+
+// Greedy elimination by the score of each live vertex: kMinDegree is
+// (degree, 0), kMinFill is (fill, 0), and kMinFillTieBreak — also the
+// randomized restarts of the multi-start variant, which pass `rng` — is
+// (fill, degree).
+std::vector<VertexId> GreedyOrder(const Graph& graph, TdHeuristic heuristic,
+                                  Rng* rng) {
+  size_t n = graph.NumVertices();
+  internal::EliminationGraph elim(graph,
+                                  heuristic != TdHeuristic::kMinDegree);
+  auto score = [&](VertexId v) -> ScoreQueue::Score {
+    auto degree = static_cast<int64_t>(elim.Degree(v));
+    if (heuristic == TdHeuristic::kMinDegree) return {degree, 0};
+    auto fill = static_cast<int64_t>(elim.Fill(v));
+    return {fill, heuristic == TdHeuristic::kMinFill ? 0 : degree};
+  };
+  ScoreQueue queue(n, score);
   std::vector<VertexId> order;
   order.reserve(n);
-  for (size_t step = 0; step < n; ++step) {
-    VertexId best = 0;
-    size_t best_score = std::numeric_limits<size_t>::max();
-    for (VertexId v = 0; v < n; ++v) {
-      if (eliminated[v]) continue;
-      size_t score = min_fill ? FillIn(adj, v) : adj[v].size();
-      if (score < best_score) {
-        best_score = score;
-        best = v;
-      }
-    }
-    order.push_back(best);
-    eliminated[best] = true;
-    std::vector<VertexId> nbrs(adj[best].begin(), adj[best].end());
-    for (size_t a = 0; a < nbrs.size(); ++a) {
-      adj[nbrs[a]].erase(best);
-      for (size_t b = a + 1; b < nbrs.size(); ++b) {
-        adj[nbrs[a]].insert(nbrs[b]);
-        adj[nbrs[b]].insert(nbrs[a]);
-      }
-    }
-    adj[best].clear();
-  }
-  return order;
-}
-
-// Min-fill with principled tie-breaking: candidates are compared by
-// (fill, current degree, id); when `rng` is non-null, ties on (fill, degree)
-// are instead broken uniformly at random — the randomized restarts of the
-// multi-start variant.
-std::vector<VertexId> TieBrokenMinFillOrder(const Graph& graph, Rng* rng) {
-  size_t n = graph.NumVertices();
-  std::vector<std::set<VertexId>> adj(n);
-  for (auto [u, v] : graph.Edges()) {
-    adj[u].insert(v);
-    adj[v].insert(u);
-  }
-  std::vector<bool> eliminated(n, false);
-  std::vector<VertexId> order;
-  order.reserve(n);
-  std::vector<VertexId> ties;
-  for (size_t step = 0; step < n; ++step) {
-    VertexId best = 0;
-    auto best_score = std::make_pair(std::numeric_limits<size_t>::max(),
-                                     std::numeric_limits<size_t>::max());
-    ties.clear();
-    for (VertexId v = 0; v < n; ++v) {
-      if (eliminated[v]) continue;
-      auto score = std::make_pair(FillIn(adj, v), adj[v].size());
-      if (score < best_score) {
-        best_score = score;
-        best = v;
-        ties.clear();
-        ties.push_back(v);
-      } else if (rng != nullptr && score == best_score) {
-        ties.push_back(v);
-      }
-    }
-    if (rng != nullptr && ties.size() > 1) {
-      best = ties[rng->UniformIndex(ties.size())];
-    }
-    order.push_back(best);
-    eliminated[best] = true;
-    std::vector<VertexId> nbrs(adj[best].begin(), adj[best].end());
-    for (size_t a = 0; a < nbrs.size(); ++a) {
-      adj[nbrs[a]].erase(best);
-      for (size_t b = a + 1; b < nbrs.size(); ++b) {
-        adj[nbrs[a]].insert(nbrs[b]);
-        adj[nbrs[b]].insert(nbrs[a]);
-      }
-    }
-    adj[best].clear();
+  while (!queue.Empty()) {
+    VertexId v = queue.Pop(rng);
+    order.push_back(v);
+    for (VertexId u : elim.Eliminate(v)) queue.Rescore(u, score(u));
   }
   return order;
 }
 
 // Maximum cardinality search: repeatedly pick the vertex with the most
-// already-visited neighbors; the *reverse* of the visit order is used as the
-// elimination order (exact on chordal graphs).
+// already-visited neighbors (lowest id on ties); the *reverse* of the visit
+// order is used as the elimination order (exact on chordal graphs).
 std::vector<VertexId> McsOrder(const Graph& graph) {
   size_t n = graph.NumVertices();
-  std::vector<int> weight(n, 0);
+  std::vector<int64_t> weight(n, 0);
   std::vector<bool> visited(n, false);
+  ScoreQueue queue(n, [](VertexId) { return ScoreQueue::Score{0, 0}; });
   std::vector<VertexId> visit_order;
   visit_order.reserve(n);
-  for (size_t step = 0; step < n; ++step) {
-    int best_weight = -1;
-    VertexId best = 0;
-    for (VertexId v = 0; v < n; ++v) {
-      if (!visited[v] && weight[v] > best_weight) {
-        best_weight = weight[v];
-        best = v;
-      }
-    }
+  while (!queue.Empty()) {
+    VertexId best = queue.Pop(nullptr);
     visited[best] = true;
     visit_order.push_back(best);
     for (VertexId u : graph.Neighbors(best)) {
-      if (!visited[u]) ++weight[u];
+      if (!visited[u]) queue.Rescore(u, {-++weight[u], 0});
     }
   }
   std::reverse(visit_order.begin(), visit_order.end());
@@ -163,13 +133,11 @@ std::vector<VertexId> HeuristicOrder(const Graph& graph,
                                      TdHeuristic heuristic) {
   switch (heuristic) {
     case TdHeuristic::kMinDegree:
-      return GreedyOrder(graph, /*min_fill=*/false);
     case TdHeuristic::kMinFill:
-      return GreedyOrder(graph, /*min_fill=*/true);
+    case TdHeuristic::kMinFillTieBreak:
+      return GreedyOrder(graph, heuristic, /*rng=*/nullptr);
     case TdHeuristic::kMcs:
       return McsOrder(graph);
-    case TdHeuristic::kMinFillTieBreak:
-      return TieBrokenMinFillOrder(graph, /*rng=*/nullptr);
   }
   TREEDL_CHECK(false) << "unknown heuristic";
   return {};
@@ -178,12 +146,14 @@ std::vector<VertexId> HeuristicOrder(const Graph& graph,
 std::vector<VertexId> MinFillMultiStartOrder(const Graph& graph,
                                              const MultiStartOptions& options) {
   TREEDL_CHECK(graph.NumVertices() > 0);
-  std::vector<VertexId> best = TieBrokenMinFillOrder(graph, nullptr);
+  std::vector<VertexId> best =
+      GreedyOrder(graph, TdHeuristic::kMinFillTieBreak, nullptr);
   std::pair<int, uint64_t> best_quality = OrderQuality(graph, best);
   for (size_t start = 1; start < options.starts; ++start) {
     // One independent deterministic stream per restart (golden-ratio step).
     Rng rng(options.seed + start * 0x9E3779B97F4A7C15ULL);
-    std::vector<VertexId> candidate = TieBrokenMinFillOrder(graph, &rng);
+    std::vector<VertexId> candidate =
+        internal::RandomizedMinFillOrder(graph, &rng);
     std::pair<int, uint64_t> quality = OrderQuality(graph, candidate);
     if (quality < best_quality) {
       best_quality = quality;
@@ -192,6 +162,14 @@ std::vector<VertexId> MinFillMultiStartOrder(const Graph& graph,
   }
   return best;
 }
+
+namespace internal {
+
+std::vector<VertexId> RandomizedMinFillOrder(const Graph& graph, Rng* rng) {
+  return GreedyOrder(graph, TdHeuristic::kMinFillTieBreak, rng);
+}
+
+}  // namespace internal
 
 StatusOr<TreeDecomposition> Decompose(const Graph& graph,
                                       TdHeuristic heuristic) {

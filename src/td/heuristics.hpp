@@ -12,6 +12,7 @@
 
 #include <vector>
 
+#include "common/rng.hpp"
 #include "common/status.hpp"
 #include "graph/graph.hpp"
 #include "structure/structure.hpp"
@@ -31,6 +32,15 @@ enum class TdHeuristic {
 /// decompositions — and the transcripts and bench baselines pinned to them —
 /// depend on); kMinFillTieBreak breaks min-fill ties by smallest current
 /// degree, then lowest id, which dominates kMinFill on width in practice.
+///
+/// Complexity: every step pops the minimum of one ordered (score, id) set
+/// and rescores only the vertices the elimination touched, instead of
+/// rescanning every live vertex. kMcs is O((n + m) log n). For the others,
+/// eliminating v costs O(Σ_{u ∈ N(v)} deg(u) + Σ_{fill edges {x, y}} deg(y))
+/// on the elimination graph (td/elimination_order.hpp) plus O(log n) per
+/// rescored vertex: O(n log n) overall while live degrees stay bounded, as on
+/// the bounded-treewidth inputs the library serves. A vertex of degree D
+/// adds O(D) each time one of its neighbours is eliminated.
 std::vector<VertexId> HeuristicOrder(const Graph& graph, TdHeuristic heuristic);
 
 struct MultiStartOptions {
@@ -49,6 +59,16 @@ struct MultiStartOptions {
 /// (graph, options). Requires a nonempty graph.
 std::vector<VertexId> MinFillMultiStartOrder(const Graph& graph,
                                              const MultiStartOptions& options);
+
+namespace internal {
+
+/// One randomized restart of MinFillMultiStartOrder: the kMinFillTieBreak
+/// order with ties on (fill, degree) broken uniformly by `rng`. Declared here
+/// so the order-oracle test can check the restarts themselves — the best-of-K
+/// result rarely differs from the deterministic start.
+std::vector<VertexId> RandomizedMinFillOrder(const Graph& graph, Rng* rng);
+
+}  // namespace internal
 
 /// Decomposes `graph` with `heuristic` (default: min-fill, usually the best
 /// of the three).

@@ -14,15 +14,13 @@ namespace treedl {
 ///   (2) for every fact R(a1..ak) some bag contains {a1..ak},
 ///   (3) for every element, the nodes whose bags contain it induce a subtree.
 /// Returns InvalidArgument with a description of the first violation.
+/// Linear in the total bag size plus, per fact, the bags of its rarest
+/// argument.
 Status ValidateForStructure(const Structure& structure,
                             const TreeDecomposition& td);
 
 /// Graph version: condition (2) ranges over edges.
 Status ValidateForGraph(const Graph& graph, const TreeDecomposition& td);
-
-/// Connectedness (condition 3) plus tree-shape sanity alone; element universe
-/// is whatever occurs in bags. Used by normalization tests.
-Status ValidateConnectedness(const TreeDecomposition& td);
 
 }  // namespace treedl
 

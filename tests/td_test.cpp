@@ -1,7 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <set>
+#include <utility>
+
 #include "graph/gaifman.hpp"
 #include "graph/generators.hpp"
+#include "schema/encode.hpp"
+#include "schema/generators.hpp"
 #include "structure/structure_io.hpp"
 #include "td/elimination_order.hpp"
 #include "td/heuristics.hpp"
@@ -124,6 +131,67 @@ TEST(ValidateTest, DetectsConnectednessViolation) {
   EXPECT_NE(st.message().find("connectedness"), std::string::npos);
 }
 
+// A {e/2}-structure parsed from `facts`, its graph over the same ids, and a
+// decomposition whose node i has bag `bags[i]` under node `parents[i]`.
+struct EdgeCase {
+  Structure structure;
+  Graph graph;
+  TreeDecomposition td;
+};
+
+EdgeCase MakeEdgeCase(const std::string& facts,
+                      const std::vector<std::vector<std::string>>& bags,
+                      const std::vector<TdNodeId>& parents) {
+  auto parsed = ParseStructure(Signature::GraphSignature(), facts);
+  EXPECT_TRUE(parsed.ok()) << parsed.status();
+  EdgeCase out{std::move(parsed).value(), Graph(), TreeDecomposition()};
+  out.graph = Graph(out.structure.NumElements());
+  for (const Fact& fact : out.structure.AllFacts()) {
+    out.graph.AddEdge(fact.args[0], fact.args[1]);
+  }
+  for (size_t i = 0; i < bags.size(); ++i) {
+    std::vector<ElementId> bag;
+    for (const std::string& name : bags[i]) {
+      bag.push_back(out.structure.ElementByName(name).value());
+    }
+    out.td.AddNode(bag, parents[i]);
+  }
+  return out;
+}
+
+TEST(ValidateTest, RejectsFactWhoseArgumentsAreFrequentButNeverTogether) {
+  // a and f occur in three bags each, in disjoint subtrees: e(a, f) has no
+  // common bag.
+  EdgeCase c = MakeEdgeCase(
+      "e(a, b). e(a, c). e(b, f). e(f, d). e(f, g). e(a, f).",
+      {{"a"}, {"a", "b"}, {"a", "c"}, {"b", "f"}, {"f", "d"}, {"f", "g"}},
+      {kNoTdNode, 0, 0, 1, 3, 3});
+  Status st = ValidateForStructure(c.structure, c.td);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("fact"), std::string::npos);
+  st = ValidateForGraph(c.graph, c.td);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("edge"), std::string::npos);
+}
+
+TEST(ValidateTest, AcceptsFactCoveredOnlyByALaterOccurrenceOfItsRarestArg) {
+  // a (two bags) is rarer than f (three); only a's second bag holds both.
+  EdgeCase c = MakeEdgeCase("e(a, b). e(a, f). e(f, c). e(f, d).",
+                            {{"a", "b"}, {"a", "f"}, {"f", "c"}, {"f", "d"}},
+                            {kNoTdNode, 0, 1, 1});
+  EXPECT_TRUE(ValidateForStructure(c.structure, c.td).ok());
+  EXPECT_TRUE(ValidateForGraph(c.graph, c.td).ok());
+}
+
+TEST(ValidateTest, AcceptsRepeatedArgumentFact) {
+  EdgeCase c = MakeEdgeCase("e(a, a). e(a, b).", {{"a"}, {"a", "b"}},
+                            {kNoTdNode, 0});
+  EXPECT_TRUE(ValidateForStructure(c.structure, c.td).ok());
+  // The graph drops the self-loop, exactly as the fact dedups to {a}.
+  EXPECT_FALSE(c.graph.AddEdge(0, 0));
+  EXPECT_TRUE(ValidateForGraph(c.graph, c.td).ok());
+}
+
 TEST(SubtreeTest, SubtreeAndEnvelopePartitionNodes) {
   Structure s = PaperStructure();
   TreeDecomposition td = PaperFigure1Td(s);
@@ -180,6 +248,327 @@ TEST(EliminationTest, RejectsNonPermutations) {
   EXPECT_FALSE(DecompositionFromOrder(g, {0, 1}).ok());
   EXPECT_FALSE(DecompositionFromOrder(g, {0, 1, 1}).ok());
   EXPECT_FALSE(DecompositionFromOrder(g, {0, 1, 7}).ok());
+}
+
+// The order oracle: the quadratic std::set rescans that the incremental
+// elimination graph replaced, kept verbatim. Every order, decomposition,
+// transcript and bench baseline is pinned to what they produced.
+namespace oracle {
+
+// Number of fill edges created by eliminating v given set-based adjacency.
+size_t FillIn(const std::vector<std::set<VertexId>>& adj, VertexId v) {
+  size_t fill = 0;
+  std::vector<VertexId> nbrs(adj[v].begin(), adj[v].end());
+  for (size_t a = 0; a < nbrs.size(); ++a) {
+    for (size_t b = a + 1; b < nbrs.size(); ++b) {
+      if (!adj[nbrs[a]].count(nbrs[b])) ++fill;
+    }
+  }
+  return fill;
+}
+
+std::vector<VertexId> GreedyOrder(const Graph& graph, bool min_fill) {
+  size_t n = graph.NumVertices();
+  std::vector<std::set<VertexId>> adj(n);
+  for (auto [u, v] : graph.Edges()) {
+    adj[u].insert(v);
+    adj[v].insert(u);
+  }
+  std::vector<bool> eliminated(n, false);
+  std::vector<VertexId> order;
+  order.reserve(n);
+  for (size_t step = 0; step < n; ++step) {
+    VertexId best = 0;
+    size_t best_score = std::numeric_limits<size_t>::max();
+    for (VertexId v = 0; v < n; ++v) {
+      if (eliminated[v]) continue;
+      size_t score = min_fill ? FillIn(adj, v) : adj[v].size();
+      if (score < best_score) {
+        best_score = score;
+        best = v;
+      }
+    }
+    order.push_back(best);
+    eliminated[best] = true;
+    std::vector<VertexId> nbrs(adj[best].begin(), adj[best].end());
+    for (size_t a = 0; a < nbrs.size(); ++a) {
+      adj[nbrs[a]].erase(best);
+      for (size_t b = a + 1; b < nbrs.size(); ++b) {
+        adj[nbrs[a]].insert(nbrs[b]);
+        adj[nbrs[b]].insert(nbrs[a]);
+      }
+    }
+    adj[best].clear();
+  }
+  return order;
+}
+
+// Min-fill with principled tie-breaking: candidates are compared by
+// (fill, current degree, id); when `rng` is non-null, ties on (fill, degree)
+// are instead broken uniformly at random — the randomized restarts of the
+// multi-start variant.
+std::vector<VertexId> TieBrokenMinFillOrder(const Graph& graph, Rng* rng) {
+  size_t n = graph.NumVertices();
+  std::vector<std::set<VertexId>> adj(n);
+  for (auto [u, v] : graph.Edges()) {
+    adj[u].insert(v);
+    adj[v].insert(u);
+  }
+  std::vector<bool> eliminated(n, false);
+  std::vector<VertexId> order;
+  order.reserve(n);
+  std::vector<VertexId> ties;
+  for (size_t step = 0; step < n; ++step) {
+    VertexId best = 0;
+    auto best_score = std::make_pair(std::numeric_limits<size_t>::max(),
+                                     std::numeric_limits<size_t>::max());
+    ties.clear();
+    for (VertexId v = 0; v < n; ++v) {
+      if (eliminated[v]) continue;
+      auto score = std::make_pair(FillIn(adj, v), adj[v].size());
+      if (score < best_score) {
+        best_score = score;
+        best = v;
+        ties.clear();
+        ties.push_back(v);
+      } else if (rng != nullptr && score == best_score) {
+        ties.push_back(v);
+      }
+    }
+    if (rng != nullptr && ties.size() > 1) {
+      best = ties[rng->UniformIndex(ties.size())];
+    }
+    order.push_back(best);
+    eliminated[best] = true;
+    std::vector<VertexId> nbrs(adj[best].begin(), adj[best].end());
+    for (size_t a = 0; a < nbrs.size(); ++a) {
+      adj[nbrs[a]].erase(best);
+      for (size_t b = a + 1; b < nbrs.size(); ++b) {
+        adj[nbrs[a]].insert(nbrs[b]);
+        adj[nbrs[b]].insert(nbrs[a]);
+      }
+    }
+    adj[best].clear();
+  }
+  return order;
+}
+
+// Maximum cardinality search: repeatedly pick the vertex with the most
+// already-visited neighbors; the *reverse* of the visit order is used as the
+// elimination order (exact on chordal graphs).
+std::vector<VertexId> McsOrder(const Graph& graph) {
+  size_t n = graph.NumVertices();
+  std::vector<int> weight(n, 0);
+  std::vector<bool> visited(n, false);
+  std::vector<VertexId> visit_order;
+  visit_order.reserve(n);
+  for (size_t step = 0; step < n; ++step) {
+    int best_weight = -1;
+    VertexId best = 0;
+    for (VertexId v = 0; v < n; ++v) {
+      if (!visited[v] && weight[v] > best_weight) {
+        best_weight = weight[v];
+        best = v;
+      }
+    }
+    visited[best] = true;
+    visit_order.push_back(best);
+    for (VertexId u : graph.Neighbors(best)) {
+      if (!visited[u]) ++weight[u];
+    }
+  }
+  std::reverse(visit_order.begin(), visit_order.end());
+  return visit_order;
+}
+
+// Simulates elimination; fills bag-per-vertex (in elimination order) and,
+// for each eliminated vertex, the earliest-later-eliminated neighbor (or
+// kNoTdNode). Uses std::set adjacency for cheap edge insertion/removal.
+void SimulateElimination(const Graph& graph, const std::vector<VertexId>& order,
+                         std::vector<std::vector<ElementId>>* bags,
+                         std::vector<int>* attach_position) {
+  size_t n = graph.NumVertices();
+  std::vector<std::set<VertexId>> adj(n);
+  for (auto [u, v] : graph.Edges()) {
+    adj[u].insert(v);
+    adj[v].insert(u);
+  }
+  std::vector<int> position(n);
+  for (size_t i = 0; i < n; ++i) position[order[i]] = static_cast<int>(i);
+
+  bags->assign(n, {});
+  attach_position->assign(n, -1);
+  for (size_t i = 0; i < n; ++i) {
+    VertexId v = order[i];
+    std::vector<VertexId> nbrs(adj[v].begin(), adj[v].end());
+    auto& bag = (*bags)[i];
+    bag.push_back(v);
+    int earliest_later = -1;
+    for (VertexId u : nbrs) {
+      bag.push_back(u);
+      if (earliest_later == -1 || position[u] < earliest_later) {
+        earliest_later = position[u];
+      }
+    }
+    (*attach_position)[i] = earliest_later;
+    // Clique-ify the neighborhood and remove v.
+    for (size_t a = 0; a < nbrs.size(); ++a) {
+      adj[nbrs[a]].erase(v);
+      for (size_t b = a + 1; b < nbrs.size(); ++b) {
+        adj[nbrs[a]].insert(nbrs[b]);
+        adj[nbrs[b]].insert(nbrs[a]);
+      }
+    }
+    adj[v].clear();
+  }
+}
+
+// DecompositionFromOrder's tree assembly over the reference elimination.
+TreeDecomposition DecompositionFromOrder(const Graph& graph,
+                                         const std::vector<VertexId>& order) {
+  TreeDecomposition td;
+  size_t n = graph.NumVertices();
+  if (n == 0) {
+    td.AddNode({});
+    return td;
+  }
+  std::vector<std::vector<ElementId>> bags;
+  std::vector<int> attach_position;
+  SimulateElimination(graph, order, &bags, &attach_position);
+  std::vector<TdNodeId> node_of_position(n, kNoTdNode);
+  node_of_position[n - 1] = td.AddNode(bags[n - 1]);
+  for (size_t i = n - 1; i-- > 0;) {
+    int parent_pos = attach_position[i];
+    if (parent_pos < 0) parent_pos = static_cast<int>(i) + 1;
+    node_of_position[i] =
+        td.AddNode(bags[i], node_of_position[static_cast<size_t>(parent_pos)]);
+  }
+  return td;
+}
+
+// MinFillMultiStartOrder's ranking and restart loop over the reference
+// orders.
+std::pair<int, uint64_t> OrderQuality(const Graph& graph,
+                                      const std::vector<VertexId>& order) {
+  TreeDecomposition td = oracle::DecompositionFromOrder(graph, order);
+  uint64_t cost = 0;
+  for (size_t id = 0; id < td.NumNodes(); ++id) {
+    size_t b = std::min<size_t>(td.Bag(static_cast<TdNodeId>(id)).size(), 20);
+    uint64_t states = 1;
+    for (size_t i = 0; i < b; ++i) states *= 3;
+    cost += states;
+  }
+  return {td.Width(), cost};
+}
+
+std::vector<VertexId> MinFillMultiStartOrder(const Graph& graph,
+                                             const MultiStartOptions& options) {
+  std::vector<VertexId> best = TieBrokenMinFillOrder(graph, nullptr);
+  std::pair<int, uint64_t> best_quality = OrderQuality(graph, best);
+  for (size_t start = 1; start < options.starts; ++start) {
+    Rng rng(options.seed + start * 0x9E3779B97F4A7C15ULL);
+    std::vector<VertexId> candidate = TieBrokenMinFillOrder(graph, &rng);
+    std::pair<int, uint64_t> quality = OrderQuality(graph, candidate);
+    if (quality < best_quality) {
+      best_quality = quality;
+      best = std::move(candidate);
+    }
+  }
+  return best;
+}
+
+std::vector<VertexId> HeuristicOrder(const Graph& graph,
+                                     TdHeuristic heuristic) {
+  switch (heuristic) {
+    case TdHeuristic::kMinDegree:
+      return GreedyOrder(graph, /*min_fill=*/false);
+    case TdHeuristic::kMinFill:
+      return GreedyOrder(graph, /*min_fill=*/true);
+    case TdHeuristic::kMcs:
+      return McsOrder(graph);
+    case TdHeuristic::kMinFillTieBreak:
+      return TieBrokenMinFillOrder(graph, /*rng=*/nullptr);
+  }
+  return {};
+}
+
+}  // namespace oracle
+
+// Every generator the library ships, at sizes the oracle handles quickly.
+std::vector<Graph> OracleFamily(Rng* rng) {
+  std::vector<Graph> family{Graph(0), Graph(5), PetersenGraph()};
+  for (size_t n = 1; n <= 17; ++n) {
+    family.push_back(PathGraph(n));
+    family.push_back(CompleteGraph(n));
+    if (n >= 3) family.push_back(CycleGraph(n));
+  }
+  for (auto [rows, cols] : std::vector<std::pair<size_t, size_t>>{
+           {1, 7}, {2, 3}, {3, 3}, {3, 5}, {4, 4}, {5, 6}, {6, 6}}) {
+    family.push_back(GridGraph(rows, cols));
+  }
+  for (int k = 1; k <= 6; ++k) {
+    for (size_t n : {12, 40, 80}) {
+      family.push_back(RandomKTree(n, k, rng));
+      family.push_back(RandomPartialKTree(n, k, 0.4, rng));
+      family.push_back(RandomPartialKTree(n, k, 0.7, rng));
+    }
+  }
+  for (size_t n : {8, 15, 30, 50}) {
+    for (double p : {0.1, 0.3, 0.6}) family.push_back(RandomGnp(n, p, rng));
+  }
+  for (int attributes : {6, 12, 24, 40}) {
+    for (int window : {3, 5}) {
+      Schema schema =
+          RandomWindowSchema(attributes, attributes / 2 + 1, window, rng);
+      family.push_back(GaifmanGraph(EncodeSchema(schema).structure));
+    }
+  }
+  return family;
+}
+
+// Same bags (sorted by AddNode) and the same parent for every node id.
+void ExpectSameDecomposition(const TreeDecomposition& want,
+                             const TreeDecomposition& got) {
+  ASSERT_EQ(want.NumNodes(), got.NumNodes());
+  for (size_t i = 0; i < want.NumNodes(); ++i) {
+    TdNodeId id = static_cast<TdNodeId>(i);
+    EXPECT_EQ(want.Bag(id), got.Bag(id)) << "node " << i;
+    EXPECT_EQ(want.node(id).parent, got.node(id).parent) << "node " << i;
+  }
+}
+
+TEST(OrderOracleTest, OrdersAndDecompositionsMatchTheRescan) {
+  Rng rng(TestSeed());
+  std::vector<Graph> family = OracleFamily(&rng);
+  for (size_t g = 0; g < family.size(); ++g) {
+    SCOPED_TRACE("graph " + std::to_string(g));
+    const Graph& graph = family[g];
+    for (TdHeuristic h : {TdHeuristic::kMinDegree, TdHeuristic::kMinFill,
+                          TdHeuristic::kMcs, TdHeuristic::kMinFillTieBreak}) {
+      std::vector<VertexId> order = HeuristicOrder(graph, h);
+      ASSERT_EQ(order, oracle::HeuristicOrder(graph, h))
+          << "heuristic " << static_cast<int>(h);
+      auto td = DecompositionFromOrder(graph, order);
+      ASSERT_TRUE(td.ok()) << td.status();
+      TreeDecomposition want = oracle::DecompositionFromOrder(graph, order);
+      ExpectSameDecomposition(want, *td);
+      EXPECT_EQ(OrderWidth(graph, order).value(), want.Width());
+    }
+    if (graph.NumVertices() == 0) continue;
+    for (uint64_t seed : {0, 1, 7919}) {
+      Rng restart(seed);
+      Rng reference(seed);
+      EXPECT_EQ(internal::RandomizedMinFillOrder(graph, &restart),
+                oracle::TieBrokenMinFillOrder(graph, &reference))
+          << "seed " << seed;
+      MultiStartOptions options;
+      options.starts = 4;
+      options.seed = seed;
+      EXPECT_EQ(MinFillMultiStartOrder(graph, options),
+                oracle::MinFillMultiStartOrder(graph, options))
+          << "seed " << seed;
+    }
+  }
 }
 
 TEST(HeuristicsTest, KnownWidths) {
