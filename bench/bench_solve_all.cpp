@@ -1,14 +1,12 @@
-// The SolveAll fusion win: five Solve calls (each a one-pass walk of
-// core::RunDp) vs one SolveAll walk carrying all five passes over the same
-// cached normal form, sequential and sharded-parallel, plus the SaveSession/LoadSession cost next to the
-// artifact-build cost it amortizes away, and the table-memory ceiling a
-// budgeted session holds (peak table bytes with vs without eviction).
+// SolveAll over a warm session: the five graph problems, one core::RunDp
+// walk each over the same cached normal form, sequential vs sharded-parallel;
+// the table-memory ceiling a budgeted session holds (peak table bytes with vs
+// without eviction); and the SaveSession/LoadSession cost next to the
+// artifact-build cost it amortizes away.
 //
-// Caches are warmed before timing, so the Solve-vs-SolveAll rows compare
-// pure traversal work. The per-bag transition work is identical either way;
-// the fused walk saves the per-traversal overhead (post-order walk, shard
-// scheduling, table allocation churn) and, more importantly for the serving
-// story, turns five queue round-trips into one.
+// Caches are warmed before timing, so the SolveAll rows time pure traversal
+// work. SolveAll runs exactly the five Solve walks one after another, so a
+// 5 x Solve row would time the same code and is not reported.
 //
 // Flags: --quick shrinks the instance for CI; --json <path> additionally
 // writes the deterministic counters (states, traversals, table bytes,
@@ -34,12 +32,6 @@ struct BenchConfig {
   const char* json_path = nullptr;
 };
 
-constexpr Engine::Problem kAllProblems[] = {
-    Engine::Problem::kThreeColor,      Engine::Problem::kThreeColorCount,
-    Engine::Problem::kVertexCover,     Engine::Problem::kIndependentSet,
-    Engine::Problem::kDominatingSet,
-};
-
 RunStats BenchOneThreadCount(const BenchConfig& config, const Graph& graph,
                              size_t num_threads) {
   EngineOptions options;
@@ -48,41 +40,20 @@ RunStats BenchOneThreadCount(const BenchConfig& config, const Graph& graph,
   Engine engine = Engine::FromGraph(graph, options);
   TREEDL_CHECK(engine.Width().ok());  // warm: build TD + normal form once
 
-  double solve_millis = 0;
   double solve_all_millis = 0;
-  size_t solve_traversals = 0;
-  size_t fused_traversals = 0;
-  RunStats last_fused;
+  RunStats last;
   for (int repeat = 0; repeat < config.repeats; ++repeat) {
-    {
-      Timer timer;
-      for (Engine::Problem problem : kAllProblems) {
-        RunStats run;
-        auto result = engine.Solve(problem, &run);
-        TREEDL_CHECK(result.ok()) << result.status();
-        solve_traversals += run.dp_traversals;
-      }
-      solve_millis += timer.ElapsedMillis();
-    }
-    {
-      Timer timer;
-      RunStats run;
-      auto result = engine.SolveAll(&run);
-      TREEDL_CHECK(result.ok()) << result.status();
-      fused_traversals += run.dp_traversals;
-      solve_all_millis += timer.ElapsedMillis();
-      last_fused = run;
-    }
+    Timer timer;
+    auto result = engine.SolveAll(&last);
+    TREEDL_CHECK(result.ok()) << result.status();
+    solve_all_millis += timer.ElapsedMillis();
   }
   std::printf(
-      "  threads=%zu  5xSolve: %8.2f ms (%zu traversals)   SolveAll: %8.2f "
-      "ms (%zu traversals)   ratio %.2fx   table_peak=%zuB\n",
-      num_threads, solve_millis / config.repeats,
-      solve_traversals / static_cast<size_t>(config.repeats),
-      solve_all_millis / config.repeats,
-      fused_traversals / static_cast<size_t>(config.repeats),
-      solve_millis / solve_all_millis, last_fused.dp_peak_table_bytes);
-  return last_fused;
+      "  threads=%zu  SolveAll: %8.2f ms (%zu traversals, %zu shards)   "
+      "table_peak=%zuB\n",
+      num_threads, solve_all_millis / config.repeats, last.dp_traversals,
+      last.dp_shards, last.dp_peak_table_bytes);
+  return last;
 }
 
 /// One budgeted SolveAll: same answers, bounded live-table memory.
@@ -141,7 +112,6 @@ void WriteJson(const BenchConfig& config, const RunStats& sequential,
                "  \"seed\": %llu,\n"
                "  \"dp_states\": %zu,\n"
                "  \"dp_traversals\": %zu,\n"
-               "  \"dp_passes\": %zu,\n"
                "  \"dp_shards_parallel\": %zu,\n"
                "  \"peak_table_bytes\": %zu,\n"
                "  \"peak_table_bytes_budgeted\": %zu,\n"
@@ -150,7 +120,7 @@ void WriteJson(const BenchConfig& config, const RunStats& sequential,
                config.vertices, config.treewidth,
                static_cast<unsigned long long>(config.seed),
                sequential.dp_states, sequential.dp_traversals,
-               sequential.dp_passes, parallel.dp_shards,
+               parallel.dp_shards,
                sequential.dp_peak_table_bytes, evicted.dp_peak_table_bytes,
                evicted.dp_tables_evicted);
   std::fclose(out);
@@ -162,7 +132,7 @@ void RunSolveAllBench(const BenchConfig& config) {
   Graph graph = RandomPartialKTree(config.vertices, config.treewidth,
                                    config.keep_probability, &rng);
   std::printf(
-      "SolveAll fusion: partial %d-tree, n=%zu, keep=%.2f, %d repeats\n",
+      "SolveAll: partial %d-tree, n=%zu, keep=%.2f, %d repeats\n",
       config.treewidth, config.vertices, config.keep_probability,
       config.repeats);
   RunStats sequential = BenchOneThreadCount(config, graph, 1);

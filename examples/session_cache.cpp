@@ -1,7 +1,7 @@
-// Persistent sessions + the fused batch: warm an Engine, SaveSession() it,
-// then show a "restarted" process restoring the cache with LoadSession() and
-// answering all five Solve problems from disk — zero rebuilds — via ONE
-// SolveAll traversal.
+// Persistent sessions + the SolveAll batch: warm an Engine, SaveSession()
+// it, then show a "restarted" process restoring the cache with LoadSession()
+// and answering all five Solve problems from disk — zero rebuilds — via one
+// SolveAll call.
 //
 // CI runs this end-to-end (alongside quickstart); any failure exits
 // non-zero.
@@ -31,8 +31,8 @@ int main() {
     std::cerr << "SolveAll failed: " << all.status() << "\n";
     return 1;
   }
-  std::cout << "SolveAll (one fused traversal, " << first.dp_passes
-            << " DP passes, " << first.dp_shards << " shards):\n"
+  std::cout << "SolveAll (" << first.dp_traversals << " DP walks, "
+            << first.dp_shards << " shards):\n"
             << "  3-colorable:          "
             << (all->three_colorable ? "yes" : "no") << "\n"
             << "  #3-colorings:         " << all->three_colorings << "\n"

@@ -2,6 +2,7 @@
 """Gate the bench trajectory: compare a fresh quick-bench JSON to a baseline.
 
 Usage: check_bench_regression.py BASELINE.json CURRENT.json [--threshold 0.10]
+           [--forbid-missing] [--expect-moved KEY[,KEY...]]
 
 Both files hold the merged quick-bench counters (see the quick-bench CI job:
 {"solve_all": {...}, "parallel_dp": {...}, "enumeration": {...}}). All
@@ -16,6 +17,13 @@ reported but by default never fail the gate, so the trajectory can grow.
 --forbid-missing tightens that for same-generation comparisons (committed
 BENCH_prN.json vs the BENCH_prN.json this run produced): there the key sets
 must match exactly, so a silently dropped or renamed counter fails too.
+
+--expect-moved names the counters a change deliberately moves (flattened
+dotted keys, e.g. solve_all.dp_traversals). A listed key is exempt from the
+threshold and from --forbid-missing, but it must differ from the baseline (a
+key present in only one file counts as moved): a listed key that did not
+move, or that neither file has, fails the gate, so the list cannot go stale.
+Every other key keeps its gate.
 """
 
 import argparse
@@ -73,12 +81,19 @@ def main():
                         help="max allowed relative change (default 0.10)")
     parser.add_argument("--forbid-missing", action="store_true",
                         help="fail on keys present in only one file")
+    parser.add_argument("--expect-moved", default="", metavar="KEY[,KEY...]",
+                        help="keys that must differ from the baseline; "
+                             "exempt from the threshold")
     args = parser.parse_args()
 
     baseline = load_counters(args.baseline, "baseline")
     current = load_counters(args.current, "current")
+    expect_moved = {key for key in args.expect_moved.split(",") if key}
 
     failures = []
+    for key in sorted(expect_moved - (baseline.keys() | current.keys())):
+        failures.append(key)
+        print(f"{key:<48} {'(in neither file)':>39}  << FAIL")
     print(f"{'counter':<48} {'baseline':>14} {'current':>14} {'change':>9}")
     for key in sorted(baseline.keys() | current.keys()):
         if key.rsplit(".", 1)[-1] in METADATA_KEYS:
@@ -86,7 +101,9 @@ def main():
         if key not in baseline or key not in current:
             where = "baseline" if key in baseline else "current"
             marker = ""
-            if args.forbid_missing:
+            if key in expect_moved:
+                marker = "  (expected)"
+            elif args.forbid_missing:
                 failures.append(key)
                 marker = "  << FAIL"
             print(f"{key:<48} {'(only in ' + where + ')':>39}{marker}")
@@ -99,7 +116,13 @@ def main():
         else:
             change = abs(new - old) / abs(old)
         marker = ""
-        if change > args.threshold:
+        if key in expect_moved:
+            if old == new:
+                failures.append(key)
+                marker = "  << FAIL (expected to move)"
+            else:
+                marker = "  (expected)"
+        elif change > args.threshold:
             failures.append(key)
             marker = "  << FAIL"
         shown = "inf" if change == float("inf") else f"{change:+8.1%}"
@@ -107,9 +130,11 @@ def main():
 
     if failures:
         print(f"\nFAIL: {len(failures)} counter(s) moved more than "
-              f"{args.threshold:.0%} vs {args.baseline}: {', '.join(failures)}")
+              f"{args.threshold:.0%}, or were expected to move and did not, "
+              f"vs {args.baseline}: {', '.join(failures)}")
         print("If the change is intentional, regenerate the committed "
-              "baseline JSON in the same PR and explain the delta.")
+              "baseline JSON in the same PR and explain the delta; drop keys "
+              "from --expect-moved that no longer move.")
         return 1
     print(f"\nOK: all shared counters within {args.threshold:.0%} of "
           f"{args.baseline}")

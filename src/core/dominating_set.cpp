@@ -139,10 +139,16 @@ class DominatingProblem {
   const Graph& graph_;
 };
 
-// Root scan: the pass's finalizer.
-StatusOr<size_t> FinalizeDominating(const Graph& graph,
-                                    const NormalizedTreeDecomposition& ntd,
-                                    const DpTable<DomState, size_t>& table) {
+}  // namespace
+
+StatusOr<size_t> MinDominatingSet(const Graph& graph,
+                                  const NormalizedTreeDecomposition& ntd,
+                                  const DpExec& exec, DpStats* stats) {
+  auto table = RunDp(ntd, DominatingProblem(graph), exec, stats,
+                     /*retain_tables=*/false);
+  if (exec.budget != nullptr && exec.budget->Aborted()) {
+    return exec.budget->AbortStatus();
+  }
   size_t best = graph.NumVertices() + 1;
   for (const auto& [state, value] : table.at(ntd.root())) {
     bool complete = true;
@@ -157,18 +163,6 @@ StatusOr<size_t> FinalizeDominating(const Graph& graph,
     return Status::Internal("no dominating-set state survived to the root");
   }
   return best;
-}
-
-}  // namespace
-
-std::function<StatusOr<size_t>()> AddDominatingSetPass(
-    MultiDp* multi, const Graph& graph,
-    const NormalizedTreeDecomposition& ntd) {
-  const auto* table = multi->Add(DominatingProblem(graph),
-                                 /*retain_tables=*/false);
-  return [table, &graph, &ntd]() -> StatusOr<size_t> {
-    return FinalizeDominating(graph, ntd, *table);
-  };
 }
 
 }  // namespace treedl::core

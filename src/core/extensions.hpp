@@ -5,34 +5,33 @@
 #ifndef TREEDL_CORE_EXTENSIONS_HPP_
 #define TREEDL_CORE_EXTENSIONS_HPP_
 
-#include <functional>
-
 #include "common/status.hpp"
 #include "core/tree_dp.hpp"
 #include "graph/graph.hpp"
 
 namespace treedl::core {
 
-// Pass registration (Engine::Solve / SolveAll), same contract as
-// core::AddThreeColorPass (three_color.hpp): registers one pass of a MultiDp
-// and returns a finalizer valid once RunDp ran the traversal; `graph` and
-// `ntd` must outlive both. The Leaf hooks enumerate 2^|bag| subsets, so the
-// caller must reject bags of more than 63 elements before the walk.
+// Same contract as core::DecideThreeColor (three_color.hpp): one RunDp walk
+// over an already-normalized decomposition, the answer read off the root
+// table, an aborted `exec.budget` returned as its typed status, and the
+// walk's DpStats accumulated into `stats` (may be null). The Leaf hooks
+// enumerate 2^|bag| subsets, so the caller must reject bags of more than 63
+// elements before the walk.
 
 /// Size of a minimum vertex cover.
-std::function<StatusOr<size_t>()> AddVertexCoverPass(
-    MultiDp* multi, const Graph& graph,
-    const NormalizedTreeDecomposition& ntd);
+StatusOr<size_t> MinVertexCover(const Graph& graph,
+                                const NormalizedTreeDecomposition& ntd,
+                                const DpExec& exec, DpStats* stats);
 
 /// Size of a maximum independent set.
-std::function<StatusOr<size_t>()> AddIndependentSetPass(
-    MultiDp* multi, const Graph& graph,
-    const NormalizedTreeDecomposition& ntd);
+StatusOr<size_t> MaxIndependentSet(const Graph& graph,
+                                   const NormalizedTreeDecomposition& ntd,
+                                   const DpExec& exec, DpStats* stats);
 
 /// Size of a minimum dominating set.
-std::function<StatusOr<size_t>()> AddDominatingSetPass(
-    MultiDp* multi, const Graph& graph,
-    const NormalizedTreeDecomposition& ntd);
+StatusOr<size_t> MinDominatingSet(const Graph& graph,
+                                  const NormalizedTreeDecomposition& ntd,
+                                  const DpExec& exec, DpStats* stats);
 
 }  // namespace treedl::core
 

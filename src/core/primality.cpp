@@ -61,15 +61,13 @@ bool DecidePrimePrepared(const PrimalityContext& context,
                          const NormalizedTreeDecomposition& ntd,
                          ElementId a_elem, RunStats* stats,
                          const DpExec& exec) {
-  MultiDp multi;
-  const auto* table =
-      multi.Add(PrimalityProblem{&context}, /*retain_tables=*/false);
   DpStats dp;
-  RunDp(ntd, &multi, exec, &dp);
+  auto table = RunDp(ntd, PrimalityProblem{&context}, exec, &dp,
+                     /*retain_tables=*/false);
   if (stats != nullptr) FoldDpStats(dp, stats);
   if (exec.budget != nullptr && exec.budget->Aborted()) return false;
   const auto& bag = ntd.Bag(ntd.root());
-  for (const auto& [state, value] : table->at(ntd.root())) {
+  for (const auto& [state, value] : table.at(ntd.root())) {
     if (context.Accepts(bag, state, a_elem)) return true;
   }
   return false;

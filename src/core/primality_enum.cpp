@@ -297,7 +297,7 @@ std::vector<bool> EnumeratePrimesPrepared(const PrimalityContext& context,
   memory.FoldInto(&dp);
   if (stats != nullptr) {
     // Both walks' shards count as enumeration shards, not Solve DP shards.
-    dp.traversals = dp.passes = 2;
+    dp.traversals = 2;
     stats->primality_shards += std::exchange(dp.shards, 0);
     FoldDpStats(dp, stats);
   }

@@ -186,12 +186,20 @@ std::vector<int> ExtractColoring(const Graph& graph,
   return colors;
 }
 
-// Reads the decision verdict (and optionally a coloring) off a completed
-// table — the decision pass's finalizer.
-ThreeColorResult FinalizeDecision(const Graph& graph,
-                                  const NormalizedTreeDecomposition& ntd,
-                                  const DpTable<ColorState, std::monostate>& table,
-                                  bool extract_coloring) {
+}  // namespace
+
+StatusOr<ThreeColorResult> DecideThreeColor(
+    const Graph& graph, const NormalizedTreeDecomposition& ntd,
+    const DpExec& exec, DpStats* stats, bool extract_coloring) {
+  // Only the witness walk needs interior tables after the traversal; a pure
+  // decision reads the root alone and its tables may be evicted.
+  auto table = RunDp(ntd, ColorProblem<false>(graph), exec, stats,
+                     /*retain_tables=*/extract_coloring);
+  // An aborted budget leaves partial tables — the witness walk's predecessor
+  // checks would fire on them, so surface the abort before reading them.
+  if (exec.budget != nullptr && exec.budget->Aborted()) {
+    return exec.budget->AbortStatus();
+  }
   ThreeColorResult result;
   const auto& root_states = table.at(ntd.root());
   result.colorable = !root_states.empty();
@@ -202,53 +210,28 @@ ThreeColorResult FinalizeDecision(const Graph& graph,
   return result;
 }
 
-uint64_t FinalizeCount(const NormalizedTreeDecomposition& ntd,
-                       const DpTable<ColorState, uint64_t>& table) {
+StatusOr<uint64_t> CountThreeColorings(const Graph& graph,
+                                       const NormalizedTreeDecomposition& ntd,
+                                       const DpExec& exec, DpStats* stats) {
+  auto table = RunDp(ntd, ColorProblem<true>(graph), exec, stats,
+                     /*retain_tables=*/false);
+  if (exec.budget != nullptr && exec.budget->Aborted()) {
+    return exec.budget->AbortStatus();
+  }
   uint64_t total = 0;
   for (const auto& [state, count] : table.at(ntd.root())) total += count;
   return total;
 }
 
-}  // namespace
-
 StatusOr<ThreeColorResult> SolveThreeColorNormalized(
     const Graph& graph, const NormalizedTreeDecomposition& ntd,
     bool extract_coloring, const DpExec& exec) {
-  MultiDp multi;
-  auto finalize = AddThreeColorPass(&multi, graph, ntd, extract_coloring);
   DpStats stats;
-  RunDp(ntd, &multi, exec, &stats);
-  // An aborted budget leaves partial tables — the witness walk's predecessor
-  // checks would fire on them, so surface the abort before finalizing.
-  if (exec.budget != nullptr && exec.budget->Aborted()) {
-    return exec.budget->AbortStatus();
-  }
-  TREEDL_ASSIGN_OR_RETURN(ThreeColorResult result, finalize());
+  TREEDL_ASSIGN_OR_RETURN(
+      ThreeColorResult result,
+      DecideThreeColor(graph, ntd, exec, &stats, extract_coloring));
   result.stats = std::move(stats);
   return result;
-}
-
-std::function<StatusOr<ThreeColorResult>()> AddThreeColorPass(
-    MultiDp* multi, const Graph& graph, const NormalizedTreeDecomposition& ntd,
-    bool extract_coloring) {
-  // Only the witness walk needs interior tables after the traversal; a pure
-  // decision pass reads the root alone and its tables may be evicted.
-  const auto* table = multi->Add(ColorProblem<false>(graph),
-                                 /*retain_tables=*/extract_coloring);
-  return [table, &graph, &ntd,
-          extract_coloring]() -> StatusOr<ThreeColorResult> {
-    return FinalizeDecision(graph, ntd, *table, extract_coloring);
-  };
-}
-
-std::function<StatusOr<uint64_t>()> AddThreeColorCountPass(
-    MultiDp* multi, const Graph& graph,
-    const NormalizedTreeDecomposition& ntd) {
-  const auto* table = multi->Add(ColorProblem<true>(graph),
-                                 /*retain_tables=*/false);
-  return [table, &ntd]() -> StatusOr<uint64_t> {
-    return FinalizeCount(ntd, *table);
-  };
 }
 
 }  // namespace treedl::core

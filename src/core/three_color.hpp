@@ -27,28 +27,29 @@ struct ThreeColorResult {
   DpStats stats;
 };
 
-/// DP kernel over an already-normalized decomposition (no validation or
-/// normalization): one decision pass, one RunDp walk. `exec` optionally
-/// carries a bag sharding and thread pool for a parallel walk. Sessions
-/// answer through Engine::Solve instead; this is the bare kernel.
+// Each function below runs one problem over an already-normalized
+// decomposition (no validation or normalization): one RunDp walk, then the
+// answer read off the root table. `exec` optionally carries a bag sharding
+// and thread pool for a parallel walk, a table memory budget, and a work
+// budget; an aborted budget returns its typed status. `stats` (may be null)
+// accumulates the walk's DpStats, aborted walks included. Sessions answer
+// through Engine::Solve instead; these are the bare kernels.
+
+/// 3-colorability; with `extract_coloring`, also one proper coloring (the
+/// witness walk re-reads interior tables, so they are kept).
+StatusOr<ThreeColorResult> DecideThreeColor(
+    const Graph& graph, const NormalizedTreeDecomposition& ntd,
+    const DpExec& exec, DpStats* stats, bool extract_coloring = true);
+
+/// Number of proper 3-colorings (counting semiring).
+StatusOr<uint64_t> CountThreeColorings(const Graph& graph,
+                                       const NormalizedTreeDecomposition& ntd,
+                                       const DpExec& exec, DpStats* stats);
+
+/// DecideThreeColor with the walk's DpStats returned in the result.
 StatusOr<ThreeColorResult> SolveThreeColorNormalized(
     const Graph& graph, const NormalizedTreeDecomposition& ntd,
     bool extract_coloring = true, const DpExec& exec = {});
-
-// --- Pass registration (Engine::Solve / SolveAll) ---------------------------
-//
-// Each Add*Pass registers the problem's transitions as one pass of a MultiDp
-// and returns a finalizer that reads the answer out of the pass's table —
-// call it only after RunDp ran the traversal (and its budget did not abort).
-// `graph` and `ntd` must outlive both the traversal and the finalizer call.
-
-std::function<StatusOr<ThreeColorResult>()> AddThreeColorPass(
-    MultiDp* multi, const Graph& graph, const NormalizedTreeDecomposition& ntd,
-    bool extract_coloring = true);
-
-std::function<StatusOr<uint64_t>()> AddThreeColorCountPass(
-    MultiDp* multi, const Graph& graph,
-    const NormalizedTreeDecomposition& ntd);
 
 }  // namespace treedl::core
 

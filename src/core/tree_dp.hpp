@@ -26,17 +26,17 @@
 // node per state — and a whole table can be released at once, which is the
 // primitive behind dead-table eviction (below).
 //
-// RunDp runs every tree DP: problems register as passes of a MultiDp
-// (below) and one walk feeds them all. The walk is a list of node chunks
-// (internal::WalkChunks): a sequential run is one chunk, the post order; a
-// parallel run is the bag-sharded schedule — independent subtree shards
-// (td/shard.hpp) execute concurrently on a ThreadPool, a shard becoming
-// runnable when all of its child shards have completed. Problem
-// hooks must be const and stateless (all in-tree problems are); the
-// resulting tables are bit-identical to the sequential ones, because every
-// node still sees fully-built child tables and processes them in the same
-// order. The §5.3 enumeration drives the same walk directly, top-down
-// included.
+// RunDp runs every tree DP: one problem, one bottom-up walk, one table per
+// node — the paper's §5 evaluation of one program as one linear-time pass.
+// The walk is a list of node chunks (internal::WalkChunks): a sequential run
+// is one chunk, the post order; a parallel run is the bag-sharded schedule —
+// independent subtree shards (td/shard.hpp) execute concurrently on a
+// ThreadPool, a shard becoming runnable when all of its child shards have
+// completed. Problem hooks must be const and stateless (all in-tree problems
+// are); the resulting tables are bit-identical to the sequential ones,
+// because every node still sees fully-built child tables and processes them
+// in the same order. The §5.3 enumeration drives the same walk directly,
+// top-down included.
 //
 // Dead-table eviction (DpExec::table_memory_budget > 0): a node's table is
 // consumed exactly once — by its parent node (in the same shard, or as the
@@ -44,25 +44,16 @@
 // therefore releases every child table right after its parent node is
 // processed, bounding peak table memory by the live frontier of the
 // traversal instead of the whole decomposition. The root's table is never
-// evicted (the finalizers read it), and problems that re-read interior
-// tables after the run (witness extraction) opt out per pass.
-// DpStats::peak_table_bytes / tables_evicted report the effect.
-//
-// MultiDp fuses the registered problems into ONE traversal: each problem
-// keeps its own state table, but the tree (and, in the parallel case, the
-// shard schedule) is walked once. Within a chunk of nodes (the whole
-// post-order, or one shard's node list) execution is *pass-major*: pass 1
-// processes every node of the chunk, then pass 2, and so on — one state
-// table streams through the cache at a time, instead of five tables
-// thrashing it per node. Engine::Solve registers one pass, Engine::SolveAll
-// five — N problems cost one traversal instead of N.
+// evicted (the caller reads its answer there), and problems that re-read
+// interior tables after the run (witness extraction) opt out with
+// retain_tables. DpStats::peak_table_bytes / tables_evicted report the
+// effect.
 #ifndef TREEDL_CORE_TREE_DP_HPP_
 #define TREEDL_CORE_TREE_DP_HPP_
 
 #include <algorithm>
 #include <atomic>
 #include <functional>
-#include <memory>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -107,13 +98,10 @@ struct DpStats {
   size_t shards = 0;
   /// Wall-clock per shard task, indexed by shard id (parallel runs only).
   std::vector<double> shard_millis;
-  /// Bottom-up walks of the decomposition executed by this run.
+  /// Walks of the decomposition executed by this run.
   size_t traversals = 0;
-  /// DP state-table passes driven by those walks; a MultiDp traversal drives
-  /// several passes per walk (passes > traversals is the fusion win).
-  size_t passes = 0;
-  /// High-water mark of live state-table bytes (arena footprints, summed
-  /// across all passes of the run).
+  /// High-water mark of live state-table bytes (arena footprints); across
+  /// several runs folded into one record, the largest single run's peak.
   size_t peak_table_bytes = 0;
   /// Dead tables released before the end of the run (0 without a budget).
   size_t tables_evicted = 0;
@@ -128,16 +116,16 @@ struct DpExec {
   /// live table bytes. Eviction frees tables as soon as the traversal proves
   /// them dead, so peak memory tracks the traversal frontier; a budget
   /// smaller than the frontier itself is exceeded, never enforced by
-  /// aborting. 0 keeps every table alive until the run ends. Passes that
-  /// re-read interior tables (witness extraction) opt out per pass via
-  /// MultiDp::Add's retain_tables.
+  /// aborting. 0 keeps every table alive until the run ends. Problems that
+  /// re-read interior tables (witness extraction) opt out via RunDp's
+  /// retain_tables.
   size_t table_memory_budget = 0;
-  /// Optional cooperative cancellation: each node step of each pass claims
-  /// one work unit, and live table bytes are checked against the budget's
-  /// hard cap after every table lands. Once the budget aborts, remaining
-  /// steps are skipped (scheduling epilogues still run) and the CALLER must
-  /// surface budget->AbortStatus() instead of reading the tables — they are
-  /// partial. Null disables both checks.
+  /// Optional cooperative cancellation: each node step claims one work
+  /// unit, and live table bytes are checked against the budget's hard cap
+  /// after every table lands. Once the budget aborts, remaining steps are
+  /// skipped (scheduling epilogues still run) and the CALLER must surface
+  /// budget->AbortStatus() instead of reading the tables — they are partial.
+  /// Null disables both checks.
   WorkBudget* budget = nullptr;
 
   bool Parallel() const {
@@ -181,7 +169,7 @@ struct TableMemoryTracker {
 /// single source of the transition semantics.
 template <typename Problem>
 void DpProcessNode(const NormalizedTreeDecomposition& ntd, TdNodeId id,
-                   Problem* problem,
+                   const Problem& problem,
                    DpTable<typename Problem::State,
                            typename Problem::Value>* table) {
   using State = typename Problem::State;
@@ -191,24 +179,24 @@ void DpProcessNode(const NormalizedTreeDecomposition& ntd, TdNodeId id,
   auto emit = [&](State state, Value value) {
     states.Emplace(std::move(state), std::move(value),
                    [&](const Value& existing, const Value& incoming) {
-                     return problem->Merge(existing, incoming);
+                     return problem.Merge(existing, incoming);
                    });
   };
   switch (node.kind) {
     case NormNodeKind::kLeaf:
-      problem->Leaf(node.bag, emit);
+      problem.Leaf(node.bag, emit);
       break;
     case NormNodeKind::kIntroduce: {
       const auto& child = table->nodes[static_cast<size_t>(node.children[0])];
       for (const auto& [state, value] : child) {
-        problem->Introduce(node.bag, node.element, state, value, emit);
+        problem.Introduce(node.bag, node.element, state, value, emit);
       }
       break;
     }
     case NormNodeKind::kForget: {
       const auto& child = table->nodes[static_cast<size_t>(node.children[0])];
       for (const auto& [state, value] : child) {
-        problem->Forget(node.bag, node.element, state, value, emit);
+        problem.Forget(node.bag, node.element, state, value, emit);
       }
       break;
     }
@@ -223,19 +211,19 @@ void DpProcessNode(const NormalizedTreeDecomposition& ntd, TdNodeId id,
       // Bucket the right child's entries by join key, then pair. Entry
       // pointers stay valid while the (completed) right table is alive.
       using Entry = typename StateTable<State, Value>::Entry;
-      using JoinKey = std::decay_t<decltype(problem->KeyOf(
+      using JoinKey = std::decay_t<decltype(problem.KeyOf(
           std::declval<const State&>()))>;
       std::unordered_map<JoinKey, std::vector<const Entry*>,
                          MemberHash<JoinKey>>
           buckets;
       for (const auto& entry : right) {
-        buckets[problem->KeyOf(entry.first)].push_back(&entry);
+        buckets[problem.KeyOf(entry.first)].push_back(&entry);
       }
       for (const auto& [state, value] : left) {
-        auto it = buckets.find(problem->KeyOf(state));
+        auto it = buckets.find(problem.KeyOf(state));
         if (it == buckets.end()) continue;
         for (const Entry* rhs : it->second) {
-          problem->Join(node.bag, state, value, rhs->first, rhs->second, emit);
+          problem.Join(node.bag, state, value, rhs->first, rhs->second, emit);
         }
       }
       break;
@@ -259,17 +247,17 @@ void EvictChildTables(const NormalizedTreeDecomposition& ntd, TdNodeId id,
   }
 }
 
-/// One pass's node step: transition + stats + memory accounting + optional
-/// child eviction — what MultiDp runs per pass and node.
+/// One node step: transition + stats + memory accounting + optional child
+/// eviction — what RunDp runs per node.
 ///
 /// Budgeted runs claim one work unit per step and verify the hard live-byte
 /// cap after the node's table lands. An exhausted budget turns remaining
 /// steps into no-ops — the walk completes (dependency countdowns intact) but
-/// the tables are partial, so callers must check budget->Aborted() before any
-/// finalizer.
+/// the tables are partial, so callers must check budget->Aborted() before
+/// reading them.
 template <typename Problem>
 void DpStepNode(const NormalizedTreeDecomposition& ntd, TdNodeId id,
-                Problem* problem,
+                const Problem& problem,
                 DpTable<typename Problem::State, typename Problem::Value>*
                     table,
                 TableMemoryTracker* memory, bool evict, DpStats* stats,
@@ -288,96 +276,6 @@ void DpStepNode(const NormalizedTreeDecomposition& ntd, TdNodeId id,
   }
   if (evict) EvictChildTables(ntd, id, table, memory);
 }
-
-}  // namespace internal
-
-/// Runs several fused per-node processors (one per sub-problem) over node
-/// chunks delivered by one traversal. Holds type-erased (problem, table)
-/// pairs; Add() copies the problem in and returns a stable pointer to its
-/// table, valid for the MultiDp's lifetime — callers read their results out
-/// of it after RunDp ran the traversal.
-class MultiDp {
- public:
-  /// Registers a pass. `retain_tables` = false declares that the pass's
-  /// finalizer only reads the root table, making its interior tables
-  /// evictable under a memory budget; passes that re-read the full table
-  /// after the run (witness extraction) must keep the default.
-  template <typename Problem>
-  const DpTable<typename Problem::State, typename Problem::Value>* Add(
-      Problem problem, bool retain_tables = true) {
-    auto pass = std::make_unique<Pass<Problem>>(std::move(problem),
-                                                retain_tables);
-    auto* table = &pass->table;
-    passes_.push_back(std::move(pass));
-    return table;
-  }
-
-  size_t NumPasses() const { return passes_.size(); }
-
-  // --- Driver interface (not for end users) -------------------------------
-
-  void Prepare(size_t num_nodes) {
-    for (auto& pass : passes_) pass->Prepare(num_nodes);
-  }
-
-  /// Runs every registered pass over `nodes` (a post-order-consistent chunk:
-  /// the full post order, or one shard's node list), pass-major — each
-  /// pass's table streams through the cache alone instead of interleaving
-  /// all tables per node. Safe to call concurrently for the node lists of
-  /// distinct shards (each pass writes only the chunk's slots, and the shard
-  /// schedule orders child-table reads), which is exactly the sharded
-  /// walk's access pattern.
-  void ProcessChunk(const NormalizedTreeDecomposition& ntd,
-                    const std::vector<TdNodeId>& nodes,
-                    internal::TableMemoryTracker* memory,
-                    size_t table_memory_budget, DpStats* stats,
-                    WorkBudget* budget) {
-    for (auto& pass : passes_) {
-      pass->ProcessChunk(ntd, nodes, memory, table_memory_budget, stats,
-                         budget);
-    }
-  }
-
- private:
-  struct PassBase {
-    virtual ~PassBase() = default;
-    virtual void Prepare(size_t num_nodes) = 0;
-    virtual void ProcessChunk(const NormalizedTreeDecomposition& ntd,
-                              const std::vector<TdNodeId>& nodes,
-                              internal::TableMemoryTracker* memory,
-                              size_t table_memory_budget, DpStats* stats,
-                              WorkBudget* budget) = 0;
-  };
-
-  template <typename Problem>
-  struct Pass : PassBase {
-    Pass(Problem p, bool retain) : problem(std::move(p)), retain_tables(retain) {}
-
-    void Prepare(size_t num_nodes) override {
-      table.nodes.clear();
-      table.nodes.resize(num_nodes);
-    }
-    void ProcessChunk(const NormalizedTreeDecomposition& ntd,
-                      const std::vector<TdNodeId>& nodes,
-                      internal::TableMemoryTracker* memory,
-                      size_t table_memory_budget, DpStats* stats,
-                      WorkBudget* budget) override {
-      bool evict = table_memory_budget > 0 && !retain_tables;
-      for (TdNodeId id : nodes) {
-        internal::DpStepNode(ntd, id, &problem, &table, memory, evict, stats,
-                             budget);
-      }
-    }
-
-    Problem problem;
-    bool retain_tables;
-    DpTable<typename Problem::State, typename Problem::Value> table;
-  };
-
-  std::vector<std::unique_ptr<PassBase>> passes_;
-};
-
-namespace internal {
 
 /// Direction of a walk. kBottomUp is the DP default: children before their
 /// parent — nodes in post order, a shard once its child shards are done.
@@ -483,30 +381,36 @@ void WalkChunks(const NormalizedTreeDecomposition& ntd, const DpExec& exec,
 
 }  // namespace internal
 
-/// Runs a tree DP: ONE bottom-up walk (internal::WalkChunks) of `ntd`
-/// feeds every pass registered on `multi`, pass-major within each chunk.
-/// Sequential by default; bag-sharded on exec.pool when exec.Parallel(), in
-/// which case the problems' hooks run concurrently and must be const and
-/// stateless. exec.table_memory_budget evicts dead tables per pass, honoring
-/// each pass's retain_tables flag. After an exec.budget abort the tables are
-/// partial: the caller surfaces budget->AbortStatus() before any finalizer.
-/// Results are read out of the table pointers MultiDp::Add returned.
-inline void RunDp(const NormalizedTreeDecomposition& ntd, MultiDp* multi,
-                  const DpExec& exec = {}, DpStats* stats = nullptr) {
-  multi->Prepare(ntd.NumNodes());
+/// Runs one tree DP: a bottom-up walk (internal::WalkChunks) of `ntd` that
+/// fills and returns `problem`'s table, indexed by node id. Sequential by
+/// default; bag-sharded on exec.pool when exec.Parallel(), in which case the
+/// problem's hooks run concurrently and must be const and stateless.
+/// exec.table_memory_budget evicts dead interior tables unless
+/// `retain_tables` is set (callers that re-read interior tables after the
+/// run, i.e. witness extraction, keep it); the root table always survives.
+/// After an exec.budget abort the table is partial: the caller surfaces
+/// budget->AbortStatus() instead of reading it.
+template <typename Problem>
+DpTable<typename Problem::State, typename Problem::Value> RunDp(
+    const NormalizedTreeDecomposition& ntd, const Problem& problem,
+    const DpExec& exec = {}, DpStats* stats = nullptr,
+    bool retain_tables = true) {
+  DpTable<typename Problem::State, typename Problem::Value> table;
+  table.nodes.resize(ntd.NumNodes());
   internal::TableMemoryTracker memory;
+  const bool evict = exec.table_memory_budget > 0 && !retain_tables;
   internal::WalkChunks(
       ntd, exec,
       [&](const std::vector<TdNodeId>& nodes, DpStats* local) {
-        multi->ProcessChunk(ntd, nodes, &memory, exec.table_memory_budget,
-                            local, exec.budget);
+        for (TdNodeId id : nodes) {
+          internal::DpStepNode(ntd, id, problem, &table, &memory, evict, local,
+                               exec.budget);
+        }
       },
       stats);
   memory.FoldInto(stats);
-  if (stats != nullptr) {
-    ++stats->traversals;
-    stats->passes += multi->NumPasses();
-  }
+  if (stats != nullptr) ++stats->traversals;
+  return table;
 }
 
 /// Folds one run's DpStats into a query's RunStats.
@@ -519,7 +423,6 @@ inline void FoldDpStats(const DpStats& dp, RunStats* stats) {
                                 dp.shard_millis.begin(),
                                 dp.shard_millis.end());
   stats->dp_traversals += dp.traversals;
-  stats->dp_passes += dp.passes;
   stats->dp_peak_table_bytes =
       std::max(stats->dp_peak_table_bytes, dp.peak_table_bytes);
   stats->dp_tables_evicted += dp.tables_evicted;

@@ -102,10 +102,16 @@ class SubsetProblem {
   const Graph& graph_;
 };
 
-// Root scans: the passes' finalizers.
-size_t FinalizeCover(const Graph& graph,
-                     const NormalizedTreeDecomposition& ntd,
-                     const DpTable<SubsetState, size_t>& table) {
+}  // namespace
+
+StatusOr<size_t> MinVertexCover(const Graph& graph,
+                                const NormalizedTreeDecomposition& ntd,
+                                const DpExec& exec, DpStats* stats) {
+  auto table = RunDp(ntd, SubsetProblem<true>(graph), exec, stats,
+                     /*retain_tables=*/false);
+  if (exec.budget != nullptr && exec.budget->Aborted()) {
+    return exec.budget->AbortStatus();
+  }
   size_t best = graph.NumVertices();
   for (const auto& [state, value] : table.at(ntd.root())) {
     best = std::min(best, value);
@@ -113,35 +119,19 @@ size_t FinalizeCover(const Graph& graph,
   return best;
 }
 
-size_t FinalizeIndependent(const NormalizedTreeDecomposition& ntd,
-                           const DpTable<SubsetState, size_t>& table) {
+StatusOr<size_t> MaxIndependentSet(const Graph& graph,
+                                   const NormalizedTreeDecomposition& ntd,
+                                   const DpExec& exec, DpStats* stats) {
+  auto table = RunDp(ntd, SubsetProblem<false>(graph), exec, stats,
+                     /*retain_tables=*/false);
+  if (exec.budget != nullptr && exec.budget->Aborted()) {
+    return exec.budget->AbortStatus();
+  }
   size_t best = 0;
   for (const auto& [state, value] : table.at(ntd.root())) {
     best = std::max(best, value);
   }
   return best;
-}
-
-}  // namespace
-
-std::function<StatusOr<size_t>()> AddVertexCoverPass(
-    MultiDp* multi, const Graph& graph,
-    const NormalizedTreeDecomposition& ntd) {
-  const auto* table = multi->Add(SubsetProblem<true>(graph),
-                                 /*retain_tables=*/false);
-  return [table, &graph, &ntd]() -> StatusOr<size_t> {
-    return FinalizeCover(graph, ntd, *table);
-  };
-}
-
-std::function<StatusOr<size_t>()> AddIndependentSetPass(
-    MultiDp* multi, const Graph& graph,
-    const NormalizedTreeDecomposition& ntd) {
-  const auto* table = multi->Add(SubsetProblem<false>(graph),
-                                 /*retain_tables=*/false);
-  return [table, &ntd]() -> StatusOr<size_t> {
-    return FinalizeIndependent(ntd, *table);
-  };
 }
 
 }  // namespace treedl::core

@@ -1,7 +1,6 @@
 #include "engine/engine.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <string>
 #include <utility>
 
@@ -51,52 +50,44 @@ StatusOr<Structure> RunBackend(const datalog::Program& program,
   return result;
 }
 
-/// Fills one field of a SolveAllResult from a pass finalizer.
-using SolveFinalizer = std::function<Status(Engine::SolveAllResult*)>;
-
+/// Stores an answer into its SolveAllResult field, or passes its error on.
 template <typename T>
-SolveFinalizer Assign(std::function<StatusOr<T>()> finalize,
-                      T Engine::SolveAllResult::*field) {
-  return [finalize = std::move(finalize),
-          field](Engine::SolveAllResult* out) -> Status {
-    TREEDL_ASSIGN_OR_RETURN(out->*field, finalize());
-    return Status::OK();
-  };
+Status Assign(StatusOr<T> answer, T* field) {
+  if (!answer.ok()) return answer.status();
+  *field = std::move(answer).value();
+  return Status::OK();
 }
 
-/// Registers `problem`'s pass on `multi`; the returned finalizer writes its
-/// answer into the matching SolveAllResult field once the walk ran.
-SolveFinalizer AddSolvePass(core::MultiDp* multi, Engine::Problem problem,
-                            const Graph& graph,
-                            const NormalizedTreeDecomposition& ntd,
-                            bool extract_witness) {
-  using Result = Engine::SolveAllResult;
+/// Runs `problem`'s DP (one core::RunDp walk of `ntd`) and writes its
+/// answer into the matching SolveAllResult field; the walk's DpStats
+/// accumulate into `dp`, and an aborted budget returns its typed status.
+Status SolveOne(Engine::Problem problem, const Graph& graph,
+                const NormalizedTreeDecomposition& ntd,
+                const core::DpExec& exec, bool extract_witness,
+                core::DpStats* dp, Engine::SolveAllResult* out) {
   switch (problem) {
     case Engine::Problem::kThreeColor: {
-      auto finalize =
-          core::AddThreeColorPass(multi, graph, ntd, extract_witness);
-      return [finalize](Result* out) -> Status {
-        TREEDL_ASSIGN_OR_RETURN(core::ThreeColorResult tc, finalize());
-        out->three_colorable = tc.colorable;
-        out->coloring = std::move(tc.coloring);
-        return Status::OK();
-      };
+      TREEDL_ASSIGN_OR_RETURN(
+          core::ThreeColorResult tc,
+          core::DecideThreeColor(graph, ntd, exec, dp, extract_witness));
+      out->three_colorable = tc.colorable;
+      out->coloring = std::move(tc.coloring);
+      return Status::OK();
     }
     case Engine::Problem::kThreeColorCount:
-      return Assign(core::AddThreeColorCountPass(multi, graph, ntd),
-                    &Result::three_colorings);
+      return Assign(core::CountThreeColorings(graph, ntd, exec, dp),
+                    &out->three_colorings);
     case Engine::Problem::kVertexCover:
-      return Assign(core::AddVertexCoverPass(multi, graph, ntd),
-                    &Result::min_vertex_cover);
+      return Assign(core::MinVertexCover(graph, ntd, exec, dp),
+                    &out->min_vertex_cover);
     case Engine::Problem::kIndependentSet:
-      return Assign(core::AddIndependentSetPass(multi, graph, ntd),
-                    &Result::max_independent_set);
+      return Assign(core::MaxIndependentSet(graph, ntd, exec, dp),
+                    &out->max_independent_set);
     case Engine::Problem::kDominatingSet:
-      return Assign(core::AddDominatingSetPass(multi, graph, ntd),
-                    &Result::min_dominating_set);
+      return Assign(core::MinDominatingSet(graph, ntd, exec, dp),
+                    &out->min_dominating_set);
   }
-  TREEDL_CHECK(false) << "unknown problem";
-  return nullptr;
+  return Status::Internal("unknown problem");
 }
 
 /// Widest bag the graph DPs accept: the subset problems enumerate 2^|bag|
@@ -669,28 +660,19 @@ StatusOr<Engine::SolveAllResult> Engine::SolveProblems(
           " elements exceeds the graph-DP limit of " +
           std::to_string(kMaxDpBagSize));
     }
-    // One walk outside the lock: one state table per problem, each bag of
-    // the normal form visited exactly once (sharded when exec.Parallel()),
-    // so concurrent queries share the pool.
-    core::MultiDp multi;
-    std::vector<SolveFinalizer> finalizers;
-    for (Problem problem : problems) {
-      finalizers.push_back(AddSolvePass(&multi, problem, *graph, *ntd,
-                                        options_.extract_witness));
-    }
+    // Walks outside the lock, so concurrent queries share the pool: one
+    // core::RunDp per problem (sharded when exec.Parallel()), each table
+    // dropped before the next walk starts.
     core::DpStats dp;
-    core::RunDp(*ntd, &multi, exec, &dp);
-    core::FoldDpStats(dp, s);
-    // The finalizers re-read root (and, for witness extraction, interior)
-    // tables; on an aborted budget those are partial — surface the abort
-    // before any finalizer can trip over them.
-    if (exec.budget != nullptr && exec.budget->Aborted()) {
-      return exec.budget->AbortStatus();
-    }
     SolveAllResult out;
-    for (const SolveFinalizer& finalize : finalizers) {
-      TREEDL_RETURN_IF_ERROR(finalize(&out));
+    Status status;
+    for (Problem problem : problems) {
+      status = SolveOne(problem, *graph, *ntd, exec, options_.extract_witness,
+                        &dp, &out);
+      if (!status.ok()) break;
     }
+    core::FoldDpStats(dp, s);
+    TREEDL_RETURN_IF_ERROR(status);
     return out;
   }();
   s->total_millis = timer.ElapsedMillis();

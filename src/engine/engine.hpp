@@ -14,7 +14,7 @@
 //   engine.EvaluateMso(sentence);            // Thm 4.5 route or direct
 //   engine.EvaluateDatalog(program);         // naive/seminaive/grounded
 //   engine.Solve(Engine::Problem::kThreeColor);  // §5.1 and friends
-//   engine.SolveAll();                       // all five problems, ONE traversal
+//   engine.SolveAll();                       // all five problems, one walk each
 //   engine.SaveSession("warm.tdls");         // persist the cached artifacts
 //   engine.LoadSession("warm.tdls");         // ... and restore them on restart
 //
@@ -91,8 +91,7 @@ class Engine {
     std::optional<std::vector<int>> witness;
   };
 
-  /// Batched answers of every Problem, produced by SolveAll's single fused
-  /// traversal.
+  /// Answers of every Problem, produced by SolveAll.
   struct SolveAllResult {
     bool three_colorable = false;
     /// A proper coloring when three_colorable and extract_witness.
@@ -168,8 +167,8 @@ class Engine {
 
   // --- Graph DPs -----------------------------------------------------------
 
-  /// One problem: a one-pass SolveAll — the same walk with a single state
-  /// table, answering Result(problem). A tripped `budget` (per-call,
+  /// One problem: one core::RunDp walk of the cached normal form, answering
+  /// Result(problem). A tripped `budget` (per-call,
   /// overriding EngineOptions::work_budget) aborts the traversal and returns
   /// its DeadlineExceeded / ResourceExhausted status; no partial result
   /// escapes and the session's cached artifacts are untouched, so the next
@@ -179,12 +178,12 @@ class Engine {
   StatusOr<SolveResult> Solve(Problem problem, RunStats* stats = nullptr,
                               WorkBudget* budget = nullptr);
 
-  /// Evaluates all five Problems in ONE bottom-up traversal of the cached
-  /// normal form (a core::MultiDp fusing the five state tables; with
-  /// num_threads > 1 the single traversal is bag-sharded exactly like
-  /// Solve's). Five answers cost one walk: RunStats reports dp_traversals ==
-  /// 1, dp_passes == 5, and a parallel session's dp_shards equals one
-  /// traversal's shard count, not five.
+  /// Evaluates all five Problems, one Solve walk each over the same cached
+  /// normal form (bag-sharded when num_threads > 1), in Problem order. Each
+  /// table is dropped before the next walk, so dp_peak_table_bytes is the
+  /// largest single problem's peak; RunStats reports dp_traversals == 5 and
+  /// dp_states equal to the five Solves' sum. A tripped `budget` stops at
+  /// the first aborted walk and returns its status, exactly as Solve does.
   StatusOr<SolveAllResult> SolveAll(RunStats* stats = nullptr,
                                     WorkBudget* budget = nullptr);
 
@@ -323,9 +322,9 @@ class Engine {
   /// width >= 1).
   StatusOr<bool> UseDirectMso(RunStats* stats);
   void Record(const RunStats& stats);
-  /// The one graph-DP path behind Solve and SolveAll: one MultiDp pass per
-  /// problem, one core::RunDp walk of the cached normal form, the abort
-  /// check, then each pass's finalizer fills its SolveAllResult field.
+  /// The one graph-DP path behind Solve and SolveAll: takes the cache lock
+  /// once, then runs one core::RunDp walk per problem, in order, stopping at
+  /// the first error (a budget abort's typed status).
   StatusOr<SolveAllResult> SolveProblems(
       std::initializer_list<Problem> problems, RunStats* stats,
       WorkBudget* budget);

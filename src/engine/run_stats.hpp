@@ -54,15 +54,14 @@ struct RunStats {
   std::vector<double> dp_shard_millis;
   /// Slowest shard task seen (aggregated form of dp_shard_millis).
   double dp_slowest_shard_millis = 0;
-  /// Bottom-up decomposition walks this query executed.
+  /// Decomposition walks this query executed, one per problem: Solve runs
+  /// 1, SolveAll 5 (the PRIMALITY enumeration counts its two walks).
   size_t dp_traversals = 0;
-  /// DP state-table passes those walks drove. Solve: 1 traversal / 1 pass;
-  /// SolveAll: 1 traversal / 5 passes — the fused-batch evidence.
-  size_t dp_passes = 0;
   /// High-water mark of live DP state-table bytes (flat-table arena
-  /// footprints summed over all passes). With a table_memory_budget this
-  /// stays near the traversal frontier; without one it grows with the whole
-  /// decomposition.
+  /// footprints) of the query's largest walk — the walks run one after
+  /// another, so SolveAll peaks at its largest single table, not the sum.
+  /// With a table_memory_budget this stays near the traversal frontier;
+  /// without one it grows with the whole decomposition.
   size_t dp_peak_table_bytes = 0;
   /// Dead state tables released mid-run by the eviction protocol (0 unless
   /// EngineOptions::table_memory_budget is set).
@@ -142,7 +141,6 @@ struct RunStats {
                                   ? dp_slowest_shard_millis
                                   : other_slowest;
     dp_traversals += other.dp_traversals;
-    dp_passes += other.dp_passes;
     dp_peak_table_bytes = dp_peak_table_bytes > other.dp_peak_table_bytes
                               ? dp_peak_table_bytes
                               : other.dp_peak_table_bytes;

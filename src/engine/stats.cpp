@@ -26,7 +26,7 @@ std::string RunStats::ToString() const {
     out << " dp{states=" << dp_states
         << " max_per_node=" << dp_max_states_per_node;
     if (dp_traversals > 0) {
-      out << " traversals=" << dp_traversals << " passes=" << dp_passes;
+      out << " traversals=" << dp_traversals;
     }
     if (dp_shards > 0) {
       double slowest = dp_slowest_shard_millis;

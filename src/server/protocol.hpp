@@ -11,7 +11,7 @@
 //   ASSERT <tenant> <facts...>                             append facts
 //   QUERY <tenant> <datalog program>                       evaluate datalog
 //   SOLVE <tenant> 3COL|#3COL|VC|IS|DS                     one graph problem
-//   SOLVEALL <tenant>                                      all five, fused
+//   SOLVEALL <tenant>                                      all five problems
 //   MSO <tenant> <sentence>                                MSO evaluation
 //   SAVE <tenant>                                          persist session
 //   OPEN <tenant>                                          warm-start session

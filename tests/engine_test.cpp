@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/work_budget.hpp"
 #include "datalog/parser.hpp"
 #include "engine/engine.hpp"
@@ -9,6 +11,7 @@
 #include "mso/formulas.hpp"
 #include "mso/parser.hpp"
 #include "schema/primality_bruteforce.hpp"
+#include "test_util.hpp"
 
 namespace treedl {
 namespace {
@@ -150,12 +153,11 @@ TEST(EngineTest, SolvesGraphProblemsOnOneDecomposition) {
   EXPECT_EQ(engine.CumulativeStats().td_builds, 1u);
   // ... and one normalization.
   EXPECT_EQ(engine.CumulativeStats().normalize_builds, 1u);
-  // ... but five separate traversals — the pattern SolveAll batches away.
+  // ... and one traversal per problem.
   EXPECT_EQ(engine.CumulativeStats().dp_traversals, 5u);
-  EXPECT_EQ(engine.CumulativeStats().dp_passes, 5u);
 }
 
-TEST(EngineTest, SolveAllBatchesFiveProblemsIntoOneTraversal) {
+TEST(EngineTest, SolveAllAnswersAllFiveProblems) {
   Graph petersen = PetersenGraph();
   Engine engine = Engine::FromGraph(petersen);
 
@@ -173,20 +175,51 @@ TEST(EngineTest, SolveAllBatchesFiveProblemsIntoOneTraversal) {
   EXPECT_EQ(all->Result(Engine::Problem::kVertexCover).optimum, 6u);
   EXPECT_TRUE(all->Result(Engine::Problem::kThreeColorCount).feasible);
 
-  // The acceptance criterion: ONE traversal family drove all five state
-  // tables.
-  EXPECT_EQ(run.dp_traversals, 1u);
-  EXPECT_EQ(run.dp_passes, 5u);
+  // One walk per problem over the one cached normal form.
+  EXPECT_EQ(run.dp_traversals, 5u);
   EXPECT_EQ(run.td_builds, 1u);
   EXPECT_EQ(run.normalize_builds, 1u);
 
-  // A second batch is pure cache + one more traversal.
+  // A second batch is pure cache + five more traversals.
   RunStats again;
   ASSERT_TRUE(engine.SolveAll(&again).ok());
   EXPECT_EQ(again.td_builds, 0u);
   EXPECT_EQ(again.normalize_builds, 0u);
-  EXPECT_EQ(again.dp_traversals, 1u);
+  EXPECT_EQ(again.dp_traversals, 5u);
   EXPECT_GT(again.cache_hits, 0u);
+}
+
+// SolveAll runs the five Solve walks one after another, each table dropped
+// before the next walk: its state count is their sum and its table peak is
+// the largest single walk's, not the sum of all five.
+TEST(EngineTest, SolveAllPeaksAtTheLargestSingleProblem) {
+  EngineOptions options;
+  options.num_threads = 1;
+  Rng rng(TestSeed());
+  Graph graph = RandomPartialKTree(60, 3, 0.6, &rng);
+  Engine engine = Engine::FromGraph(graph, options);
+
+  size_t states_sum = 0;
+  size_t peak_max = 0;
+  size_t peak_sum = 0;
+  for (Engine::Problem problem :
+       {Engine::Problem::kThreeColor, Engine::Problem::kThreeColorCount,
+        Engine::Problem::kVertexCover, Engine::Problem::kIndependentSet,
+        Engine::Problem::kDominatingSet}) {
+    RunStats run;
+    ASSERT_TRUE(engine.Solve(problem, &run).ok());
+    EXPECT_EQ(run.dp_traversals, 1u);
+    ASSERT_GT(run.dp_peak_table_bytes, 0u);
+    states_sum += run.dp_states;
+    peak_max = std::max(peak_max, run.dp_peak_table_bytes);
+    peak_sum += run.dp_peak_table_bytes;
+  }
+
+  RunStats all;
+  ASSERT_TRUE(engine.SolveAll(&all).ok());
+  EXPECT_EQ(all.dp_states, states_sum);
+  EXPECT_EQ(all.dp_peak_table_bytes, peak_max);
+  EXPECT_LT(all.dp_peak_table_bytes, peak_sum);
 }
 
 // --- Datalog backends ---------------------------------------------------------
@@ -373,8 +406,8 @@ TEST(EngineTest, PassTimingsAreCollectedWhenRequested) {
 // --- IsPrime: full DP accounting and session budgets --------------------------
 
 TEST(EngineTest, IsPrimeReportsTheFullDpRecord) {
-  // IsPrime runs one pass on one walk, like Solve: the traversal, pass and
-  // table-byte counters are filled, not just the state counts.
+  // IsPrime runs one walk, like Solve: the traversal and table-byte
+  // counters are filled, not just the state counts.
   EngineOptions options;
   options.num_threads = 1;
   Engine engine(Schema::PaperExampleSchema(), options);
@@ -382,7 +415,6 @@ TEST(EngineTest, IsPrimeReportsTheFullDpRecord) {
   ASSERT_TRUE(engine.IsPrime(0, &run).ok());
   EXPECT_GT(run.dp_states, 0u);
   EXPECT_EQ(run.dp_traversals, 1u);
-  EXPECT_EQ(run.dp_passes, 1u);
   EXPECT_GT(run.dp_peak_table_bytes, 0u);
   EXPECT_EQ(run.dp_tables_evicted, 0u);
 

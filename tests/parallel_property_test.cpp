@@ -104,26 +104,25 @@ TEST(ParallelPropertyTest, SolveAllEqualsFiveSolvesAcrossThreadCounts) {
       auto ref = ref_engine.Solve(problem);
       ASSERT_TRUE(ref.ok()) << ref.status();
       for (const auto* batch : {&seq_all, &par_all}) {
-        Engine::SolveResult fused = (*batch)->Result(problem);
-        EXPECT_EQ(fused.feasible, ref->feasible) << "trial " << trial;
-        EXPECT_EQ(fused.optimum, ref->optimum) << "trial " << trial;
-        EXPECT_EQ(fused.count, ref->count) << "trial " << trial;
-        EXPECT_EQ(fused.witness.has_value(), ref->witness.has_value());
+        Engine::SolveResult batched = (*batch)->Result(problem);
+        EXPECT_EQ(batched.feasible, ref->feasible) << "trial " << trial;
+        EXPECT_EQ(batched.optimum, ref->optimum) << "trial " << trial;
+        EXPECT_EQ(batched.count, ref->count) << "trial " << trial;
+        EXPECT_EQ(batched.witness.has_value(), ref->witness.has_value());
       }
     }
     if (par_all->coloring.has_value()) {
       ExpectProperColoring(graph, *par_all->coloring);
     }
 
-    // One traversal family on both sides, five passes deep; the parallel
-    // side sharded that single traversal (not five).
-    EXPECT_EQ(seq_run.dp_traversals, 1u) << "trial " << trial;
-    EXPECT_EQ(seq_run.dp_passes, 5u) << "trial " << trial;
-    EXPECT_EQ(par_run.dp_traversals, 1u) << "trial " << trial;
-    EXPECT_EQ(par_run.dp_passes, 5u) << "trial " << trial;
+    // One walk per problem on both sides; the parallel side sharded each
+    // of the five walks.
+    EXPECT_EQ(seq_run.dp_traversals, 5u) << "trial " << trial;
+    EXPECT_EQ(par_run.dp_traversals, 5u) << "trial " << trial;
     EXPECT_GT(par_run.dp_shards, 1u) << "trial " << trial;
+    EXPECT_EQ(par_run.dp_shards % 5, 0u) << "trial " << trial;
     EXPECT_EQ(par_run.dp_shard_millis.size(), par_run.dp_shards);
-    // Identical reachable-state tables: fused == five independent runs.
+    // Identical reachable-state tables: SolveAll == five independent runs.
     EXPECT_EQ(seq_run.dp_states, par_run.dp_states) << "trial " << trial;
     EXPECT_EQ(ref_engine.CumulativeStats().dp_states, seq_run.dp_states)
         << "trial " << trial;
@@ -165,11 +164,11 @@ TEST(ParallelPropertyTest, EvictionPreservesAnswersAndBoundsTableMemory) {
       for (Engine::Problem problem : kAllProblems) {
         auto solo = engine.Solve(problem);
         ASSERT_TRUE(solo.ok()) << solo.status();
-        Engine::SolveResult fused = all->Result(problem);
-        EXPECT_EQ(solo->feasible, fused.feasible) << "trial " << trial;
-        EXPECT_EQ(solo->optimum, fused.optimum) << "trial " << trial;
-        EXPECT_EQ(solo->count, fused.count) << "trial " << trial;
-        EXPECT_EQ(solo->witness, fused.witness) << "trial " << trial;
+        Engine::SolveResult batched = all->Result(problem);
+        EXPECT_EQ(solo->feasible, batched.feasible) << "trial " << trial;
+        EXPECT_EQ(solo->optimum, batched.optimum) << "trial " << trial;
+        EXPECT_EQ(solo->count, batched.count) << "trial " << trial;
+        EXPECT_EQ(solo->witness, batched.witness) << "trial " << trial;
       }
     }
     for (size_t i = 1; i < results.size(); ++i) {

@@ -291,28 +291,68 @@ TEST(ServerRobustnessTest, DeadlineZeroShedsEveryComputeRequest) {
   EXPECT_EQ(Reply(&s, "SOLVE g 3COL").rfind("OK SOLVE", 0), 0u);
 }
 
-TEST(ServerRobustnessTest, DeadlineAtExactlyTheLastWorkUnitCompletes) {
-  // Work units are deterministic, so there is a sharp threshold T: every
-  // deadline < T sheds and every deadline >= T completes. Find T by scanning
-  // fresh servers (results are memoized within one engine, so each probe
-  // needs its own).
-  auto runs_ok = [](uint64_t units) {
-    server::Server s(QuietServer());
-    EXPECT_EQ(Reply(&s, PathLoadLine("g", 6)).rfind("OK LOAD", 0), 0u);
-    EXPECT_EQ(Reply(&s, "DEADLINE " + std::to_string(units))
-                  .rfind("OK DEADLINE", 0),
-              0u);
-    return Reply(&s, "SOLVE g VC").rfind("OK SOLVE", 0) == 0;
-  };
-  uint64_t threshold = 0;
-  while (!runs_ok(threshold)) {
-    ++threshold;
-    ASSERT_LE(threshold, 10000u) << "no completion threshold found";
+/// `request`'s reply from a fresh server holding the 6-vertex path tenant
+/// "g" under a deadline of `units`. Results are memoized within one engine,
+/// so every probe needs its own server.
+std::string ReplyUnderDeadline(uint64_t units, const std::string& request) {
+  server::Server s(QuietServer());
+  EXPECT_EQ(Reply(&s, PathLoadLine("g", 6)).rfind("OK LOAD", 0), 0u);
+  EXPECT_EQ(Reply(&s, "DEADLINE " + std::to_string(units))
+                .rfind("OK DEADLINE", 0),
+            0u);
+  return Reply(&s, request);
+}
+
+/// Work units are deterministic, so `request` has a sharp threshold T:
+/// every deadline < T sheds and every deadline >= T completes. Finds T by
+/// scanning fresh servers.
+uint64_t CompletionThreshold(const std::string& request) {
+  uint64_t units = 0;
+  while (ReplyUnderDeadline(units, request).rfind("OK ", 0) != 0) {
+    if (++units > 10000) {
+      ADD_FAILURE() << "no completion threshold for " << request;
+      break;
+    }
   }
+  return units;
+}
+
+TEST(ServerRobustnessTest, DeadlineAtExactlyTheLastWorkUnitCompletes) {
+  const uint64_t threshold = CompletionThreshold("SOLVE g VC");
   ASSERT_GT(threshold, 0u) << "a path DP must consume at least one unit";
   // The boundary is exact: one unit less sheds, the threshold completes.
-  EXPECT_FALSE(runs_ok(threshold - 1));
-  EXPECT_TRUE(runs_ok(threshold));
+  EXPECT_NE(ReplyUnderDeadline(threshold - 1, "SOLVE g VC").rfind("OK SOLVE", 0),
+            0u);
+  EXPECT_EQ(ReplyUnderDeadline(threshold, "SOLVE g VC").rfind("OK SOLVE", 0),
+            0u);
+}
+
+TEST(ServerRobustnessTest, SolveAllDeadlineIsTheSumOfItsFiveSolves) {
+  // SOLVEALL runs the five SOLVE walks one after another under one budget,
+  // so its completion threshold is the five per-problem thresholds added up.
+  uint64_t sum = 0;
+  for (const char* problem : {"3COL", "#3COL", "VC", "IS", "DS"}) {
+    sum += CompletionThreshold(std::string("SOLVE g ") + problem);
+  }
+  const uint64_t threshold = CompletionThreshold("SOLVEALL g");
+  EXPECT_EQ(threshold, sum);
+
+  // One unit less sheds with the typed error, and the same tenant then
+  // answers correctly.
+  server::Server s(QuietServer());
+  ASSERT_EQ(Reply(&s, PathLoadLine("g", 6)).rfind("OK LOAD", 0), 0u);
+  ASSERT_EQ(Reply(&s, "DEADLINE " + std::to_string(threshold - 1))
+                .rfind("OK DEADLINE", 0),
+            0u);
+  std::string shed = Reply(&s, "SOLVEALL g");
+  EXPECT_EQ(shed.rfind("ERR E_DEADLINE", 0), 0u) << shed;
+  EXPECT_EQ(Reply(&s, "DEADLINE OFF"), "OK DEADLINE off\n");
+  std::string ok = Reply(&s, "SOLVEALL g");
+  EXPECT_EQ(ok.rfind("OK SOLVEALL tenant=g three_colorable=1 colorings=96 "
+                     "vc=3 is=3 ds=2 ",
+                     0),
+            0u)
+      << ok;
 }
 
 TEST(ServerRobustnessTest, TableBudgetAbortsWitnessExtractionButNotEviction) {

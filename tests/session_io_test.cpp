@@ -57,7 +57,7 @@ TEST(SessionIoTest, GraphSessionRoundTripIsBitIdenticalWithZeroRebuilds) {
   options.num_threads = 4;
   const std::string path = TempPath("graph_session.tdls");
 
-  // Warm a session: Width + all five problems + the fused batch, then save.
+  // Warm a session: Width + all five problems + the SolveAll batch, then save.
   Engine warm = Engine::FromGraph(graph, options);
   auto width = warm.Width();
   ASSERT_TRUE(width.ok()) << width.status();

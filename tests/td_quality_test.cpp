@@ -1,6 +1,6 @@
 // The decomposition-quality pipeline's property suite: soundness of every
 // preprocessing reduction (against the exact treewidth and against the
-// engine's five fused graph DPs), the no-regression guarantees of the
+// engine's five graph DPs), the no-regression guarantees of the
 // width-reduce pass and the full pipeline, and determinism of the anytime
 // improvement hook at every thread count.
 #include <gtest/gtest.h>
@@ -178,7 +178,7 @@ TEST(TdQualityTest, ImproveTdIsDeterministicAndMonotone) {
 }
 
 /// The satellite invariant: a pipeline session answers every one of the five
-/// fused graph DPs bit-identically to a default session, at thread count 1
+/// graph DPs bit-identically to a default session, at thread count 1
 /// and 8 alike, and its decomposition is never wider.
 TEST(TdQualityTest, PipelineEngineAnswersMatchDefaultAtAnyThreadCount) {
   Rng rng(TestSeed());
