@@ -1,22 +1,19 @@
-// Decomposition-quality ablation: min-fill vs min-degree vs MCS vs the
-// tie-broken min-fill and the full preprocessing pipeline, all against the
-// exact treewidth on random graphs (the substrate substitution for
-// Bodlaender's algorithm documented in DESIGN.md).
+// Decomposition-quality ablation: min-fill vs min-degree against the exact
+// treewidth on random graphs (the substitution for Bodlaender's algorithm
+// documented in docs/ARCHITECTURE.md).
 //
 // Flags: --quick shrinks the graph count for CI; --json <path> additionally
-// writes the deterministic quality counters (total widths per heuristic,
-// pipeline excess over exact, reduction-rule fire counts, proven lower
-// bounds — no wall-clock, so the artifact is comparable across runners).
-// --scale instead prints only the wall-clock of min-fill, min-degree and MCS
-// (order plus DecompositionFromOrder) on partial 5-trees of n = 2000 and
-// 4000, where a superlinear heuristic shows; it writes no JSON.
+// writes the deterministic quality counters (total widths per heuristic and
+// the exact total — no wall-clock, so the artifact is comparable across
+// runners). --scale instead prints only the wall-clock of min-fill and
+// min-degree (order plus DecompositionFromOrder) on partial 5-trees of
+// n = 2000 and 4000, where a superlinear heuristic shows; it writes no JSON.
 #include <cstdio>
 #include <cstring>
 
 #include "common/timer.hpp"
 #include "graph/generators.hpp"
 #include "td/heuristics.hpp"
-#include "td/improve.hpp"
 
 namespace treedl {
 namespace {
@@ -40,14 +37,6 @@ struct QualityTotals {
   size_t exact_width = 0;
   size_t min_fill_width = 0;
   size_t min_degree_width = 0;
-  size_t mcs_width = 0;
-  size_t tie_break_width = 0;
-  size_t pipeline_width = 0;
-  size_t pipeline_wins = 0;  // instances where the pipeline candidate shipped
-  size_t lower_bound = 0;    // preprocessing-proven lower bounds, summed
-  size_t eliminated = 0;     // vertices removed by the reductions
-  size_t merges = 0;         // width-reduction bag merges
-  ReductionCounters reductions;
 };
 
 size_t WidthOf(const Graph& graph, TdHeuristic heuristic) {
@@ -56,40 +45,13 @@ size_t WidthOf(const Graph& graph, TdHeuristic heuristic) {
   return static_cast<size_t>(td->Width());
 }
 
-QualityTotals CollectTotals(const BenchConfig& config,
-                            const std::vector<Graph>& graphs,
+QualityTotals CollectTotals(const std::vector<Graph>& graphs,
                             const std::vector<int>& exact) {
   QualityTotals totals;
   for (size_t i = 0; i < graphs.size(); ++i) {
-    const Graph& graph = graphs[i];
-    size_t min_fill = WidthOf(graph, TdHeuristic::kMinFill);
     totals.exact_width += static_cast<size_t>(exact[i]);
-    totals.min_fill_width += min_fill;
-    totals.min_degree_width += WidthOf(graph, TdHeuristic::kMinDegree);
-    totals.mcs_width += WidthOf(graph, TdHeuristic::kMcs);
-    totals.tie_break_width += WidthOf(graph, TdHeuristic::kMinFillTieBreak);
-
-    PipelineOptions popts;
-    popts.seed = config.seed + i;
-    PipelineStats stats;
-    auto td = DecomposePipeline(graph, popts, &stats);
-    TREEDL_CHECK(td.ok()) << td.status();
-    size_t pipeline = static_cast<size_t>(td->Width());
-    // The portfolio guarantee: never worse than plain min-fill, never better
-    // than exact, and the proven lower bound never exceeds the exact width.
-    TREEDL_CHECK(pipeline <= min_fill);
-    TREEDL_CHECK(pipeline >= static_cast<size_t>(exact[i]));
-    TREEDL_CHECK(stats.lower_bound <= exact[i]);
-    totals.pipeline_width += pipeline;
-    totals.pipeline_wins += stats.used_pipeline ? 1 : 0;
-    totals.lower_bound += static_cast<size_t>(stats.lower_bound);
-    totals.eliminated += stats.eliminated;
-    totals.merges += stats.merges;
-    totals.reductions.isolated += stats.reductions.isolated;
-    totals.reductions.pendant += stats.reductions.pendant;
-    totals.reductions.series += stats.reductions.series;
-    totals.reductions.simplicial += stats.reductions.simplicial;
-    totals.reductions.almost_simplicial += stats.reductions.almost_simplicial;
+    totals.min_fill_width += WidthOf(graphs[i], TdHeuristic::kMinFill);
+    totals.min_degree_width += WidthOf(graphs[i], TdHeuristic::kMinDegree);
   }
   return totals;
 }
@@ -103,9 +65,7 @@ void PrintTable(const BenchConfig& config, const std::vector<Graph>& graphs,
               "time ms/graph");
   for (HeuristicRow row :
        {HeuristicRow{"min-fill", TdHeuristic::kMinFill},
-        HeuristicRow{"min-degree", TdHeuristic::kMinDegree},
-        HeuristicRow{"mcs", TdHeuristic::kMcs},
-        HeuristicRow{"tie-break", TdHeuristic::kMinFillTieBreak}}) {
+        HeuristicRow{"min-degree", TdHeuristic::kMinDegree}}) {
     double total_width = 0, total_excess = 0;
     Timer timer;
     for (size_t i = 0; i < graphs.size(); ++i) {
@@ -116,22 +76,6 @@ void PrintTable(const BenchConfig& config, const std::vector<Graph>& graphs,
     }
     double ms = timer.ElapsedMillis() / static_cast<double>(graphs.size());
     std::printf("%10s %10.2f %10.2f %12.3f\n", row.name,
-                total_width / static_cast<double>(graphs.size()),
-                total_excess / static_cast<double>(graphs.size()), ms);
-  }
-  {
-    double total_width = 0, total_excess = 0;
-    Timer timer;
-    for (size_t i = 0; i < graphs.size(); ++i) {
-      PipelineOptions popts;
-      popts.seed = config.seed + i;
-      auto td = DecomposePipeline(graphs[i], popts);
-      TREEDL_CHECK(td.ok());
-      total_width += td->Width();
-      total_excess += td->Width() - exact[static_cast<size_t>(i)];
-    }
-    double ms = timer.ElapsedMillis() / static_cast<double>(graphs.size());
-    std::printf("%10s %10.2f %10.2f %12.3f\n", "pipeline",
                 total_width / static_cast<double>(graphs.size()),
                 total_excess / static_cast<double>(graphs.size()), ms);
   }
@@ -152,31 +96,11 @@ void WriteJson(const BenchConfig& config, const QualityTotals& totals) {
                "  \"graphs\": %d,\n"
                "  \"exact_width_total\": %zu,\n"
                "  \"min_fill_width_total\": %zu,\n"
-               "  \"min_degree_width_total\": %zu,\n"
-               "  \"mcs_width_total\": %zu,\n"
-               "  \"tie_break_width_total\": %zu,\n"
-               "  \"pipeline_width_total\": %zu,\n"
-               "  \"pipeline_excess_total\": %zu,\n"
-               "  \"pipeline_wins\": %zu,\n"
-               "  \"lower_bound_total\": %zu,\n"
-               "  \"eliminated_vertices\": %zu,\n"
-               "  \"width_reduce_merges\": %zu,\n"
-               "  \"reduce_isolated\": %zu,\n"
-               "  \"reduce_pendant\": %zu,\n"
-               "  \"reduce_series\": %zu,\n"
-               "  \"reduce_simplicial\": %zu,\n"
-               "  \"reduce_almost_simplicial\": %zu\n"
+               "  \"min_degree_width_total\": %zu\n"
                "}\n",
                config.vertices, static_cast<unsigned long long>(config.seed),
                config.graphs, totals.exact_width, totals.min_fill_width,
-               totals.min_degree_width, totals.mcs_width,
-               totals.tie_break_width, totals.pipeline_width,
-               totals.pipeline_width - totals.exact_width,
-               totals.pipeline_wins, totals.lower_bound, totals.eliminated,
-               totals.merges, totals.reductions.isolated,
-               totals.reductions.pendant, totals.reductions.series,
-               totals.reductions.simplicial,
-               totals.reductions.almost_simplicial);
+               totals.min_degree_width);
   std::fclose(out);
   std::printf("  wrote %s\n", config.json_path);
 }
@@ -189,8 +113,7 @@ void RunScaleRows(const BenchConfig& config) {
     Graph graph = RandomPartialKTree(n, 5, 0.55, &rng);
     for (HeuristicRow row :
          {HeuristicRow{"min-fill", TdHeuristic::kMinFill},
-          HeuristicRow{"min-degree", TdHeuristic::kMinDegree},
-          HeuristicRow{"mcs", TdHeuristic::kMcs}}) {
+          HeuristicRow{"min-degree", TdHeuristic::kMinDegree}}) {
       Timer timer;
       auto td = Decompose(graph, row.heuristic);
       double ms = timer.ElapsedMillis();
@@ -214,7 +137,7 @@ void RunHeuristicsBench(const BenchConfig& config) {
   }
   PrintTable(config, graphs, exact);
   if (config.json_path != nullptr) {
-    WriteJson(config, CollectTotals(config, graphs, exact));
+    WriteJson(config, CollectTotals(graphs, exact));
   }
 }
 

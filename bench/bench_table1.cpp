@@ -1,6 +1,6 @@
 // Reproduces Table 1 (§6): PRIMALITY processing time, monadic-datalog
 // approach ("MD") versus the MSO-model-checking route ("MSO", standing in
-// for MONA — see DESIGN.md: same exponential data complexity, same
+// for MONA — see docs/ARCHITECTURE.md: same exponential data complexity, same
 // out-of-budget failure mode, reported as "—").
 //
 // Instances follow the paper's generator: balanced normalized width-3

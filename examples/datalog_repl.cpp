@@ -66,8 +66,9 @@ int main(int argc, char** argv) {
 
   std::string program_text = kDemoProgram;
   std::string facts_text = kDemoFacts;
-  std::string engine = "seminaive";
-  if (argc == 2) {
+  std::string engine = argc >= 4 ? argv[3] : "seminaive";
+  if (argc == 2 || argc > 4 ||
+      (engine != "naive" && engine != "seminaive" && engine != "grounded")) {
     std::cerr << "usage: datalog_repl [program.dl facts.txt "
                  "[naive|seminaive|grounded]]\n";
     return 1;
@@ -86,7 +87,6 @@ int main(int argc, char** argv) {
     program_text = std::move(program_file).value();
     facts_text = std::move(facts_file).value();
   }
-  if (argc >= 4) engine = argv[3];
 
   // Client-side parse: print the program summary and derive the EDB
   // signature (extensional predicates) for the LOAD request.

@@ -23,7 +23,8 @@ enum class StatusCode {
   kUnimplemented,
   kInternal,
   // A configured work/memory budget was exhausted (used by the MSO evaluator
-  // to emulate MONA-style out-of-memory failures; see DESIGN.md).
+  // to emulate MONA-style out-of-memory failures; see docs/ARCHITECTURE.md,
+  // "Query execution").
   kResourceExhausted,
   // Input text could not be parsed.
   kParseError,

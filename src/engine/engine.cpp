@@ -184,12 +184,6 @@ StatusOr<const TreeDecomposition*> Engine::EnsureTd(RunStats* stats) {
     if (options_.elimination_order.has_value()) {
       return DecompositionFromOrder(*gaifman, *options_.elimination_order);
     }
-    if (options_.td_pipeline) {
-      PipelineOptions popts;
-      popts.starts = options_.td_pipeline_starts;
-      popts.seed = SessionFingerprint();
-      return DecomposePipeline(*gaifman, popts);
-    }
     return Decompose(*gaifman, options_.heuristic);
   }();
   TREEDL_RETURN_IF_ERROR(td.status());
@@ -250,7 +244,6 @@ StatusOr<const NormalizedTreeDecomposition*> Engine::EnsureEnumNtd(
   state.normalize_options = core::internal::PrimalityNormalizeOptions(
       *encoding_, /*for_enumeration=*/true);
   engine::PassPipeline pipeline;
-  if (options_.td_pipeline) pipeline.Emplace<engine::WidthReducePass>();
   pipeline.Emplace<engine::NormalizePass>();
   // Parallel sessions shard the enumeration normal form too, on the same
   // cost model as the graph-DP sharding (3^|bag| fits the Fig. 6 state
@@ -281,7 +274,6 @@ StatusOr<const NormalizedTreeDecomposition*> Engine::EnsurePlainNtd(
   engine::PipelineState state;
   state.td = *td;
   engine::PassPipeline pipeline;
-  if (options_.td_pipeline) pipeline.Emplace<engine::WidthReducePass>();
   pipeline.Emplace<engine::NormalizePass>();
   // Parallel sessions shard right after normalization, on the same spine.
   size_t threads = ResolvedNumThreads();

@@ -43,18 +43,6 @@ struct EngineOptions {
   /// overrides both `heuristic` and `elimination_order` (validated on first
   /// use unless `validate` is off).
   std::optional<TreeDecomposition> decomposition;
-  /// Build the session decomposition with the full quality pipeline
-  /// (td/improve.hpp DecomposePipeline: safe preprocessing reductions →
-  /// multi-start tie-broken min-fill → splice-back → width reduction,
-  /// seeded by the session fingerprint) instead of the single `heuristic`
-  /// order, and run the width-reduction pass ahead of normalization. The
-  /// result's width is never worse than the plain kMinFill decomposition.
-  /// Opt-in (default off) because the default decomposition — and every
-  /// transcript and bench baseline pinned to it — must stay byte-identical.
-  /// Ignored when `decomposition` or `elimination_order` is set.
-  bool td_pipeline = false;
-  /// Multi-start restarts the pipeline tries (td_pipeline only).
-  size_t td_pipeline_starts = 8;
   /// Validate the decomposition once after construction (§2.2 conditions).
   /// Queries then reuse the validated decomposition without re-checking.
   bool validate = true;

@@ -16,7 +16,6 @@
 
 #include "core/primality_internal.hpp"
 #include "engine/pipeline.hpp"
-#include "td/improve.hpp"
 #include "td/normalize.hpp"
 #include "td/shard.hpp"
 #include "td/validate.hpp"
@@ -71,20 +70,6 @@ class ReRootAtElementPass final : public Pass {
 
  private:
   ElementId element_;
-};
-
-/// The decomposition-quality width-reduction pass (td/improve.hpp): greedily
-/// contracts tree edges with nested endpoint bags before normalization,
-/// guarded by the (width, NormalizedDpCost) objective — the merges are kept
-/// only when the normal form built downstream gets no wider and no more
-/// expensive, and reverted otherwise. Preserves validity and the rhs-closure
-/// invariant (the merged bag is always one of the original bags).
-class WidthReducePass final : public Pass {
- public:
-  std::string name() const override { return "width-reduce"; }
-  Status apply(PipelineState& state) const override {
-    return CostGuardedWidthReduce(&state.td).status();
-  }
 };
 
 /// Transforms the working decomposition into modified normal form (Fig. 4),

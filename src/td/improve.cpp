@@ -7,19 +7,12 @@
 #include "common/rng.hpp"
 #include "common/work_budget.hpp"
 #include "td/elimination_order.hpp"
-#include "td/heuristics.hpp"
 #include "td/normalize.hpp"
 #include "td/shard.hpp"
 
 namespace treedl {
 
 namespace {
-
-uint64_t Pow3Capped(size_t bag_size) {
-  uint64_t states = 1;
-  for (size_t i = 0; i < std::min<size_t>(bag_size, 20); ++i) states *= 3;
-  return states;
-}
 
 bool IsSubset(const std::vector<ElementId>& a, const std::vector<ElementId>& b) {
   // Bags are sorted and duplicate-free.
@@ -34,14 +27,6 @@ StatusOr<std::pair<int, uint64_t>> TdQuality(const TreeDecomposition& td) {
 }
 
 }  // namespace
-
-uint64_t ModeledTdCost(const TreeDecomposition& td) {
-  uint64_t cost = 0;
-  for (size_t id = 0; id < td.NumNodes(); ++id) {
-    cost += Pow3Capped(td.Bag(static_cast<TdNodeId>(id)).size());
-  }
-  return cost;
-}
 
 StatusOr<uint64_t> NormalizedDpCost(const TreeDecomposition& td) {
   TREEDL_ASSIGN_OR_RETURN(NormalizedTreeDecomposition ntd, Normalize(td));
@@ -219,66 +204,6 @@ StatusOr<ImproveOutcome> ImproveTd(const Graph& graph,
     out.td = td;
   }
   return out;
-}
-
-StatusOr<TreeDecomposition> DecomposePipeline(const Graph& graph,
-                                              const PipelineOptions& options,
-                                              PipelineStats* stats) {
-  if (graph.NumVertices() == 0) {
-    return Status::InvalidArgument("cannot decompose the empty graph");
-  }
-  PipelineStats local;
-  PipelineStats* st = stats != nullptr ? (*stats = PipelineStats{}, stats)
-                                       : &local;
-  PreprocessResult pre = Preprocess(graph);
-  st->reductions = pre.counters;
-  st->lower_bound = pre.lower_bound;
-  st->eliminated = pre.eliminated.size();
-
-  TreeDecomposition reduced_td;
-  if (pre.reduced.NumVertices() > 0) {
-    MultiStartOptions multi;
-    multi.starts = std::max<size_t>(1, options.starts);
-    multi.seed = options.seed;
-    TREEDL_ASSIGN_OR_RETURN(
-        reduced_td, DecompositionFromOrder(
-                        pre.reduced, MinFillMultiStartOrder(pre.reduced, multi)));
-  }
-  TREEDL_ASSIGN_OR_RETURN(TreeDecomposition pipeline,
-                          SpliceBack(pre, reduced_td));
-  {
-    TREEDL_ASSIGN_OR_RETURN(size_t merges, CostGuardedWidthReduce(&pipeline));
-    st->merges += merges;
-  }
-
-  // The legacy single-order candidate caps the result: the pipeline may only
-  // ship when it is at least as good, so callers never regress vs kMinFill —
-  // neither in width nor in normalized DP cost.
-  TREEDL_ASSIGN_OR_RETURN(TreeDecomposition legacy,
-                          Decompose(graph, TdHeuristic::kMinFill));
-  st->baseline_width = legacy.Width();
-  {
-    TREEDL_ASSIGN_OR_RETURN(size_t merges, CostGuardedWidthReduce(&legacy));
-    st->merges += merges;
-  }
-
-  TREEDL_ASSIGN_OR_RETURN(auto pipeline_quality, TdQuality(pipeline));
-  TREEDL_ASSIGN_OR_RETURN(auto legacy_quality, TdQuality(legacy));
-  st->used_pipeline = pipeline_quality <= legacy_quality;
-  TreeDecomposition best =
-      st->used_pipeline ? std::move(pipeline) : std::move(legacy);
-
-  // Polish: bounded local search with the same objective; only strict
-  // improvements are kept, so the no-regression guarantee survives.
-  if (options.improve_rounds > 0) {
-    ImproveOptions iopts;
-    iopts.seed = options.seed;
-    iopts.max_rounds = options.improve_rounds;
-    TREEDL_ASSIGN_OR_RETURN(ImproveOutcome polished,
-                            ImproveTd(graph, best, iopts));
-    if (polished.improved) best = std::move(polished.td);
-  }
-  return best;
 }
 
 }  // namespace treedl

@@ -1,5 +1,5 @@
-// Decomposition quality: width reduction, anytime improvement, and the full
-// pipeline combining them with the preprocessing reductions.
+// Decomposition quality: cost-guarded width reduction and the anytime
+// improvement behind Engine::ImproveDecomposition (the server's REOPT).
 //
 // Everything here is deterministic given its inputs (and seed) and measured
 // against the same 3^|bag| state-count model as td::EstimateNodeCost — DP
@@ -13,21 +13,15 @@
 
 #include "common/status.hpp"
 #include "graph/graph.hpp"
-#include "td/preprocess.hpp"
 #include "td/tree_decomposition.hpp"
 
 namespace treedl {
 
 class WorkBudget;
 
-/// Σ over raw bags of 3^min(|bag|, 20): the EstimateNodeCost state-count
-/// model aggregated over a raw decomposition. Cheap (no normalization); a
-/// rough ranking only — NormalizedDpCost below is the faithful model.
-uint64_t ModeledTdCost(const TreeDecomposition& td);
-
 /// Normalize + Σ EstimateNodeCost over the normal form — the modeled cost of
 /// the tree the DPs actually traverse. This is THE quality objective of the
-/// pipeline, the local search, and the benches: raw bag counts mispredict
+/// width-reduction guard and the local search: raw bag counts mispredict
 /// the normal form (contracting nested bags, for instance, concentrates join
 /// nodes at the merged bag and can make the normalized tree strictly more
 /// expensive even as the raw tree shrinks).
@@ -36,19 +30,17 @@ StatusOr<uint64_t> NormalizedDpCost(const TreeDecomposition& td);
 /// The raw width-reduction primitive: greedily contracts tree edges whose
 /// endpoint bags are nested (the merged bag is the larger of the two) until
 /// no such edge remains. Each merge removes one node without touching any
-/// other bag, so the width provably never increases and ModeledTdCost
-/// strictly drops by 3^min(|smaller bag|, 20) per merge. Note this shrinks
-/// the RAW tree; the normalized DP cost can go either way (see
-/// NormalizedDpCost), which is why the pipeline applies it through the
-/// cost guard below. Returns the number of merges. Deterministic; validity
-/// is preserved.
+/// other bag, so the width provably never increases and the raw tree loses
+/// one node per merge. Note this shrinks the RAW tree; the normalized DP
+/// cost can go either way (see NormalizedDpCost), which is why ImproveTd
+/// applies it through the cost guard below. Returns the number of merges.
+/// Deterministic; validity is preserved.
 size_t WidthReduce(TreeDecomposition* td);
 
 /// WidthReduce guarded by the real objective: applies the merges only when
 /// the resulting (width, NormalizedDpCost) is no worse than the input's, and
-/// reverts them otherwise. The engine's pre-normalization width-reduce pass
-/// and the pipeline both use this, so a "reduction" can never make the DP
-/// slower. Returns the number of merges kept (0 when reverted).
+/// reverts them otherwise, so a "reduction" can never make the DP slower.
+/// Returns the number of merges kept (0 when reverted).
 StatusOr<size_t> CostGuardedWidthReduce(TreeDecomposition* td);
 
 /// An elimination order compatible with `td`: vertices ordered by the
@@ -96,45 +88,6 @@ StatusOr<ImproveOutcome> ImproveTd(const Graph& graph,
                                    const TreeDecomposition& td,
                                    const ImproveOptions& options = {},
                                    WorkBudget* budget = nullptr);
-
-struct PipelineOptions {
-  /// Multi-start restarts of the tie-broken min-fill on the reduced graph.
-  size_t starts = 8;
-  /// Seed of the multi-start restarts and the polish search (the engine
-  /// passes the session fingerprint).
-  uint64_t seed = 0;
-  /// Local-search polish rounds (ImproveTd) on the winning candidate; 0
-  /// disables the polish.
-  size_t improve_rounds = 48;
-};
-
-struct PipelineStats {
-  ReductionCounters reductions;
-  /// Treewidth lower bound proven by the preprocessing.
-  int lower_bound = 0;
-  /// Vertices removed by the reductions.
-  size_t eliminated = 0;
-  /// Cost-guarded width-reduction merges kept across both candidates.
-  size_t merges = 0;
-  /// Width of the legacy min-fill fallback candidate.
-  int baseline_width = -1;
-  /// False when the legacy candidate beat the preprocess+multi-start
-  /// candidate and the pipeline fell back to it (the polish may still have
-  /// improved the fallback).
-  bool used_pipeline = false;
-};
-
-/// The full decomposition-quality pipeline: preprocessing reductions →
-/// multi-start tie-broken min-fill on the reduced graph → splice-back →
-/// cost-guarded width reduction → local-search polish. The legacy
-/// single-order min-fill decomposition (also cost-guard width-reduced) is
-/// kept as a fallback candidate and the better (width, NormalizedDpCost)
-/// ships — the pipeline candidate wins ties — so the result's width and
-/// modeled DP cost are never worse than the plain kMinFill decomposition's.
-/// Deterministic per (graph, options). Requires a nonempty graph.
-StatusOr<TreeDecomposition> DecomposePipeline(const Graph& graph,
-                                              const PipelineOptions& options = {},
-                                              PipelineStats* stats = nullptr);
 
 }  // namespace treedl
 

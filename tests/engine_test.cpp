@@ -388,6 +388,47 @@ TEST(EngineTest, CustomEliminationOrderIsUsed) {
   EXPECT_EQ(*primes, expected);
 }
 
+// Same bags and the same parent for every node id.
+bool SameTree(const TreeDecomposition& a, const TreeDecomposition& b) {
+  if (a.NumNodes() != b.NumNodes()) return false;
+  for (size_t i = 0; i < a.NumNodes(); ++i) {
+    TdNodeId id = static_cast<TdNodeId>(i);
+    if (a.Bag(id) != b.Bag(id) || a.node(id).parent != b.node(id).parent) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(EngineTest, HeuristicOptionChoosesTheSessionDecomposition) {
+  Rng rng(TestSeed());
+  std::vector<Graph> graphs{PetersenGraph(), GridGraph(4, 5),
+                            RandomPartialKTree(40, 3, 0.6, &rng)};
+  bool heuristics_differ = false;
+  for (size_t g = 0; g < graphs.size(); ++g) {
+    SCOPED_TRACE("graph " + std::to_string(g));
+    Graph gaifman = GaifmanGraph(GraphToStructure(graphs[g]));
+    auto min_fill = Decompose(gaifman, TdHeuristic::kMinFill);
+    auto min_degree = Decompose(gaifman, TdHeuristic::kMinDegree);
+    ASSERT_TRUE(min_fill.ok() && min_degree.ok());
+    heuristics_differ |= !SameTree(*min_fill, *min_degree);
+
+    Engine by_default = Engine::FromGraph(graphs[g]);  // heuristic unset
+    auto got = by_default.Decomposition();
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_TRUE(SameTree(**got, *min_fill));
+
+    EngineOptions options;
+    options.heuristic = TdHeuristic::kMinDegree;
+    Engine by_degree = Engine::FromGraph(graphs[g], options);
+    got = by_degree.Decomposition();
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_TRUE(SameTree(**got, *min_degree));
+  }
+  // Otherwise the test could not tell an ignored option from an honoured one.
+  EXPECT_TRUE(heuristics_differ);
+}
+
 TEST(EngineTest, PassTimingsAreCollectedWhenRequested) {
   EngineOptions options;
   options.collect_pass_timings = true;

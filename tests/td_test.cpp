@@ -303,84 +303,6 @@ std::vector<VertexId> GreedyOrder(const Graph& graph, bool min_fill) {
   return order;
 }
 
-// Min-fill with principled tie-breaking: candidates are compared by
-// (fill, current degree, id); when `rng` is non-null, ties on (fill, degree)
-// are instead broken uniformly at random — the randomized restarts of the
-// multi-start variant.
-std::vector<VertexId> TieBrokenMinFillOrder(const Graph& graph, Rng* rng) {
-  size_t n = graph.NumVertices();
-  std::vector<std::set<VertexId>> adj(n);
-  for (auto [u, v] : graph.Edges()) {
-    adj[u].insert(v);
-    adj[v].insert(u);
-  }
-  std::vector<bool> eliminated(n, false);
-  std::vector<VertexId> order;
-  order.reserve(n);
-  std::vector<VertexId> ties;
-  for (size_t step = 0; step < n; ++step) {
-    VertexId best = 0;
-    auto best_score = std::make_pair(std::numeric_limits<size_t>::max(),
-                                     std::numeric_limits<size_t>::max());
-    ties.clear();
-    for (VertexId v = 0; v < n; ++v) {
-      if (eliminated[v]) continue;
-      auto score = std::make_pair(FillIn(adj, v), adj[v].size());
-      if (score < best_score) {
-        best_score = score;
-        best = v;
-        ties.clear();
-        ties.push_back(v);
-      } else if (rng != nullptr && score == best_score) {
-        ties.push_back(v);
-      }
-    }
-    if (rng != nullptr && ties.size() > 1) {
-      best = ties[rng->UniformIndex(ties.size())];
-    }
-    order.push_back(best);
-    eliminated[best] = true;
-    std::vector<VertexId> nbrs(adj[best].begin(), adj[best].end());
-    for (size_t a = 0; a < nbrs.size(); ++a) {
-      adj[nbrs[a]].erase(best);
-      for (size_t b = a + 1; b < nbrs.size(); ++b) {
-        adj[nbrs[a]].insert(nbrs[b]);
-        adj[nbrs[b]].insert(nbrs[a]);
-      }
-    }
-    adj[best].clear();
-  }
-  return order;
-}
-
-// Maximum cardinality search: repeatedly pick the vertex with the most
-// already-visited neighbors; the *reverse* of the visit order is used as the
-// elimination order (exact on chordal graphs).
-std::vector<VertexId> McsOrder(const Graph& graph) {
-  size_t n = graph.NumVertices();
-  std::vector<int> weight(n, 0);
-  std::vector<bool> visited(n, false);
-  std::vector<VertexId> visit_order;
-  visit_order.reserve(n);
-  for (size_t step = 0; step < n; ++step) {
-    int best_weight = -1;
-    VertexId best = 0;
-    for (VertexId v = 0; v < n; ++v) {
-      if (!visited[v] && weight[v] > best_weight) {
-        best_weight = weight[v];
-        best = v;
-      }
-    }
-    visited[best] = true;
-    visit_order.push_back(best);
-    for (VertexId u : graph.Neighbors(best)) {
-      if (!visited[u]) ++weight[u];
-    }
-  }
-  std::reverse(visit_order.begin(), visit_order.end());
-  return visit_order;
-}
-
 // Simulates elimination; fills bag-per-vertex (in elimination order) and,
 // for each eliminated vertex, the earliest-later-eliminated neighbor (or
 // kNoTdNode). Uses std::set adjacency for cheap edge insertion/removal.
@@ -446,50 +368,9 @@ TreeDecomposition DecompositionFromOrder(const Graph& graph,
   return td;
 }
 
-// MinFillMultiStartOrder's ranking and restart loop over the reference
-// orders.
-std::pair<int, uint64_t> OrderQuality(const Graph& graph,
-                                      const std::vector<VertexId>& order) {
-  TreeDecomposition td = oracle::DecompositionFromOrder(graph, order);
-  uint64_t cost = 0;
-  for (size_t id = 0; id < td.NumNodes(); ++id) {
-    size_t b = std::min<size_t>(td.Bag(static_cast<TdNodeId>(id)).size(), 20);
-    uint64_t states = 1;
-    for (size_t i = 0; i < b; ++i) states *= 3;
-    cost += states;
-  }
-  return {td.Width(), cost};
-}
-
-std::vector<VertexId> MinFillMultiStartOrder(const Graph& graph,
-                                             const MultiStartOptions& options) {
-  std::vector<VertexId> best = TieBrokenMinFillOrder(graph, nullptr);
-  std::pair<int, uint64_t> best_quality = OrderQuality(graph, best);
-  for (size_t start = 1; start < options.starts; ++start) {
-    Rng rng(options.seed + start * 0x9E3779B97F4A7C15ULL);
-    std::vector<VertexId> candidate = TieBrokenMinFillOrder(graph, &rng);
-    std::pair<int, uint64_t> quality = OrderQuality(graph, candidate);
-    if (quality < best_quality) {
-      best_quality = quality;
-      best = std::move(candidate);
-    }
-  }
-  return best;
-}
-
 std::vector<VertexId> HeuristicOrder(const Graph& graph,
                                      TdHeuristic heuristic) {
-  switch (heuristic) {
-    case TdHeuristic::kMinDegree:
-      return GreedyOrder(graph, /*min_fill=*/false);
-    case TdHeuristic::kMinFill:
-      return GreedyOrder(graph, /*min_fill=*/true);
-    case TdHeuristic::kMcs:
-      return McsOrder(graph);
-    case TdHeuristic::kMinFillTieBreak:
-      return TieBrokenMinFillOrder(graph, /*rng=*/nullptr);
-  }
-  return {};
+  return GreedyOrder(graph, heuristic == TdHeuristic::kMinFill);
 }
 
 }  // namespace oracle
@@ -543,8 +424,7 @@ TEST(OrderOracleTest, OrdersAndDecompositionsMatchTheRescan) {
   for (size_t g = 0; g < family.size(); ++g) {
     SCOPED_TRACE("graph " + std::to_string(g));
     const Graph& graph = family[g];
-    for (TdHeuristic h : {TdHeuristic::kMinDegree, TdHeuristic::kMinFill,
-                          TdHeuristic::kMcs, TdHeuristic::kMinFillTieBreak}) {
+    for (TdHeuristic h : {TdHeuristic::kMinDegree, TdHeuristic::kMinFill}) {
       std::vector<VertexId> order = HeuristicOrder(graph, h);
       ASSERT_EQ(order, oracle::HeuristicOrder(graph, h))
           << "heuristic " << static_cast<int>(h);
@@ -553,20 +433,6 @@ TEST(OrderOracleTest, OrdersAndDecompositionsMatchTheRescan) {
       TreeDecomposition want = oracle::DecompositionFromOrder(graph, order);
       ExpectSameDecomposition(want, *td);
       EXPECT_EQ(OrderWidth(graph, order).value(), want.Width());
-    }
-    if (graph.NumVertices() == 0) continue;
-    for (uint64_t seed : {0, 1, 7919}) {
-      Rng restart(seed);
-      Rng reference(seed);
-      EXPECT_EQ(internal::RandomizedMinFillOrder(graph, &restart),
-                oracle::TieBrokenMinFillOrder(graph, &reference))
-          << "seed " << seed;
-      MultiStartOptions options;
-      options.starts = 4;
-      options.seed = seed;
-      EXPECT_EQ(MinFillMultiStartOrder(graph, options),
-                oracle::MinFillMultiStartOrder(graph, options))
-          << "seed " << seed;
     }
   }
 }
@@ -582,7 +448,7 @@ TEST(HeuristicsTest, KnownWidths) {
 TEST(HeuristicsTest, AllHeuristicsProduceValidDecompositions) {
   Rng rng(TestSeed());
   for (TdHeuristic h :
-       {TdHeuristic::kMinDegree, TdHeuristic::kMinFill, TdHeuristic::kMcs}) {
+       {TdHeuristic::kMinDegree, TdHeuristic::kMinFill}) {
     Graph g = RandomPartialKTree(20, 3, 0.6, &rng);
     auto td = Decompose(g, h);
     ASSERT_TRUE(td.ok());
@@ -628,7 +494,7 @@ TEST(ExactTreewidthTest, HeuristicNeverBeatsExact) {
     Graph g = RandomGnp(9, 0.4, &rng);
     int exact = ExactTreewidth(g).value();
     for (TdHeuristic h :
-         {TdHeuristic::kMinDegree, TdHeuristic::kMinFill, TdHeuristic::kMcs}) {
+         {TdHeuristic::kMinDegree, TdHeuristic::kMinFill}) {
       EXPECT_GE(Decompose(g, h)->Width(), exact);
     }
   }
