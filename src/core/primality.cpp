@@ -1,59 +1,15 @@
 #include "core/primality.hpp"
 
-#include <variant>
+#include <algorithm>
+#include <vector>
 
-#include "common/logging.hpp"
 #include "core/primality_internal.hpp"
 #include "engine/passes.hpp"
 #include "engine/pipeline.hpp"
 
 namespace treedl::core {
 
-namespace {
-
 using internal::PrimalityContext;
-using internal::PrimJoinKey;
-using internal::PrimState;
-
-// Adapter plugging PrimalityContext into the generic tree DP (RunDp).
-struct PrimalityProblem {
-  using State = PrimState;
-  using Value = std::monostate;
-  using Emit = std::function<void(State, Value)>;
-
-  const PrimalityContext* context;
-
-  void Leaf(const std::vector<ElementId>& bag, const Emit& emit) const {
-    context->LeafStates(bag, [&](PrimState s) { emit(std::move(s), {}); });
-  }
-  void Introduce(const std::vector<ElementId>& bag, ElementId e,
-                 const State& s, const Value&, const Emit& emit) const {
-    auto forward = [&](PrimState next) { emit(std::move(next), {}); };
-    if (context->IsAttr(e)) {
-      context->IntroduceAttr(bag, e, s, forward);
-    } else {
-      context->IntroduceFd(bag, e, s, forward);
-    }
-  }
-  void Forget(const std::vector<ElementId>& bag, ElementId e, const State& s,
-              const Value&, const Emit& emit) const {
-    auto forward = [&](PrimState next) { emit(std::move(next), {}); };
-    if (context->IsAttr(e)) {
-      context->ForgetAttr(bag, e, s, forward);
-    } else {
-      context->ForgetFd(bag, e, s, forward);
-    }
-  }
-  PrimJoinKey KeyOf(const State& s) const { return context->KeyOf(s); }
-  void Join(const std::vector<ElementId>& /*bag*/, const State& a,
-            const Value&, const State& b, const Value&,
-            const Emit& emit) const {
-    context->Join(a, b, [&](PrimState next) { emit(std::move(next), {}); });
-  }
-  Value Merge(const Value& a, const Value&) const { return a; }
-};
-
-}  // namespace
 
 namespace internal {
 
@@ -62,13 +18,22 @@ bool DecidePrimePrepared(const PrimalityContext& context,
                          ElementId a_elem, RunStats* stats,
                          const DpExec& exec) {
   DpStats dp;
-  auto table = RunDp(ntd, PrimalityProblem{&context}, exec, &dp,
-                     /*retain_tables=*/false);
+  TableMemoryTracker memory;
+  std::vector<PrimTable> up =
+      SolveBottomUp(context, ntd, exec, /*keep_branch_children=*/false,
+                    &memory, &dp);
+  memory.FoldInto(&dp);
+  dp.traversals = 1;
   if (stats != nullptr) FoldDpStats(dp, stats);
   if (exec.budget != nullptr && exec.budget->Aborted()) return false;
   const auto& bag = ntd.Bag(ntd.root());
-  for (const auto& [state, value] : table.at(ntd.root())) {
-    if (context.Accepts(bag, state, a_elem)) return true;
+  BagLayout layout = context.Layout(bag);
+  int query = std::binary_search(bag.begin(), bag.end(), a_elem)
+                  ? BagPosition(bag, a_elem)
+                  : -1;
+  for (const auto& [state, value] : up[static_cast<size_t>(ntd.root())]) {
+    (void)value;
+    if (Accepts(layout, state, query)) return true;
   }
   return false;
 }
@@ -97,6 +62,8 @@ StatusOr<bool> IsPrimeViaTd(const Schema& schema, const SchemaEncoding& encoding
       .Emplace<engine::NormalizePass>();
   TREEDL_RETURN_IF_ERROR(pipeline.Run(state, stats));
   if (stats != nullptr) ++stats->normalize_builds;
+  TREEDL_RETURN_IF_ERROR(
+      context.CheckBags(*state.normalized, /*for_enumeration=*/false));
 
   return internal::DecidePrimePrepared(context, *state.normalized, a_elem,
                                        stats);

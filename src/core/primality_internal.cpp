@@ -1,6 +1,9 @@
 #include "core/primality_internal.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <string>
+#include <unordered_map>
 
 #include "common/logging.hpp"
 
@@ -8,28 +11,28 @@ namespace treedl::core::internal {
 
 namespace {
 
-bool SortedContains(const std::vector<ElementId>& v, ElementId e) {
-  return std::binary_search(v.begin(), v.end(), e);
+void Insert(PrimTable* out, const PrimState& s) {
+  out->Emplace(s, std::monostate{},
+               [](const std::monostate& existing, const std::monostate&) {
+                 return existing;
+               });
 }
 
-std::vector<ElementId> SortedInsert(std::vector<ElementId> v, ElementId e) {
-  v.insert(std::lower_bound(v.begin(), v.end(), e), e);
-  return v;
+/// Calls fn(p) for every set bit p of `mask`, lowest first.
+template <typename Fn>
+void ForEachBit(uint64_t mask, Fn&& fn) {
+  for (; mask != 0; mask &= mask - 1) fn(std::countr_zero(mask));
 }
 
-std::vector<ElementId> SortedRemove(std::vector<ElementId> v, ElementId e) {
-  auto it = std::lower_bound(v.begin(), v.end(), e);
-  TREEDL_DCHECK(it != v.end() && *it == e);
-  v.erase(it);
-  return v;
-}
-
-// Position of e in the ordered sequence co; -1 if absent.
-int CoPosition(const std::vector<ElementId>& co, ElementId e) {
-  for (size_t i = 0; i < co.size(); ++i) {
-    if (co[i] == e) return static_cast<int>(i);
+/// Whether FD position f may derive the Co entry at index `rhs_index`:
+/// consistent(FC, Co) — none of f's bag lhs attributes sits at or after its
+/// rhs in the derivation order.
+bool ConsistentAt(const BagLayout& bag, int f, const PrimState& s,
+                  int rhs_index) {
+  for (int i = rhs_index; i < s.co_size; ++i) {
+    if ((bag.lhs[f] >> s.co[i]) & 1) return false;
   }
-  return -1;
+  return true;
 }
 
 }  // namespace
@@ -50,248 +53,424 @@ PrimalityContext::PrimalityContext(const Schema& schema,
   }
 }
 
-std::vector<ElementId> PrimalityContext::Outside(
-    const std::vector<ElementId>& bag, const std::vector<ElementId>& y) const {
-  std::vector<ElementId> out;
-  for (ElementId e : bag) {
-    if (!IsFd(e)) continue;
-    if (SortedContains(y, RhsElem(e))) continue;  // rhs ∈ Y
-    bool witnessed = false;
-    for (ElementId b : LhsElems(e)) {
-      if (SortedContains(bag, b) && !SortedContains(y, b)) {
-        witnessed = true;
-        break;
-      }
-    }
-    if (witnessed) out.push_back(e);
-  }
-  return out;  // sorted: bag iteration order is sorted
+int BagPosition(const std::vector<ElementId>& bag, ElementId e) {
+  return static_cast<int>(std::lower_bound(bag.begin(), bag.end(), e) -
+                          bag.begin());
 }
 
-void PrimalityContext::LeafStates(const std::vector<ElementId>& bag,
-                                  const EmitState& emit) const {
-  std::vector<ElementId> attrs, fds;
-  for (ElementId e : bag) {
-    (IsAttr(e) ? attrs : fds).push_back(e);
-  }
-  size_t na = attrs.size();
-  TREEDL_CHECK(na <= 10) << "bag too large for leaf enumeration";
-  for (uint64_t ymask = 0; ymask < (uint64_t{1} << na); ++ymask) {
-    std::vector<ElementId> y, rest;
-    for (size_t i = 0; i < na; ++i) {
-      ((ymask >> i) & 1 ? y : rest).push_back(attrs[i]);
+BagLayout PrimalityContext::Layout(const std::vector<ElementId>& bag) const {
+  TREEDL_CHECK(bag.size() <= static_cast<size_t>(kMaxPrimBagSize))
+      << "primality bag exceeds " << kMaxPrimBagSize << " positions";
+  auto contains = [&](int p, ElementId e) {
+    return static_cast<size_t>(p) < bag.size() &&
+           bag[static_cast<size_t>(p)] == e;
+  };
+  BagLayout layout;
+  for (size_t p = 0; p < bag.size(); ++p) {
+    if (IsAttr(bag[p])) {
+      layout.attrs |= uint64_t{1} << p;
+      continue;
     }
-    // All derivation orders of the non-Y attributes.
-    std::sort(rest.begin(), rest.end());
-    std::vector<ElementId> co = rest;
-    do {
-      // Candidate used-FDs: bag FDs whose rhs lies in Co.
-      std::vector<ElementId> candidates;
-      for (ElementId f : fds) {
-        if (CoPosition(co, RhsElem(f)) >= 0) candidates.push_back(f);
-      }
-      for (uint64_t fcmask = 0; fcmask < (uint64_t{1} << candidates.size());
-           ++fcmask) {
-        std::vector<ElementId> fc, dc;
-        bool ok = true;
-        for (size_t j = 0; j < candidates.size() && ok; ++j) {
-          if (!((fcmask >> j) & 1)) continue;
-          ElementId f = candidates[j];
-          ElementId rhs = RhsElem(f);
-          // Pairwise distinct rhs (ΔC is a disjoint union of rhs's).
-          if (SortedContains(dc, rhs)) {
-            ok = false;
-            break;
-          }
-          // consistent(FC, Co): lhs attributes in Co precede the rhs.
-          int rhs_pos = CoPosition(co, rhs);
-          for (ElementId b : LhsElems(f)) {
-            int b_pos = CoPosition(co, b);
-            if (b_pos >= 0 && b_pos >= rhs_pos) {
-              ok = false;
-              break;
-            }
-          }
-          if (!ok) break;
-          fc = SortedInsert(std::move(fc), f);
-          dc = SortedInsert(std::move(dc), rhs);
-        }
-        if (!ok) continue;
-        PrimState s;
-        s.y = y;
-        s.co = co;
-        s.fy = Outside(bag, y);
-        s.dc = std::move(dc);
-        s.fc = std::move(fc);
-        emit(std::move(s));
-      }
-    } while (std::next_permutation(co.begin(), co.end()));
+    layout.fds |= uint64_t{1} << p;
+    int rhs = BagPosition(bag, RhsElem(bag[p]));
+    TREEDL_CHECK(contains(rhs, RhsElem(bag[p])))
+        << "rhs-closure invariant violated";
+    layout.rhs[p] = static_cast<uint8_t>(rhs);
+    for (ElementId b : LhsElems(bag[p])) {
+      int q = BagPosition(bag, b);
+      if (contains(q, b)) layout.lhs[p] |= uint64_t{1} << q;
+    }
   }
+  TREEDL_CHECK(std::popcount(layout.attrs) <= kCoCapacity)
+      << "primality bag exceeds " << kCoCapacity << " attributes";
+  return layout;
 }
 
-void PrimalityContext::IntroduceAttr(const std::vector<ElementId>& bag,
-                                     ElementId b, const PrimState& s,
-                                     const EmitState& emit) const {
-  TREEDL_DCHECK(IsAttr(b));
+Status PrimalityContext::CheckBags(const NormalizedTreeDecomposition& ntd,
+                                   bool for_enumeration) const {
+  for (size_t id = 0; id < ntd.NumNodes(); ++id) {
+    const NormNode& node = ntd.node(static_cast<TdNodeId>(id));
+    size_t size = node.bag.size();
+    size_t attrs = static_cast<size_t>(
+        std::count_if(node.bag.begin(), node.bag.end(),
+                      [&](ElementId e) { return IsAttr(e); }));
+    bool leaf_rule = node.kind == NormNodeKind::kLeaf ||
+                     (for_enumeration &&
+                      static_cast<TdNodeId>(id) == ntd.root());
+    std::string limit;
+    if (size > static_cast<size_t>(kMaxPrimBagSize)) {
+      limit = std::to_string(kMaxPrimBagSize) + " bag positions";
+    } else if (attrs > static_cast<size_t>(kCoCapacity)) {
+      limit = "the Co capacity of " + std::to_string(kCoCapacity) +
+              " attributes";
+    } else if (leaf_rule && attrs > static_cast<size_t>(kMaxLeafAttributes)) {
+      limit = "the leaf-rule limit of " + std::to_string(kMaxLeafAttributes) +
+              " attributes";
+    } else {
+      continue;
+    }
+    return Status::ResourceExhausted(
+        "primality bag of " + std::to_string(size) + " elements (" +
+        std::to_string(attrs) + " attributes) exceeds " + limit);
+  }
+  return Status::OK();
+}
+
+uint64_t BagLayout::RhsOf(uint64_t fd_mask) const {
+  uint64_t out = 0;
+  ForEachBit(fd_mask, [&](int f) { out |= uint64_t{1} << rhs[f]; });
+  return out;
+}
+
+uint64_t BagLayout::Outside(uint64_t y) const {
+  uint64_t out = 0;
+  ForEachBit(fds, [&](int f) {
+    if (!((y >> rhs[f]) & 1) && (lhs[f] & ~y) != 0) out |= uint64_t{1} << f;
+  });
+  return out;
+}
+
+namespace {
+
+/// Branch-compatibility key: states join iff (Y, FC, Co) coincide.
+struct PrimJoinKey {
+  uint64_t y = 0;
+  uint64_t fc = 0;
+  uint8_t co[kCoCapacity + 1] = {};  // PrimState::co followed by co_size
+
+  explicit PrimJoinKey(const PrimState& s) : y(s.y), fc(s.fc) {
+    std::memcpy(co, s.co, kCoCapacity);
+    co[kCoCapacity] = s.co_size;
+  }
+  bool operator==(const PrimJoinKey& o) const {
+    return std::memcmp(this, &o, sizeof(PrimJoinKey)) == 0;
+  }
+  size_t hash() const {
+    uint64_t words[5];
+    std::memcpy(words, this, sizeof(words));
+    return HashWords(words, 5);
+  }
+};
+static_assert(sizeof(PrimJoinKey) == 40, "PrimJoinKey must stay 5 words");
+
+// Fig. 6 transitions on one state. `bag` is the layout of the node the
+// output states belong to; positions are in that bag for introduce and in the
+// input bag (which still holds the element) for forget.
+
+void IntroduceAttr(const BagLayout& bag, int b, const PrimState& s,
+                   PrimTable* out) {
+  PrimState base = s;
+  base.Open(b);
   // Rule 1: b joins Y.
   {
-    PrimState next = s;
-    next.y = SortedInsert(next.y, b);
-    emit(std::move(next));
+    PrimState next = base;
+    next.y |= uint64_t{1} << b;
+    Insert(out, next);
   }
-  // Rule 2: b is inserted at every position of Co; the used FDs must stay
-  // consistent with the extended order, and the outside-witnesses are
-  // refreshed (b ∉ Y may witness additional FDs).
-  for (size_t pos = 0; pos <= s.co.size(); ++pos) {
-    PrimState next = s;
-    next.co.insert(next.co.begin() + static_cast<long>(pos), b);
-    bool ok = true;
-    for (ElementId f : next.fc) {
-      if (!SortedContains(LhsElems(f), b)) continue;
-      int rhs_pos = CoPosition(next.co, RhsElem(f));
-      TREEDL_DCHECK(rhs_pos >= 0);
-      if (static_cast<int>(pos) >= rhs_pos) {
-        ok = false;
-        break;
-      }
+  // Rule 2: b is inserted at every Co index up to the first rhs of a used FD
+  // with b in its lhs (consistent(FC, Co ⊎ {b})), and the outside-witnesses
+  // are refreshed (b ∉ Y may witness additional FDs).
+  TREEDL_DCHECK(base.co_size < kCoCapacity);
+  int last = base.co_size;
+  ForEachBit(base.fc, [&](int f) {
+    if ((bag.lhs[f] >> b) & 1) {
+      int rhs_index = base.CoIndex(bag.rhs[f]);
+      TREEDL_DCHECK(rhs_index >= 0);
+      last = std::min(last, rhs_index);
     }
-    if (!ok) continue;
-    std::vector<ElementId> outside = Outside(bag, next.y);
-    std::vector<ElementId> fy;
-    std::set_union(next.fy.begin(), next.fy.end(), outside.begin(),
-                   outside.end(), std::back_inserter(fy));
-    next.fy = std::move(fy);
-    emit(std::move(next));
+  });
+  base.fy |= bag.Outside(base.y);
+  for (int index = 0; index <= last; ++index) {
+    PrimState next = base;
+    next.CoInsert(index, b);
+    Insert(out, next);
   }
 }
 
-void PrimalityContext::IntroduceFd(const std::vector<ElementId>& bag,
-                                   ElementId f, const PrimState& s,
-                                   const EmitState& emit) const {
-  TREEDL_DCHECK(IsFd(f));
-  ElementId rhs = RhsElem(f);
-  TREEDL_DCHECK(SortedContains(bag, rhs))
-      << "rhs-closure invariant violated at FD introduction";
-  if (SortedContains(s.y, rhs)) {
+void IntroduceFd(const BagLayout& bag, int f, const PrimState& s,
+                 PrimTable* out) {
+  PrimState base = s;
+  base.Open(f);
+  int rhs = bag.rhs[f];
+  uint64_t rhs_bit = uint64_t{1} << rhs;
+  if (base.y & rhs_bit) {
     // Rule 1: rhs ∈ Y — nothing to track.
-    emit(s);
+    Insert(out, base);
     return;
   }
-  int rhs_pos = CoPosition(s.co, rhs);
-  TREEDL_DCHECK(rhs_pos >= 0);
-  // Is f locally witnessed not to contradict closedness (some bag lhs-attr
-  // outside Y)?
-  bool witnessed = false;
-  for (ElementId b : LhsElems(f)) {
-    if (SortedContains(bag, b) && !SortedContains(s.y, b)) {
-      witnessed = true;
-      break;
-    }
-  }
+  int rhs_index = base.CoIndex(rhs);
+  TREEDL_DCHECK(rhs_index >= 0);
+  // f is locally witnessed not to contradict closedness when some bag
+  // lhs-attribute lies outside Y.
+  if ((bag.lhs[f] & ~base.y) != 0) base.fy |= uint64_t{1} << f;
   // Rule 3: f is not used in the derivation.
-  {
-    PrimState next = s;
-    if (witnessed) next.fy = SortedInsert(next.fy, f);
-    emit(std::move(next));
-  }
+  Insert(out, base);
   // Rule 2: f derives rhs — requires a fresh ΔC slot and order consistency.
-  if (!SortedContains(s.dc, rhs)) {
-    bool consistent = true;
-    for (ElementId b : LhsElems(f)) {
-      int b_pos = CoPosition(s.co, b);
-      if (b_pos >= 0 && b_pos >= rhs_pos) {
-        consistent = false;
-        break;
-      }
-    }
-    if (consistent) {
-      PrimState next = s;
-      next.fc = SortedInsert(next.fc, f);
-      next.dc = SortedInsert(next.dc, rhs);
-      if (witnessed) next.fy = SortedInsert(next.fy, f);
-      emit(std::move(next));
-    }
+  if (!(base.dc & rhs_bit) && ConsistentAt(bag, f, base, rhs_index)) {
+    base.fc |= uint64_t{1} << f;
+    base.dc |= rhs_bit;
+    Insert(out, base);
   }
 }
 
-void PrimalityContext::ForgetAttr(const std::vector<ElementId>& /*bag*/,
-                                  ElementId b, const PrimState& s,
-                                  const EmitState& emit) const {
-  TREEDL_DCHECK(IsAttr(b));
-  if (SortedContains(s.y, b)) {
-    PrimState next = s;
-    next.y = SortedRemove(next.y, b);
-    emit(std::move(next));
+void ForgetAttr(int b, const PrimState& s, PrimTable* out) {
+  uint64_t bit = uint64_t{1} << b;
+  // b ∈ Co must have had its derivation established (b ∈ ΔC).
+  if (!(s.y & bit) && !(s.dc & bit)) return;
+  PrimState next = s;
+  next.Drop(b);
+  Insert(out, next);
+}
+
+void ForgetFd(int f, int rhs, const PrimState& s, PrimTable* out) {
+  uint64_t bit = uint64_t{1} << f;
+  int rhs_in = rhs + (rhs >= f ? 1 : 0);
+  if ((s.y >> rhs_in) & 1) {
+    TREEDL_DCHECK(!(s.fy & bit) && !(s.fc & bit));
+  } else if (!(s.fy & bit)) {
+    // rhs ∈ Co: f must have been witnessed (f ∈ FY) — otherwise it would
+    // contradict the closedness of Y.
     return;
   }
-  // b ∈ Co: its derivation must have been established (b ∈ ΔC).
-  if (!SortedContains(s.dc, b)) return;
   PrimState next = s;
-  next.dc = SortedRemove(next.dc, b);
-  int pos = CoPosition(next.co, b);
-  TREEDL_DCHECK(pos >= 0);
-  next.co.erase(next.co.begin() + pos);
-  emit(std::move(next));
+  next.Drop(f);  // f leaves FY and FC with its bit
+  Insert(out, next);
 }
 
-void PrimalityContext::ForgetFd(const std::vector<ElementId>& /*bag*/,
-                                ElementId f, const PrimState& s,
-                                const EmitState& emit) const {
-  TREEDL_DCHECK(IsFd(f));
-  ElementId rhs = RhsElem(f);
-  if (SortedContains(s.y, rhs)) {
-    TREEDL_DCHECK(!SortedContains(s.fy, f));
-    TREEDL_DCHECK(!SortedContains(s.fc, f));
-    emit(s);
-    return;
-  }
-  // rhs ∈ Co: f must have been witnessed (f ∈ FY) — otherwise it would
-  // contradict the closedness of Y.
-  if (!SortedContains(s.fy, f)) return;
-  PrimState next = s;
-  next.fy = SortedRemove(next.fy, f);
-  if (SortedContains(next.fc, f)) next.fc = SortedRemove(next.fc, f);
-  emit(std::move(next));
-}
-
-void PrimalityContext::Join(const PrimState& a, const PrimState& b,
-                            const EmitState& emit) const {
-  TREEDL_DCHECK(a.y == b.y && a.co == b.co && a.fc == b.fc);
+void Join(const BagLayout& bag, const PrimState& a, const PrimState& b,
+          PrimTable* out) {
+  TREEDL_DCHECK(PrimJoinKey(a) == PrimJoinKey(b));
   // unique(ΔC1, ΔC2, FC): an attribute derived in both subtrees must owe its
   // derivation to a shared (bag) FD.
-  std::vector<ElementId> shared;
-  std::set_intersection(a.dc.begin(), a.dc.end(), b.dc.begin(), b.dc.end(),
-                        std::back_inserter(shared));
-  std::vector<ElementId> fc_rhs;
-  for (ElementId f : a.fc) fc_rhs.push_back(RhsElem(f));
-  std::sort(fc_rhs.begin(), fc_rhs.end());
-  if (shared != fc_rhs) return;
-  PrimState next;
-  next.y = a.y;
-  next.co = a.co;
-  next.fc = a.fc;
-  std::set_union(a.fy.begin(), a.fy.end(), b.fy.begin(), b.fy.end(),
-                 std::back_inserter(next.fy));
-  std::set_union(a.dc.begin(), a.dc.end(), b.dc.begin(), b.dc.end(),
-                 std::back_inserter(next.dc));
-  emit(std::move(next));
+  if ((a.dc & b.dc) != bag.RhsOf(a.fc)) return;
+  PrimState next = a;
+  next.fy |= b.fy;
+  next.dc |= b.dc;
+  Insert(out, next);
 }
 
-bool PrimalityContext::Accepts(const std::vector<ElementId>& bag,
-                               const PrimState& s, ElementId query_attr) const {
-  if (SortedContains(s.y, query_attr)) return false;
-  if (CoPosition(s.co, query_attr) < 0) return false;  // not even in the bag
-  // FY must contain *every* bag FD with rhs outside Y.
-  std::vector<ElementId> required;
-  for (ElementId e : bag) {
-    if (IsFd(e) && !SortedContains(s.y, RhsElem(e))) required.push_back(e);
+}  // namespace
+
+void LeafStates(const PrimalityContext& context,
+                const std::vector<ElementId>& bag, PrimTable* out) {
+  BagLayout layout = context.Layout(bag);
+  int na = std::popcount(layout.attrs);
+  TREEDL_CHECK(na <= kMaxLeafAttributes) << "bag too large for leaf enumeration";
+  uint8_t attrs[kMaxLeafAttributes];
+  int k = 0;
+  ForEachBit(layout.attrs, [&](int p) { attrs[k++] = static_cast<uint8_t>(p); });
+  for (uint64_t ymask = 0; ymask < (uint64_t{1} << na); ++ymask) {
+    PrimState s;
+    for (int i = 0; i < na; ++i) {
+      if ((ymask >> i) & 1) {
+        s.y |= uint64_t{1} << attrs[i];
+      } else {
+        s.co[s.co_size++] = attrs[i];
+      }
+    }
+    s.fy = layout.Outside(s.y);
+    // Candidate used-FDs: bag FDs whose rhs lies in Co.
+    int candidates[kMaxPrimBagSize];
+    int nc = 0;
+    ForEachBit(layout.fds, [&](int f) {
+      if (!((s.y >> layout.rhs[f]) & 1)) candidates[nc++] = f;
+    });
+    // All derivation orders of the non-Y attributes, lexicographically.
+    do {
+      for (uint64_t fcmask = 0; fcmask < (uint64_t{1} << nc); ++fcmask) {
+        uint64_t fc = 0;
+        uint64_t dc = 0;
+        bool ok = true;
+        for (int j = 0; j < nc && ok; ++j) {
+          if (!((fcmask >> j) & 1)) continue;
+          int f = candidates[j];
+          uint64_t rhs_bit = uint64_t{1} << layout.rhs[f];
+          // Pairwise distinct rhs (ΔC is a disjoint union of rhs's), and
+          // consistent(FC, Co).
+          ok = !(dc & rhs_bit) &&
+               ConsistentAt(layout, f, s, s.CoIndex(layout.rhs[f]));
+          fc |= uint64_t{1} << f;
+          dc |= rhs_bit;
+        }
+        if (!ok) continue;
+        PrimState next = s;
+        next.dc = dc;
+        next.fc = fc;
+        Insert(out, next);
+      }
+    } while (std::next_permutation(s.co, s.co + s.co_size));
   }
+}
+
+bool Accepts(const BagLayout& bag, const PrimState& s, int query) {
+  if (query < 0 || s.CoIndex(query) < 0) return false;  // in Y or not in bag
+  // FY must contain *every* bag FD with rhs outside Y.
+  uint64_t required = 0;
+  ForEachBit(bag.fds, [&](int f) {
+    if (!((s.y >> bag.rhs[f]) & 1)) required |= uint64_t{1} << f;
+  });
   if (s.fy != required) return false;
-  // ΔC = Co \ {query_attr}.
-  std::vector<ElementId> co_sorted = s.co;
-  std::sort(co_sorted.begin(), co_sorted.end());
-  co_sorted = SortedRemove(std::move(co_sorted), query_attr);
-  return s.dc == co_sorted;
+  // ΔC = Co \ {query}.
+  return s.dc == (s.CoMask() & ~(uint64_t{1} << query));
+}
+
+void IntroduceStates(const PrimalityContext& context,
+                     const std::vector<ElementId>& bag, ElementId e,
+                     const PrimTable& in, PrimTable* out) {
+  BagLayout layout = context.Layout(bag);
+  int p = BagPosition(bag, e);
+  bool attr = context.IsAttr(e);
+  for (const auto& [s, value] : in) {
+    (void)value;
+    if (attr) {
+      IntroduceAttr(layout, p, s, out);
+    } else {
+      IntroduceFd(layout, p, s, out);
+    }
+  }
+}
+
+void ForgetStates(const PrimalityContext& context,
+                  const std::vector<ElementId>& bag, ElementId e,
+                  const PrimTable& in, PrimTable* out) {
+  int p = BagPosition(bag, e);
+  bool attr = context.IsAttr(e);
+  int rhs = attr ? 0 : BagPosition(bag, context.RhsElem(e));
+  for (const auto& [s, value] : in) {
+    (void)value;
+    if (attr) {
+      ForgetAttr(p, s, out);
+    } else {
+      ForgetFd(p, rhs, s, out);
+    }
+  }
+}
+
+void JoinStates(const PrimalityContext& context,
+                const std::vector<ElementId>& bag, const PrimTable& left,
+                const PrimTable& right, PrimTable* out) {
+  if (left.empty() || right.empty()) return;
+  BagLayout layout = context.Layout(bag);
+  // Index the right table by join key: each key maps to a chain of right
+  // states in insertion order (first/last entry; next[] links the rest).
+  struct Chain {
+    uint32_t first;
+    uint32_t last;
+  };
+  std::vector<const PrimState*> states;
+  states.reserve(right.size());
+  std::vector<uint32_t> next(right.size());
+  FlatTable<PrimJoinKey, Chain> chains;
+  for (const auto& [s, value] : right) {
+    (void)value;
+    uint32_t i = static_cast<uint32_t>(states.size());
+    states.push_back(&s);
+    chains.Emplace(PrimJoinKey(s), Chain{i, i},
+                   [&](const Chain& chain, const Chain& added) {
+                     next[chain.last] = added.first;
+                     return Chain{chain.first, added.last};
+                   });
+  }
+  for (const auto& [s, value] : left) {
+    (void)value;
+    const Chain* chain = chains.Find(PrimJoinKey(s));
+    if (chain == nullptr) continue;
+    for (uint32_t i = chain->first;; i = next[i]) {
+      Join(layout, s, *states[i], out);
+      if (i == chain->last) break;
+    }
+  }
+}
+
+void CopyStates(const PrimTable& in, PrimTable* out) {
+  for (const auto& [s, value] : in) {
+    (void)value;
+    Insert(out, s);
+  }
+}
+
+namespace {
+
+/// One node of the bottom-up solve() pass.
+void BottomUpStep(const PrimalityContext& context,
+                  const NormalizedTreeDecomposition& ntd, TdNodeId id,
+                  std::vector<PrimTable>* up) {
+  const NormNode& node = ntd.node(id);
+  PrimTable* out = &(*up)[static_cast<size_t>(id)];
+  auto child = [&](size_t i) -> const PrimTable& {
+    return (*up)[static_cast<size_t>(node.children[i])];
+  };
+  switch (node.kind) {
+    case NormNodeKind::kLeaf:
+      LeafStates(context, node.bag, out);
+      break;
+    case NormNodeKind::kIntroduce:
+      IntroduceStates(context, node.bag, node.element, child(0), out);
+      break;
+    case NormNodeKind::kForget:
+      ForgetStates(context, node.bag, node.element, child(0), out);
+      break;
+    case NormNodeKind::kCopy:
+      CopyStates(child(0), out);
+      break;
+    case NormNodeKind::kBranch:
+      JoinStates(context, node.bag, child(0), child(1), out);
+      break;
+  }
+}
+
+}  // namespace
+
+void RecordTable(const PrimTable& states, TableMemoryTracker* memory,
+                 WorkBudget* budget, DpStats* stats) {
+  if (stats != nullptr) {
+    stats->total_states += states.size();
+    stats->max_states_per_node =
+        std::max(stats->max_states_per_node, states.size());
+  }
+  memory->Add(states.MemoryBytes());
+  if (budget != nullptr) {
+    budget->CheckTableBytes(memory->current.load(std::memory_order_relaxed));
+  }
+}
+
+void ReleaseTable(PrimTable* table, TableMemoryTracker* memory) {
+  size_t bytes = table->MemoryBytes();
+  if (bytes == 0) return;
+  table->Release();
+  memory->Evict(bytes);
+}
+
+std::vector<PrimTable> SolveBottomUp(const PrimalityContext& context,
+                                     const NormalizedTreeDecomposition& ntd,
+                                     const DpExec& exec,
+                                     bool keep_branch_children,
+                                     TableMemoryTracker* memory,
+                                     DpStats* stats) {
+  std::vector<PrimTable> up(ntd.NumNodes());
+  const bool evict = exec.table_memory_budget > 0;
+  WorkBudget* budget = exec.budget;
+  // A tripped budget skips the per-node work but keeps walking the chunk, so
+  // the shard scheduling epilogue (and the caller's abort check) still run.
+  WalkChunks(
+      ntd, exec,
+      [&](const std::vector<TdNodeId>& nodes, DpStats* local) {
+        for (TdNodeId id : nodes) {
+          if (budget != nullptr && !budget->ConsumeUnit()) continue;
+          BottomUpStep(context, ntd, id, &up);
+          RecordTable(up[static_cast<size_t>(id)], memory, budget, local);
+          const NormNode& node = ntd.node(id);
+          if (!evict ||
+              (keep_branch_children && node.kind == NormNodeKind::kBranch)) {
+            continue;
+          }
+          for (TdNodeId child : node.children) {
+            ReleaseTable(&up[static_cast<size_t>(child)], memory);
+          }
+        }
+      },
+      stats);
+  return up;
 }
 
 TreeDecomposition CloseBagsForRhs(const TreeDecomposition& td,

@@ -35,8 +35,8 @@
 // completed. Problem hooks must be const and stateless (all in-tree problems
 // are); the resulting tables are bit-identical to the sequential ones,
 // because every node still sees fully-built child tables and processes them
-// in the same order. The §5.3 enumeration drives the same walk directly,
-// top-down included.
+// in the same order. The primality DPs (§5.2 decision, §5.3 enumeration)
+// drive the same walk directly, top-down included.
 //
 // Dead-table eviction (DpExec::table_memory_budget > 0): a node's table is
 // consumed exactly once — by its parent node (in the same shard, or as the

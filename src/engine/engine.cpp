@@ -384,6 +384,8 @@ StatusOr<bool> Engine::IsPrime(AttributeId a, RunStats* stats) {
         pipeline.Run(state, options_.collect_pass_timings ? s : nullptr));
     ++s->normalize_builds;
     ++GlobalEngineCounters().normalize_builds;
+    TREEDL_RETURN_IF_ERROR(
+        context->CheckBags(*state.normalized, /*for_enumeration=*/false));
     bool prime = core::internal::DecidePrimePrepared(
         *context, *state.normalized, a_elem, s, exec);
     if (exec.budget != nullptr && exec.budget->Aborted()) {
@@ -423,6 +425,7 @@ StatusOr<std::vector<bool>> Engine::AllPrimes(RunStats* stats,
       exec.table_memory_budget = options_.table_memory_budget;
       exec.budget = budget != nullptr ? budget : options_.work_budget;
     }
+    TREEDL_RETURN_IF_ERROR(context->CheckBags(*ntd, /*for_enumeration=*/true));
     // The two-pass enumeration runs outside the lock (sharded on the pool
     // when the session is parallel); concurrent first callers may duplicate
     // the work, but the memo is written once.

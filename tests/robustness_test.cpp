@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <string>
 
+#include "core/primality.hpp"
+#include "core/primality_enum.hpp"
 #include "datalog/eval.hpp"
 #include "datalog/parser.hpp"
 #include "engine/engine.hpp"
@@ -207,6 +209,51 @@ TEST(PrimalityRobustnessTest, WideLhsFd) {
   auto primes = Engine(s).AllPrimes();
   ASSERT_TRUE(primes.ok());
   EXPECT_EQ(*primes, AllPrimesBruteForce(s));
+}
+
+TEST(PrimalityRobustnessTest, WideLeafBagIsATypedErrorNotAnAbort) {
+  // 12 attributes and a1…a11 -> a0 in one bag of all 13 elements: the leaf
+  // rule would enumerate 2^12 · 12! partitions. Every primality entry point
+  // refuses the normal form before the walk instead of aborting the process.
+  Schema s;
+  std::vector<AttributeId> attrs;
+  for (int i = 0; i < 12; ++i) {
+    attrs.push_back(s.AddAttribute("a" + std::to_string(i)));
+  }
+  ASSERT_TRUE(s.AddFd(std::vector<AttributeId>(attrs.begin() + 1, attrs.end()),
+                      attrs[0])
+                  .ok());
+  SchemaEncoding encoding = EncodeSchema(s);
+  TreeDecomposition one_bag;
+  std::vector<ElementId> bag;
+  for (ElementId e = 0; e < 13; ++e) bag.push_back(e);
+  one_bag.AddNode(bag);
+
+  EngineOptions options;
+  options.decomposition = one_bag;
+  Engine engine(s, options);
+  auto prime = engine.IsPrime(0);
+  ASSERT_FALSE(prime.ok());
+  EXPECT_EQ(prime.status().code(), StatusCode::kResourceExhausted)
+      << prime.status();
+  auto all = engine.AllPrimes();
+  ASSERT_FALSE(all.ok());
+  EXPECT_EQ(all.status().code(), StatusCode::kResourceExhausted)
+      << all.status();
+  auto via_td = core::IsPrimeViaTd(s, encoding, one_bag, 0);
+  ASSERT_FALSE(via_td.ok());
+  EXPECT_EQ(via_td.status().code(), StatusCode::kResourceExhausted);
+  auto enumerated = core::EnumeratePrimes(s, encoding, one_bag);
+  ASSERT_FALSE(enumerated.ok());
+  EXPECT_EQ(enumerated.status().code(), StatusCode::kResourceExhausted);
+
+  // A narrow session in the same process still answers.
+  Schema paper = Schema::PaperExampleSchema();
+  Engine narrow(paper);
+  auto primes = narrow.AllPrimes();
+  ASSERT_TRUE(primes.ok()) << primes.status();
+  EXPECT_EQ(*primes, AllPrimesBruteForce(paper));
+  EXPECT_EQ(Engine(paper).IsPrime(0).value(), IsPrimeBruteForce(paper, 0));
 }
 
 TEST(PrimalityRobustnessTest, AllAttributesIsolated) {
