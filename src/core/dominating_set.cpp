@@ -25,11 +25,6 @@ struct DomKey {
   size_t hash() const { return in_set.hash(); }
 };
 
-size_t PositionInBag(const std::vector<ElementId>& bag, ElementId e) {
-  return static_cast<size_t>(
-      std::lower_bound(bag.begin(), bag.end(), e) - bag.begin());
-}
-
 class DominatingProblem {
  public:
   using State = DomState;

@@ -1,15 +1,14 @@
-#include "core/primality.hpp"
-
+// The PRIMALITY decision algorithm of §5.2 (Fig. 6): is attribute a prime
+// (in some key)? One bottom-up solve() walk over a prepared decomposition,
+// then the success test at the root, in time f(w)·|(R, F)|. Engine::IsPrime
+// prepares the decomposition (rhs-closure, re-root at a bag holding a,
+// normalize) and calls DecidePrimePrepared.
 #include <algorithm>
 #include <vector>
 
 #include "core/primality_internal.hpp"
-#include "engine/passes.hpp"
-#include "engine/pipeline.hpp"
 
 namespace treedl::core {
-
-using internal::PrimalityContext;
 
 namespace internal {
 
@@ -29,7 +28,7 @@ bool DecidePrimePrepared(const PrimalityContext& context,
   const auto& bag = ntd.Bag(ntd.root());
   BagLayout layout = context.Layout(bag);
   int query = std::binary_search(bag.begin(), bag.end(), a_elem)
-                  ? BagPosition(bag, a_elem)
+                  ? static_cast<int>(PositionInBag(bag, a_elem))
                   : -1;
   for (const auto& [state, value] : up[static_cast<size_t>(ntd.root())]) {
     (void)value;
@@ -39,34 +38,5 @@ bool DecidePrimePrepared(const PrimalityContext& context,
 }
 
 }  // namespace internal
-
-StatusOr<bool> IsPrimeViaTd(const Schema& schema, const SchemaEncoding& encoding,
-                            const TreeDecomposition& td, AttributeId a,
-                            RunStats* stats) {
-  if (stats != nullptr) *stats = RunStats{};
-  if (a < 0 || a >= schema.NumAttributes()) {
-    return Status::InvalidArgument("attribute id out of range");
-  }
-  PrimalityContext context(schema, encoding);
-  ElementId a_elem = encoding.AttrElement(a);
-
-  engine::PipelineState state;
-  state.structure = &encoding.structure;
-  state.td = td;
-  state.normalize_options =
-      internal::PrimalityNormalizeOptions(encoding, /*for_enumeration=*/false);
-  engine::PassPipeline pipeline;
-  pipeline.Emplace<engine::ValidateStructurePass>()
-      .Emplace<engine::RhsClosurePass>(&encoding, &context)
-      .Emplace<engine::ReRootAtElementPass>(a_elem)
-      .Emplace<engine::NormalizePass>();
-  TREEDL_RETURN_IF_ERROR(pipeline.Run(state, stats));
-  if (stats != nullptr) ++stats->normalize_builds;
-  TREEDL_RETURN_IF_ERROR(
-      context.CheckBags(*state.normalized, /*for_enumeration=*/false));
-
-  return internal::DecidePrimePrepared(context, *state.normalized, a_elem,
-                                       stats);
-}
 
 }  // namespace treedl::core

@@ -1,15 +1,16 @@
-#include "core/primality_enum.hpp"
-
+// The PRIMALITY enumeration algorithm of §5.3: *all* prime attributes in
+// linear time via one bottom-up pass (solve) and one top-down pass (solve↓),
+// reading prime(a) off at the leaves. The naive alternative — one §5.2
+// decision per attribute with the decomposition re-rooted each time, i.e.
+// Engine::IsPrime per attribute on a session that never ran AllPrimes — is
+// quadratic, the baseline the section argues against.
 #include <atomic>
 #include <utility>
 #include <vector>
 
 #include "common/logging.hpp"
-#include "core/primality.hpp"
 #include "core/primality_internal.hpp"
 #include "core/tree_dp.hpp"
-#include "engine/passes.hpp"
-#include "engine/pipeline.hpp"
 
 namespace treedl::core {
 
@@ -182,41 +183,5 @@ std::vector<bool> EnumeratePrimesPrepared(const PrimalityContext& context,
 }
 
 }  // namespace internal
-
-StatusOr<std::vector<bool>> EnumeratePrimes(const Schema& schema,
-                                            const SchemaEncoding& encoding,
-                                            const TreeDecomposition& td,
-                                            RunStats* stats) {
-  if (stats != nullptr) *stats = RunStats{};
-  PrimalityContext context(schema, encoding);
-  engine::PipelineState state;
-  state.structure = &encoding.structure;
-  state.td = td;
-  state.normalize_options =
-      internal::PrimalityNormalizeOptions(encoding, /*for_enumeration=*/true);
-  engine::PassPipeline pipeline;
-  pipeline.Emplace<engine::ValidateStructurePass>()
-      .Emplace<engine::RhsClosurePass>(&encoding, &context)
-      .Emplace<engine::NormalizePass>();
-  TREEDL_RETURN_IF_ERROR(pipeline.Run(state, stats));
-  if (stats != nullptr) ++stats->normalize_builds;
-  TREEDL_RETURN_IF_ERROR(
-      context.CheckBags(*state.normalized, /*for_enumeration=*/true));
-
-  return internal::EnumeratePrimesPrepared(
-      context, encoding, schema.NumAttributes(), *state.normalized, stats);
-}
-
-StatusOr<std::vector<bool>> EnumeratePrimesQuadratic(
-    const Schema& schema, const SchemaEncoding& encoding,
-    const TreeDecomposition& td) {
-  std::vector<bool> primes(static_cast<size_t>(schema.NumAttributes()), false);
-  for (AttributeId a = 0; a < schema.NumAttributes(); ++a) {
-    TREEDL_ASSIGN_OR_RETURN(bool prime,
-                            IsPrimeViaTd(schema, encoding, td, a));
-    primes[static_cast<size_t>(a)] = prime;
-  }
-  return primes;
-}
 
 }  // namespace treedl::core

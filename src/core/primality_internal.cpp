@@ -53,11 +53,6 @@ PrimalityContext::PrimalityContext(const Schema& schema,
   }
 }
 
-int BagPosition(const std::vector<ElementId>& bag, ElementId e) {
-  return static_cast<int>(std::lower_bound(bag.begin(), bag.end(), e) -
-                          bag.begin());
-}
-
 BagLayout PrimalityContext::Layout(const std::vector<ElementId>& bag) const {
   TREEDL_CHECK(bag.size() <= static_cast<size_t>(kMaxPrimBagSize))
       << "primality bag exceeds " << kMaxPrimBagSize << " positions";
@@ -72,12 +67,12 @@ BagLayout PrimalityContext::Layout(const std::vector<ElementId>& bag) const {
       continue;
     }
     layout.fds |= uint64_t{1} << p;
-    int rhs = BagPosition(bag, RhsElem(bag[p]));
+    int rhs = static_cast<int>(PositionInBag(bag, RhsElem(bag[p])));
     TREEDL_CHECK(contains(rhs, RhsElem(bag[p])))
         << "rhs-closure invariant violated";
     layout.rhs[p] = static_cast<uint8_t>(rhs);
     for (ElementId b : LhsElems(bag[p])) {
-      int q = BagPosition(bag, b);
+      int q = static_cast<int>(PositionInBag(bag, b));
       if (contains(q, b)) layout.lhs[p] |= uint64_t{1} << q;
     }
   }
@@ -318,7 +313,7 @@ void IntroduceStates(const PrimalityContext& context,
                      const std::vector<ElementId>& bag, ElementId e,
                      const PrimTable& in, PrimTable* out) {
   BagLayout layout = context.Layout(bag);
-  int p = BagPosition(bag, e);
+  int p = static_cast<int>(PositionInBag(bag, e));
   bool attr = context.IsAttr(e);
   for (const auto& [s, value] : in) {
     (void)value;
@@ -333,9 +328,10 @@ void IntroduceStates(const PrimalityContext& context,
 void ForgetStates(const PrimalityContext& context,
                   const std::vector<ElementId>& bag, ElementId e,
                   const PrimTable& in, PrimTable* out) {
-  int p = BagPosition(bag, e);
+  int p = static_cast<int>(PositionInBag(bag, e));
   bool attr = context.IsAttr(e);
-  int rhs = attr ? 0 : BagPosition(bag, context.RhsElem(e));
+  int rhs =
+      attr ? 0 : static_cast<int>(PositionInBag(bag, context.RhsElem(e)));
   for (const auto& [s, value] : in) {
     (void)value;
     if (attr) {
@@ -420,26 +416,6 @@ void BottomUpStep(const PrimalityContext& context,
 }
 
 }  // namespace
-
-void RecordTable(const PrimTable& states, TableMemoryTracker* memory,
-                 WorkBudget* budget, DpStats* stats) {
-  if (stats != nullptr) {
-    stats->total_states += states.size();
-    stats->max_states_per_node =
-        std::max(stats->max_states_per_node, states.size());
-  }
-  memory->Add(states.MemoryBytes());
-  if (budget != nullptr) {
-    budget->CheckTableBytes(memory->current.load(std::memory_order_relaxed));
-  }
-}
-
-void ReleaseTable(PrimTable* table, TableMemoryTracker* memory) {
-  size_t bytes = table->MemoryBytes();
-  if (bytes == 0) return;
-  table->Release();
-  memory->Evict(bytes);
-}
 
 std::vector<PrimTable> SolveBottomUp(const PrimalityContext& context,
                                      const NormalizedTreeDecomposition& ntd,

@@ -31,9 +31,10 @@
 // top-down base — at most kMaxLeafAttributes = 10 attributes.
 //
 // Transition preconditions (checked with DCHECKs) rely on two invariants
-// established by the preprocessing pipeline in primality.cpp:
+// established by the preparation the Engine runs before every walk
+// (CloseBagsForRhs, then Normalize with PrimalityNormalizeOptions):
 //   * every bag containing an FD element also contains its rhs attribute
-//     (rhs-closure pass + FD-first forget priority during normalization);
+//     (rhs-closure + FD-first forget priority during normalization);
 //   * bags shrink/grow by one element per normalized-TD edge.
 #ifndef TREEDL_CORE_PRIMALITY_INTERNAL_HPP_
 #define TREEDL_CORE_PRIMALITY_INTERNAL_HPP_
@@ -227,18 +228,6 @@ void CopyStates(const PrimTable& in, PrimTable* out);
 /// FY = {f ∈ bag | rhs(f) ∉ Y}, ΔC = Co \ {query}.
 bool Accepts(const BagLayout& bag, const PrimState& s, int query);
 
-/// Position of `e` in the sorted `bag` (the insertion point if absent).
-int BagPosition(const std::vector<ElementId>& bag, ElementId e);
-
-/// Per-node bookkeeping of both passes: counts `states` into `stats`,
-/// charges its bytes to `memory`, and checks the live bytes against
-/// `budget`'s hard cap (either pointer may be null).
-void RecordTable(const PrimTable& states, TableMemoryTracker* memory,
-                 WorkBudget* budget, DpStats* stats);
-
-/// Eviction: frees a dead table and credits its bytes back to `memory`.
-void ReleaseTable(PrimTable* table, TableMemoryTracker* memory);
-
 /// The bottom-up solve() pass: one table per node, children before parents
 /// (shard-parallel when exec.Parallel()). With exec.table_memory_budget > 0 a
 /// node's child tables are released once it is built, except the children
@@ -267,10 +256,9 @@ NormalizeOptions PrimalityNormalizeOptions(const SchemaEncoding& encoding,
 /// Fig. 6 bottom-up DP over a *prepared* decomposition — already validated,
 /// rhs-closed, re-rooted at a bag containing `a_elem`, normalized with
 /// PrimalityNormalizeOptions(·, false), and within CheckBags(·, false). Used
-/// by IsPrimeViaTd after its pass pipeline, and by the Engine with its cached
-/// artifacts. One pass, one walk; its DpStats fold into `stats`. After an
-/// `exec.budget` abort the verdict is meaningless: the caller surfaces
-/// budget->AbortStatus().
+/// by Engine::IsPrime on its cached artifacts. One pass, one walk; its
+/// DpStats fold into `stats`. After an `exec.budget` abort the verdict is
+/// meaningless: the caller surfaces budget->AbortStatus().
 bool DecidePrimePrepared(const PrimalityContext& context,
                          const NormalizedTreeDecomposition& ntd,
                          ElementId a_elem, RunStats* stats,

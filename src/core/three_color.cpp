@@ -1,6 +1,6 @@
 #include "core/three_color.hpp"
 
-#include <algorithm>
+#include <limits>
 
 #include "common/byte_vec.hpp"
 
@@ -18,14 +18,25 @@ struct ColorState {
   size_t hash() const { return colors.hash(); }
 };
 
-size_t PositionInBag(const std::vector<ElementId>& bag, ElementId e) {
-  return static_cast<size_t>(
-      std::lower_bound(bag.begin(), bag.end(), e) - bag.begin());
+// Saturation point of the counting semiring. Every value is >= 1 (leaves
+// seed 1), so a saturated value stays saturated through any later add or
+// multiply, and an unsaturated value is exact.
+constexpr uint64_t kSaturated = std::numeric_limits<uint64_t>::max();
+
+uint64_t SaturatingAdd(uint64_t a, uint64_t b) {
+  uint64_t sum;
+  return __builtin_add_overflow(a, b, &sum) ? kSaturated : sum;
+}
+
+uint64_t SaturatingMul(uint64_t a, uint64_t b) {
+  uint64_t product;
+  return __builtin_mul_overflow(a, b, &product) ? kSaturated : product;
 }
 
 // Shared transition logic, parameterized over the value semiring:
 //   decision: Value = monostate, Merge = first;
-//   counting: Value = uint64_t, Leaf seeds 1, Merge adds, Join multiplies.
+//   counting: Value = uint64_t, Leaf seeds 1, Merge adds, Join multiplies
+//   (both saturating at kSaturated).
 template <bool kCounting>
 class ColorProblem {
  public:
@@ -85,7 +96,7 @@ class ColorProblem {
     TREEDL_DCHECK(a == b);
     (void)b;
     if constexpr (kCounting) {
-      emit(a, va * vb);
+      emit(a, SaturatingMul(va, vb));
     } else {
       (void)vb;
       emit(a, va);
@@ -94,7 +105,7 @@ class ColorProblem {
 
   Value Merge(const Value& a, const Value& b) const {
     if constexpr (kCounting) {
-      return a + b;
+      return SaturatingAdd(a, b);
     } else {
       (void)b;
       return a;
@@ -218,8 +229,15 @@ StatusOr<uint64_t> CountThreeColorings(const Graph& graph,
   if (exec.budget != nullptr && exec.budget->Aborted()) {
     return exec.budget->AbortStatus();
   }
+  // Interior saturation alone is no error: it may sit under states that die
+  // before the root (then the answer is exact, possibly 0).
   uint64_t total = 0;
-  for (const auto& [state, count] : table.at(ntd.root())) total += count;
+  for (const auto& [state, count] : table.at(ntd.root())) {
+    total = SaturatingAdd(total, count);
+  }
+  if (total == kSaturated) {
+    return Status::OutOfRange("3-coloring count does not fit in 64 bits");
+  }
   return total;
 }
 

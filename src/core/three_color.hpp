@@ -41,7 +41,9 @@ StatusOr<ThreeColorResult> DecideThreeColor(
     const Graph& graph, const NormalizedTreeDecomposition& ntd,
     const DpExec& exec, DpStats* stats, bool extract_coloring = true);
 
-/// Number of proper 3-colorings (counting semiring).
+/// Number of proper 3-colorings (counting semiring, saturating 64-bit
+/// arithmetic). A count of 2^64 - 1 or more returns OutOfRange; saturation
+/// inside the walk alone is no error (a non-3-colorable graph answers 0).
 StatusOr<uint64_t> CountThreeColorings(const Graph& graph,
                                        const NormalizedTreeDecomposition& ntd,
                                        const DpExec& exec, DpStats* stats);

@@ -70,6 +70,14 @@
 
 namespace treedl::core {
 
+/// Position of `e` in the sorted `bag` (the insertion point if absent). Bags
+/// of a normalized decomposition are sorted by element id, so this is the
+/// slot index every per-bag state record aligns with.
+inline size_t PositionInBag(const std::vector<ElementId>& bag, ElementId e) {
+  return static_cast<size_t>(std::lower_bound(bag.begin(), bag.end(), e) -
+                             bag.begin());
+}
+
 template <typename T>
 struct MemberHash {
   size_t operator()(const T& t) const { return t.hash(); }
@@ -165,6 +173,33 @@ struct TableMemoryTracker {
   }
 };
 
+/// Per-node bookkeeping of every walk (RunDp and the primality passes):
+/// counts the finished table `states` into `stats`, charges its bytes to
+/// `memory`, and checks the live bytes against `budget`'s hard cap (`stats`
+/// and `budget` may be null).
+template <typename Table>
+void RecordTable(const Table& states, TableMemoryTracker* memory,
+                 WorkBudget* budget, DpStats* stats) {
+  if (stats != nullptr) {
+    stats->total_states += states.size();
+    stats->max_states_per_node =
+        std::max(stats->max_states_per_node, states.size());
+  }
+  memory->Add(states.MemoryBytes());
+  if (budget != nullptr) {
+    budget->CheckTableBytes(memory->current.load(std::memory_order_relaxed));
+  }
+}
+
+/// Eviction: frees a dead table and credits its bytes back to `memory`.
+template <typename Table>
+void ReleaseTable(Table* table, TableMemoryTracker* memory) {
+  size_t bytes = table->MemoryBytes();
+  if (bytes == 0) return;
+  table->Release();
+  memory->Evict(bytes);
+}
+
 /// Computes one node's state table from its children's completed tables — the
 /// single source of the transition semantics.
 template <typename Problem>
@@ -239,11 +274,7 @@ template <typename State, typename Value>
 void EvictChildTables(const NormalizedTreeDecomposition& ntd, TdNodeId id,
                       DpTable<State, Value>* table, TableMemoryTracker* memory) {
   for (TdNodeId child : ntd.node(id).children) {
-    auto& dead = table->nodes[static_cast<size_t>(child)];
-    size_t bytes = dead.MemoryBytes();
-    if (bytes == 0) continue;
-    dead.Release();
-    memory->Evict(bytes);
+    ReleaseTable(&table->nodes[static_cast<size_t>(child)], memory);
   }
 }
 
@@ -264,16 +295,7 @@ void DpStepNode(const NormalizedTreeDecomposition& ntd, TdNodeId id,
                 WorkBudget* budget) {
   if (budget != nullptr && !budget->ConsumeUnit()) return;
   DpProcessNode(ntd, id, problem, table);
-  const auto& states = table->nodes[static_cast<size_t>(id)];
-  if (stats != nullptr) {
-    stats->total_states += states.size();
-    stats->max_states_per_node =
-        std::max(stats->max_states_per_node, states.size());
-  }
-  memory->Add(states.MemoryBytes());
-  if (budget != nullptr) {
-    budget->CheckTableBytes(memory->current.load(std::memory_order_relaxed));
-  }
+  RecordTable(table->nodes[static_cast<size_t>(id)], memory, budget, stats);
   if (evict) EvictChildTables(ntd, id, table, memory);
 }
 

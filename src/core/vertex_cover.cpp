@@ -18,11 +18,6 @@ struct SubsetState {
   size_t hash() const { return in_set.hash(); }
 };
 
-size_t PositionInBag(const std::vector<ElementId>& bag, ElementId e) {
-  return static_cast<size_t>(
-      std::lower_bound(bag.begin(), bag.end(), e) - bag.begin());
-}
-
 template <bool kCover>  // true: vertex cover (min), false: independent (max)
 class SubsetProblem {
  public:

@@ -11,8 +11,6 @@
 #include "core/three_color.hpp"
 #include "datalog/eval.hpp"
 #include "datalog/grounder.hpp"
-#include "engine/passes.hpp"
-#include "engine/pipeline.hpp"
 #include "engine/session_io.hpp"
 #include "graph/gaifman.hpp"
 #include "mso/evaluator.hpp"
@@ -21,6 +19,7 @@
 #include "td/elimination_order.hpp"
 #include "td/heuristics.hpp"
 #include "td/improve.hpp"
+#include "td/validate.hpp"
 
 namespace treedl {
 
@@ -94,6 +93,10 @@ Status SolveOne(Engine::Problem problem, const Graph& graph,
 /// leaf states in a 64-bit mask (and 3COL's 3^|bag| could never finish).
 constexpr int kMaxDpBagSize = 63;
 
+/// Shard tasks per worker thread in a parallel session's bag sharding (more
+/// shards = better load balance, more scheduling overhead).
+constexpr size_t kShardsPerThread = 4;
+
 }  // namespace
 
 const char* DatalogBackendName(DatalogBackend backend) {
@@ -138,6 +141,17 @@ size_t Engine::ResolvedNumThreads() const {
   if (options_.shared_pool != nullptr) return options_.shared_pool->NumThreads();
   return options_.num_threads == 0 ? ThreadPool::DefaultNumThreads()
                                    : options_.num_threads;
+}
+
+template <typename Body>
+auto Engine::RunQuery(RunStats* stats, Body&& body) {
+  RunStats local;
+  RunStats* s = stats != nullptr ? (*stats = RunStats{}, stats) : &local;
+  Timer timer;
+  auto result = body(s);
+  s->total_millis = timer.ElapsedMillis();
+  Record(*s);
+  return result;
 }
 
 // --- Cached artifacts (sync_->cache_mu held throughout) ---------------------
@@ -188,13 +202,7 @@ StatusOr<const TreeDecomposition*> Engine::EnsureTd(RunStats* stats) {
   }();
   TREEDL_RETURN_IF_ERROR(td.status());
   if (options_.validate) {
-    engine::PipelineState state;
-    state.structure = structure;
-    state.td = *td;
-    engine::PassPipeline pipeline;
-    pipeline.Emplace<engine::ValidateStructurePass>();
-    TREEDL_RETURN_IF_ERROR(
-        pipeline.Run(state, options_.collect_pass_timings ? stats : nullptr));
+    TREEDL_RETURN_IF_ERROR(ValidateForStructure(*structure, *td));
   }
   td_ = std::move(td).value();
   ++stats->td_builds;
@@ -221,14 +229,29 @@ StatusOr<const TreeDecomposition*> Engine::EnsureClosedTd(RunStats* stats) {
   TREEDL_ASSIGN_OR_RETURN(const TreeDecomposition* td, EnsureTd(stats));
   TREEDL_ASSIGN_OR_RETURN(const core::internal::PrimalityContext* context,
                           EnsurePrimality(stats));
-  engine::PipelineState state;
-  state.td = *td;
-  engine::PassPipeline pipeline;
-  pipeline.Emplace<engine::RhsClosurePass>(encoding_.get(), context);
-  TREEDL_RETURN_IF_ERROR(
-      pipeline.Run(state, options_.collect_pass_timings ? stats : nullptr));
-  closed_td_ = std::move(state.td);
+  closed_td_ = core::internal::CloseBagsForRhs(*td, *encoding_, *context);
   return &*closed_td_;
+}
+
+std::optional<BagSharding> Engine::ShardingFor(
+    const NormalizedTreeDecomposition& ntd) const {
+  size_t threads = ResolvedNumThreads();
+  if (threads <= 1) return std::nullopt;
+  return ComputeBagShardingByCost(ntd, threads * kShardsPerThread);
+}
+
+Status Engine::BuildNormalForm(const TreeDecomposition& td,
+                               const NormalizeOptions& options,
+                               std::optional<NormalizedTreeDecomposition>* ntd,
+                               std::optional<BagSharding>* sharding,
+                               RunStats* stats) {
+  TREEDL_ASSIGN_OR_RETURN(NormalizedTreeDecomposition built,
+                          Normalize(td, options));
+  *sharding = ShardingFor(built);
+  *ntd = std::move(built);
+  ++stats->normalize_builds;
+  ++GlobalEngineCounters().normalize_builds;
+  return Status::OK();
 }
 
 StatusOr<const NormalizedTreeDecomposition*> Engine::EnsureEnumNtd(
@@ -239,28 +262,14 @@ StatusOr<const NormalizedTreeDecomposition*> Engine::EnsureEnumNtd(
   }
   TREEDL_ASSIGN_OR_RETURN(const TreeDecomposition* closed,
                           EnsureClosedTd(stats));
-  engine::PipelineState state;
-  state.td = *closed;
-  state.normalize_options = core::internal::PrimalityNormalizeOptions(
-      *encoding_, /*for_enumeration=*/true);
-  engine::PassPipeline pipeline;
-  pipeline.Emplace<engine::NormalizePass>();
   // Parallel sessions shard the enumeration normal form too, on the same
   // cost model as the graph-DP sharding (3^|bag| fits the Fig. 6 state
   // explosion just as well).
-  size_t threads = ResolvedNumThreads();
-  if (threads > 1) {
-    pipeline.Emplace<engine::ShardBagsPass>(threads *
-                                            options_.shards_per_thread);
-  }
-  TREEDL_RETURN_IF_ERROR(
-      pipeline.Run(state, options_.collect_pass_timings ? stats : nullptr));
-  enum_ntd_ = *std::move(state.normalized);
-  if (state.sharding.has_value()) {
-    enum_sharding_ = *std::move(state.sharding);
-  }
-  ++stats->normalize_builds;
-  ++GlobalEngineCounters().normalize_builds;
+  TREEDL_RETURN_IF_ERROR(BuildNormalForm(
+      *closed,
+      core::internal::PrimalityNormalizeOptions(*encoding_,
+                                                /*for_enumeration=*/true),
+      &enum_ntd_, &enum_sharding_, stats));
   return &*enum_ntd_;
 }
 
@@ -271,24 +280,8 @@ StatusOr<const NormalizedTreeDecomposition*> Engine::EnsurePlainNtd(
     return &*plain_ntd_;
   }
   TREEDL_ASSIGN_OR_RETURN(const TreeDecomposition* td, EnsureTd(stats));
-  engine::PipelineState state;
-  state.td = *td;
-  engine::PassPipeline pipeline;
-  pipeline.Emplace<engine::NormalizePass>();
-  // Parallel sessions shard right after normalization, on the same spine.
-  size_t threads = ResolvedNumThreads();
-  if (threads > 1) {
-    pipeline.Emplace<engine::ShardBagsPass>(threads *
-                                            options_.shards_per_thread);
-  }
   TREEDL_RETURN_IF_ERROR(
-      pipeline.Run(state, options_.collect_pass_timings ? stats : nullptr));
-  plain_ntd_ = *std::move(state.normalized);
-  if (state.sharding.has_value()) {
-    sharding_ = *std::move(state.sharding);
-  }
-  ++stats->normalize_builds;
-  ++GlobalEngineCounters().normalize_builds;
+      BuildNormalForm(*td, NormalizeOptions{}, &plain_ntd_, &sharding_, stats));
   return &*plain_ntd_;
 }
 
@@ -344,10 +337,7 @@ ThreadPool* Engine::EnsurePool() {
 // --- Primality ---------------------------------------------------------------
 
 StatusOr<bool> Engine::IsPrime(AttributeId a, RunStats* stats) {
-  RunStats local;
-  RunStats* s = stats != nullptr ? (*stats = RunStats{}, stats) : &local;
-  Timer timer;
-  StatusOr<bool> result = [&]() -> StatusOr<bool> {
+  return RunQuery(stats, [&](RunStats* s) -> StatusOr<bool> {
     if (schema_ == nullptr) {
       return Status::InvalidArgument("IsPrime requires a schema session");
     }
@@ -371,39 +361,35 @@ StatusOr<bool> Engine::IsPrime(AttributeId a, RunStats* stats) {
       exec.table_memory_budget = options_.table_memory_budget;
       exec.budget = options_.work_budget;
     }
-    // Per-query work on the immutable artifacts, outside the lock.
+    // Per-query work on the immutable artifacts, outside the lock: re-root
+    // a copy of the closed decomposition at a bag holding a, then normalize.
     ElementId a_elem = encoding->AttrElement(a);
-    engine::PipelineState state;
-    state.td = *closed;
-    state.normalize_options = core::internal::PrimalityNormalizeOptions(
-        *encoding, /*for_enumeration=*/false);
-    engine::PassPipeline pipeline;
-    pipeline.Emplace<engine::ReRootAtElementPass>(a_elem)
-        .Emplace<engine::NormalizePass>();
-    TREEDL_RETURN_IF_ERROR(
-        pipeline.Run(state, options_.collect_pass_timings ? s : nullptr));
+    TdNodeId target = closed->FindNodeContaining(a_elem);
+    if (target == kNoTdNode) {
+      return Status::InvalidArgument(
+          "query element not covered by the decomposition");
+    }
+    TreeDecomposition rooted = *closed;
+    TREEDL_RETURN_IF_ERROR(rooted.ReRoot(target));
+    TREEDL_ASSIGN_OR_RETURN(
+        NormalizedTreeDecomposition ntd,
+        Normalize(rooted, core::internal::PrimalityNormalizeOptions(
+                              *encoding, /*for_enumeration=*/false)));
     ++s->normalize_builds;
     ++GlobalEngineCounters().normalize_builds;
-    TREEDL_RETURN_IF_ERROR(
-        context->CheckBags(*state.normalized, /*for_enumeration=*/false));
-    bool prime = core::internal::DecidePrimePrepared(
-        *context, *state.normalized, a_elem, s, exec);
+    TREEDL_RETURN_IF_ERROR(context->CheckBags(ntd, /*for_enumeration=*/false));
+    bool prime =
+        core::internal::DecidePrimePrepared(*context, ntd, a_elem, s, exec);
     if (exec.budget != nullptr && exec.budget->Aborted()) {
       return exec.budget->AbortStatus();
     }
     return prime;
-  }();
-  s->total_millis = timer.ElapsedMillis();
-  Record(*s);
-  return result;
+  });
 }
 
 StatusOr<std::vector<bool>> Engine::AllPrimes(RunStats* stats,
                                               WorkBudget* budget) {
-  RunStats local;
-  RunStats* s = stats != nullptr ? (*stats = RunStats{}, stats) : &local;
-  Timer timer;
-  StatusOr<std::vector<bool>> result = [&]() -> StatusOr<std::vector<bool>> {
+  return RunQuery(stats, [&](RunStats* s) -> StatusOr<std::vector<bool>> {
     if (schema_ == nullptr) {
       return Status::InvalidArgument("AllPrimes requires a schema session");
     }
@@ -439,10 +425,7 @@ StatusOr<std::vector<bool>> Engine::AllPrimes(RunStats* stats,
     std::lock_guard<std::mutex> lock(sync_->cache_mu);
     if (!primes_.has_value()) primes_ = std::move(primes);
     return *primes_;
-  }();
-  s->total_millis = timer.ElapsedMillis();
-  Record(*s);
-  return result;
+  });
 }
 
 // --- Datalog -----------------------------------------------------------------
@@ -457,10 +440,7 @@ StatusOr<Structure> Engine::EvaluateDatalog(const datalog::Program& program,
                                             DatalogBackend backend,
                                             RunStats* stats,
                                             WorkBudget* budget) {
-  RunStats local;
-  RunStats* s = stats != nullptr ? (*stats = RunStats{}, stats) : &local;
-  Timer timer;
-  StatusOr<Structure> result = [&]() -> StatusOr<Structure> {
+  return RunQuery(stats, [&](RunStats* s) -> StatusOr<Structure> {
     const Structure* edb = nullptr;
     datalog::EvalExec exec;
     {
@@ -472,10 +452,7 @@ StatusOr<Structure> Engine::EvaluateDatalog(const datalog::Program& program,
       exec.budget = budget != nullptr ? budget : options_.work_budget;
     }
     return RunBackend(program, *edb, backend, exec, s);
-  }();
-  s->total_millis = timer.ElapsedMillis();
-  Record(*s);
-  return result;
+  });
 }
 
 // --- MSO ----------------------------------------------------------------------
@@ -488,10 +465,7 @@ StatusOr<bool> Engine::UseDirectMso(RunStats* stats) {
 
 StatusOr<bool> Engine::EvaluateMso(const mso::FormulaPtr& sentence,
                                    RunStats* stats, WorkBudget* budget) {
-  RunStats local;
-  RunStats* s = stats != nullptr ? (*stats = RunStats{}, stats) : &local;
-  Timer timer;
-  StatusOr<bool> result = [&]() -> StatusOr<bool> {
+  return RunQuery(stats, [&](RunStats* s) -> StatusOr<bool> {
     const Structure* a = nullptr;
     bool direct = false;
     const datalog::Program* program = nullptr;
@@ -525,19 +499,13 @@ StatusOr<bool> Engine::EvaluateMso(const mso::FormulaPtr& sentence,
     TREEDL_ASSIGN_OR_RETURN(PredicateId phi,
                             derived.signature().PredicateIdOf("phi"));
     return derived.HasFact(phi, {});
-  }();
-  s->total_millis = timer.ElapsedMillis();
-  Record(*s);
-  return result;
+  });
 }
 
 StatusOr<std::vector<bool>> Engine::EvaluateMsoUnary(
     const mso::FormulaPtr& phi, const std::string& free_var, RunStats* stats,
     WorkBudget* budget) {
-  RunStats local;
-  RunStats* s = stats != nullptr ? (*stats = RunStats{}, stats) : &local;
-  Timer timer;
-  StatusOr<std::vector<bool>> result = [&]() -> StatusOr<std::vector<bool>> {
+  return RunQuery(stats, [&](RunStats* s) -> StatusOr<std::vector<bool>> {
     const Structure* a = nullptr;
     bool direct = false;
     const datalog::Program* program = nullptr;
@@ -580,10 +548,7 @@ StatusOr<std::vector<bool>> Engine::EvaluateMsoUnary(
       selected[e] = derived.HasFact(phi_pred, {e});
     }
     return selected;
-  }();
-  s->total_millis = timer.ElapsedMillis();
-  Record(*s);
-  return result;
+  });
 }
 
 // --- Graph DPs ----------------------------------------------------------------
@@ -633,10 +598,7 @@ StatusOr<Engine::SolveAllResult> Engine::SolveAll(RunStats* stats,
 StatusOr<Engine::SolveAllResult> Engine::SolveProblems(
     std::initializer_list<Problem> problems, RunStats* stats,
     WorkBudget* budget) {
-  RunStats local;
-  RunStats* s = stats != nullptr ? (*stats = RunStats{}, stats) : &local;
-  Timer timer;
-  StatusOr<SolveAllResult> result = [&]() -> StatusOr<SolveAllResult> {
+  return RunQuery(stats, [&](RunStats* s) -> StatusOr<SolveAllResult> {
     const Graph* graph = nullptr;
     const NormalizedTreeDecomposition* ntd = nullptr;
     core::DpExec exec;
@@ -669,20 +631,14 @@ StatusOr<Engine::SolveAllResult> Engine::SolveProblems(
     core::FoldDpStats(dp, s);
     TREEDL_RETURN_IF_ERROR(status);
     return out;
-  }();
-  s->total_millis = timer.ElapsedMillis();
-  Record(*s);
-  return result;
+  });
 }
 
 // --- Anytime decomposition improvement ---------------------------------------
 
 StatusOr<Engine::ImproveResult> Engine::ImproveDecomposition(
     RunStats* stats, WorkBudget* budget) {
-  RunStats local;
-  RunStats* s = stats != nullptr ? (*stats = RunStats{}, stats) : &local;
-  Timer timer;
-  StatusOr<ImproveResult> result = [&]() -> StatusOr<ImproveResult> {
+  return RunQuery(stats, [&](RunStats* s) -> StatusOr<ImproveResult> {
     // The one mutating operation: the whole call runs under the cache lock
     // and relies on the external-quiescence contract documented in the
     // header — no concurrent query, no outstanding artifact pointers.
@@ -706,13 +662,7 @@ StatusOr<Engine::ImproveResult> Engine::ImproveDecomposition(
     s->improve_rounds += outcome.rounds;
     if (!outcome.improved) return out;
     if (options_.validate) {
-      engine::PipelineState state;
-      state.structure = structure;
-      state.td = outcome.td;
-      engine::PassPipeline pipeline;
-      pipeline.Emplace<engine::ValidateStructurePass>();
-      TREEDL_RETURN_IF_ERROR(
-          pipeline.Run(state, options_.collect_pass_timings ? s : nullptr));
+      TREEDL_RETURN_IF_ERROR(ValidateForStructure(*structure, outcome.td));
     }
     // Swap in the better decomposition and invalidate everything derived
     // from the old one; the next query lazily re-normalizes and re-shards.
@@ -731,10 +681,7 @@ StatusOr<Engine::ImproveResult> Engine::ImproveDecomposition(
     ++s->td_builds;
     ++GlobalEngineCounters().td_builds;
     return out;
-  }();
-  s->total_millis = timer.ElapsedMillis();
-  Record(*s);
-  return result;
+  });
 }
 
 // --- Persistent sessions ------------------------------------------------------
@@ -818,10 +765,7 @@ size_t Engine::ResidentArtifactBytes() const {
 }
 
 Status Engine::SaveSession(const std::string& path, RunStats* stats) {
-  RunStats local;
-  RunStats* s = stats != nullptr ? (*stats = RunStats{}, stats) : &local;
-  Timer timer;
-  Status result = [&]() -> Status {
+  return RunQuery(stats, [&](RunStats* s) -> Status {
     engine::SessionArtifactRefs artifacts;
     {
       // Snapshot pointers under the lock: every cache slot is set-once and
@@ -838,17 +782,11 @@ Status Engine::SaveSession(const std::string& path, RunStats* stats) {
     }
     s->artifact_saves += artifacts.Count();
     return engine::WriteSessionFile(path, SessionFingerprint(), artifacts);
-  }();
-  s->total_millis = timer.ElapsedMillis();
-  Record(*s);
-  return result;
+  });
 }
 
 Status Engine::LoadSession(const std::string& path, RunStats* stats) {
-  RunStats local;
-  RunStats* s = stats != nullptr ? (*stats = RunStats{}, stats) : &local;
-  Timer timer;
-  Status result = [&]() -> Status {
+  return RunQuery(stats, [&](RunStats* s) -> Status {
     TREEDL_ASSIGN_OR_RETURN(
         engine::SessionArtifacts artifacts,
         engine::ReadSessionFile(path, SessionFingerprint()));
@@ -898,13 +836,7 @@ Status Engine::LoadSession(const std::string& path, RunStats* stats) {
       }
     }
     if (artifacts.td.has_value() && !td_.has_value() && options_.validate) {
-      engine::PipelineState state;
-      state.structure = structure;
-      state.td = *artifacts.td;
-      engine::PassPipeline pipeline;
-      pipeline.Emplace<engine::ValidateStructurePass>();
-      TREEDL_RETURN_IF_ERROR(
-          pipeline.Run(state, options_.collect_pass_timings ? s : nullptr));
+      TREEDL_RETURN_IF_ERROR(ValidateForStructure(*structure, *artifacts.td));
     }
     // Phase 2 — commit; nothing below can fail.
     if (artifacts.encoding.has_value() && schema_ != nullptr &&
@@ -926,23 +858,15 @@ Status Engine::LoadSession(const std::string& path, RunStats* stats) {
       ++s->artifact_loads;
       // The sharding is thread-count dependent and cheap; recompute it
       // rather than persisting it (EnsurePlainNtd will now short-circuit and
-      // never run the shard-bags pass).
-      size_t threads = ResolvedNumThreads();
-      if (threads > 1 && !sharding_.has_value()) {
-        sharding_ = ComputeBagShardingByCost(
-            *plain_ntd_, threads * options_.shards_per_thread);
-      }
+      // never shard).
+      sharding_ = ShardingFor(*plain_ntd_);
     }
     if (artifacts.enum_ntd.has_value() && !enum_ntd_.has_value()) {
       enum_ntd_ = *std::move(artifacts.enum_ntd);
       ++s->artifact_loads;
       // Like the plain-NTD sharding above: thread-count dependent and cheap,
       // so recompute instead of persisting.
-      size_t threads = ResolvedNumThreads();
-      if (threads > 1 && !enum_sharding_.has_value()) {
-        enum_sharding_ = ComputeBagShardingByCost(
-            *enum_ntd_, threads * options_.shards_per_thread);
-      }
+      enum_sharding_ = ShardingFor(*enum_ntd_);
     }
     if (artifacts.tau_td.has_value() && !tau_td_.has_value()) {
       tau_td_ = *std::move(artifacts.tau_td);
@@ -954,35 +878,24 @@ Status Engine::LoadSession(const std::string& path, RunStats* stats) {
       ++s->artifact_loads;
     }
     return Status::OK();
-  }();
-  s->total_millis = timer.ElapsedMillis();
-  Record(*s);
-  return result;
+  });
 }
 
 // --- Session artifacts --------------------------------------------------------
 
 StatusOr<const Structure*> Engine::structure(RunStats* stats) {
-  RunStats local;
-  RunStats* s = stats != nullptr ? (*stats = RunStats{}, stats) : &local;
-  StatusOr<const Structure*> result = [&]() -> StatusOr<const Structure*> {
+  return RunQuery(stats, [&](RunStats* s) -> StatusOr<const Structure*> {
     std::lock_guard<std::mutex> lock(sync_->cache_mu);
     return EnsureStructure(s);
-  }();
-  Record(*s);
-  return result;
+  });
 }
 
 StatusOr<const TreeDecomposition*> Engine::Decomposition(RunStats* stats) {
-  RunStats local;
-  RunStats* s = stats != nullptr ? (*stats = RunStats{}, stats) : &local;
-  StatusOr<const TreeDecomposition*> result =
-      [&]() -> StatusOr<const TreeDecomposition*> {
-    std::lock_guard<std::mutex> lock(sync_->cache_mu);
-    return EnsureTd(s);
-  }();
-  Record(*s);
-  return result;
+  return RunQuery(stats,
+                  [&](RunStats* s) -> StatusOr<const TreeDecomposition*> {
+                    std::lock_guard<std::mutex> lock(sync_->cache_mu);
+                    return EnsureTd(s);
+                  });
 }
 
 StatusOr<int> Engine::Width(RunStats* stats) {

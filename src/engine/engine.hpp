@@ -34,7 +34,7 @@
 // lifetime; moving an Engine while another thread uses it is undefined.
 //
 // Every query reports a RunStats (build/cache counters, DP and fixpoint
-// work, shard counts/timings, optional per-pass timings); CumulativeStats()
+// work, shard counts/timings, wall-clock total); CumulativeStats()
 // aggregates the session. The Engine is the entry point for every query:
 // there are no one-shot free functions that re-encode and re-decompose per
 // call — the quadratic pattern §5.3 argues against.
@@ -174,7 +174,10 @@ class Engine {
   /// escapes and the session's cached artifacts are untouched, so the next
   /// query answers normally. A normal form with a bag of more than 63
   /// elements fails with ResourceExhausted before the walk starts (the
-  /// subset DPs enumerate 2^|bag| states in a 64-bit mask).
+  /// subset DPs enumerate 2^|bag| states in a 64-bit mask). kThreeColorCount
+  /// counts in saturating 64-bit arithmetic and fails with OutOfRange when
+  /// the count reaches 2^64 - 1 (E_EVAL over the wire); a non-3-colorable
+  /// graph answers 0 even if partial counts inside the walk saturated.
   StatusOr<SolveResult> Solve(Problem problem, RunStats* stats = nullptr,
                               WorkBudget* budget = nullptr);
 
@@ -182,8 +185,9 @@ class Engine {
   /// normal form (bag-sharded when num_threads > 1), in Problem order. Each
   /// table is dropped before the next walk, so dp_peak_table_bytes is the
   /// largest single problem's peak; RunStats reports dp_traversals == 5 and
-  /// dp_states equal to the five Solves' sum. A tripped `budget` stops at
-  /// the first aborted walk and returns its status, exactly as Solve does.
+  /// dp_states equal to the five Solves' sum. A tripped `budget` or an
+  /// OutOfRange 3-coloring count stops at that walk and returns its status,
+  /// exactly as Solve does.
   StatusOr<SolveAllResult> SolveAll(RunStats* stats = nullptr,
                                     WorkBudget* budget = nullptr);
 
@@ -322,6 +326,22 @@ class Engine {
   /// width >= 1).
   StatusOr<bool> UseDirectMso(RunStats* stats);
   void Record(const RunStats& stats);
+  /// The frame of every public query: resets `*stats` (or uses a local
+  /// record when null), runs `body(s)` on it, stores the wall-clock
+  /// total_millis and folds the record into the cumulative stats.
+  template <typename Body>
+  auto RunQuery(RunStats* stats, Body&& body);
+  /// The bag sharding of `ntd` for a parallel session (threads x
+  /// kShardsPerThread shards); nullopt when the session is sequential.
+  std::optional<BagSharding> ShardingFor(
+      const NormalizedTreeDecomposition& ntd) const;
+  /// Normalizes `td` under `options` into the cache slot `*ntd`, shards it
+  /// into `*sharding` (ShardingFor), and counts one normalize build.
+  Status BuildNormalForm(const TreeDecomposition& td,
+                         const NormalizeOptions& options,
+                         std::optional<NormalizedTreeDecomposition>* ntd,
+                         std::optional<BagSharding>* sharding,
+                         RunStats* stats);
   /// The one graph-DP path behind Solve and SolveAll: takes the cache lock
   /// once, then runs one core::RunDp walk per problem, in order, stopping at
   /// the first error (a budget abort's typed status).

@@ -56,13 +56,11 @@ struct EngineOptions {
   uint64_t mso_direct_work_budget = 0;
   /// Extract a witness (e.g. an actual coloring) from Solve when available.
   bool extract_witness = true;
-  /// Record per-pass wall-clock timings into RunStats::passes.
-  bool collect_pass_timings = false;
   /// Worker threads for the session's shared work-stealing pool: the
   /// bag-sharded tree DP behind Solve/SolveAll, the two sharded passes of
   /// the AllPrimes enumeration, and the rule-level parallel semi-naive
   /// datalog fixpoint. 0 = hardware concurrency (the default); 1 = the
-  /// sequential behavior (no thread pool, no sharding pass). Answers are
+  /// sequential behavior (no thread pool, no bag sharding). Answers are
   /// bit-identical at every setting.
   size_t num_threads = 0;
   /// Non-owning work-stealing pool shared with other sessions. When set, the
@@ -71,9 +69,6 @@ struct EngineOptions {
   /// this is how the serving layer keeps N concurrent sessions on one pool.
   /// The pool must outlive the Engine.
   ThreadPool* shared_pool = nullptr;
-  /// Shard tasks per worker thread the ShardBags pass aims for (more shards
-  /// = better load balance, more scheduling overhead).
-  size_t shards_per_thread = 4;
   /// Soft ceiling, in bytes, on live DP state-table memory for Solve /
   /// SolveAll. 0 (default) keeps every bag's table alive until the query
   /// ends — today's behavior. Any positive value enables dead-table

@@ -3,7 +3,7 @@
 // Supersedes the scattered per-subsystem out-params (core::DpStats,
 // datalog::EvalStats, datalog::GroundingStats): one struct carries build/cache
 // counters of the session cache, DP table sizes, datalog fixpoint work, and
-// optional per-pass timings. core::DpStats remains as the tree-DP walk's own
+// the query's wall-clock total. core::DpStats remains as the tree-DP walk's own
 // record; core::FoldDpStats (core/tree_dp.hpp) folds it into a RunStats.
 //
 // Header-only on purpose: core/ and datalog/ include this file to fill in
@@ -17,12 +17,6 @@
 #include <vector>
 
 namespace treedl {
-
-/// Wall-clock time of one named pipeline pass (see engine/pipeline.hpp).
-struct PassTiming {
-  std::string pass;
-  double millis = 0;
-};
 
 struct RunStats {
   // --- Session-cache activity ---------------------------------------------
@@ -110,11 +104,7 @@ struct RunStats {
   size_t ground_atoms = 0;
   size_t guard_instantiations = 0;
 
-  // --- Pipeline ------------------------------------------------------------
-  /// Per-pass wall-clock timings, in execution order (only filled when
-  /// EngineOptions::collect_pass_timings is set, or a pipeline is run with a
-  /// non-null stats pointer).
-  std::vector<PassTiming> passes;
+  // --- Timing --------------------------------------------------------------
   /// Total wall-clock time of the query, milliseconds.
   double total_millis = 0;
 
@@ -157,7 +147,6 @@ struct RunStats {
     ground_clauses += other.ground_clauses;
     ground_atoms += other.ground_atoms;
     guard_instantiations += other.guard_instantiations;
-    passes.insert(passes.end(), other.passes.begin(), other.passes.end());
     total_millis += other.total_millis;
   }
 

@@ -61,14 +61,6 @@ std::string RunStats::ToString() const {
     out << " ground{clauses=" << ground_clauses << " atoms=" << ground_atoms
         << " guards=" << guard_instantiations << "}";
   }
-  if (!passes.empty()) {
-    out << " passes{";
-    for (size_t i = 0; i < passes.size(); ++i) {
-      if (i > 0) out << " ";
-      out << passes[i].pass << "=" << passes[i].millis << "ms";
-    }
-    out << "}";
-  }
   out << " total=" << total_millis << "ms";
   return out.str();
 }

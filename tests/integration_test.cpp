@@ -1,8 +1,6 @@
 // End-to-end flows across module boundaries, mirroring the example binaries.
 #include <gtest/gtest.h>
 
-#include "core/primality.hpp"
-#include "core/primality_enum.hpp"
 #include "datalog/eval.hpp"
 #include "datalog/grounder.hpp"
 #include "datalog/parser.hpp"
@@ -65,7 +63,10 @@ TEST(IntegrationTest, GraphPipelineAgreesAcrossSolvers) {
 TEST(IntegrationTest, MsoPrimalityFormulaAgreesWithDpOnBalancedInstance) {
   BalancedInstance inst = GenerateBalancedInstance(2);  // small: MSO feasible
   mso::FormulaPtr phi = mso::PrimalityFormula("x");
-  auto dp = core::EnumeratePrimes(inst.schema, inst.encoding, inst.td);
+  EngineOptions options;
+  options.decomposition = inst.td;
+  options.num_threads = 1;
+  auto dp = Engine(inst.schema, options).AllPrimes();
   ASSERT_TRUE(dp.ok());
   for (AttributeId a = 0; a < inst.schema.NumAttributes(); ++a) {
     auto direct = mso::EvaluateUnary(inst.encoding.structure, *phi, "x",
@@ -131,12 +132,17 @@ TEST(IntegrationTest, ExtensionsConsistentWithColorability) {
 TEST(IntegrationTest, BalancedInstanceScalesThroughFullPipeline) {
   // A mid-size instance through closure, re-rooting, normalization, both
   // passes — and the decision/enumeration answers agree attribute by
-  // attribute.
+  // attribute. Two sessions: once AllPrimes has run, IsPrime answers from
+  // its memo, so the decisions run on a session that never enumerated.
   BalancedInstance inst = GenerateBalancedInstance(9);
-  auto enumerated = core::EnumeratePrimes(inst.schema, inst.encoding, inst.td);
+  EngineOptions options;
+  options.decomposition = inst.td;
+  options.num_threads = 1;
+  auto enumerated = Engine(inst.schema, options).AllPrimes();
   ASSERT_TRUE(enumerated.ok());
+  Engine decide(inst.schema, options);
   for (AttributeId a = 0; a < inst.schema.NumAttributes(); ++a) {
-    auto decided = core::IsPrimeViaTd(inst.schema, inst.encoding, inst.td, a);
+    auto decided = decide.IsPrime(a);
     ASSERT_TRUE(decided.ok()) << decided.status();
     EXPECT_EQ(*decided, (*enumerated)[static_cast<size_t>(a)])
         << inst.schema.AttributeName(a);

@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "core/primality.hpp"
-#include "core/primality_enum.hpp"
 #include "core/primality_internal.hpp"
 #include "engine/engine.hpp"
 #include "schema/generators.hpp"
@@ -13,6 +11,14 @@ namespace treedl::core {
 namespace {
 
 using treedl::Engine;
+
+/// A sequential session over the caller's decomposition of the encoding.
+EngineOptions SessionOver(const TreeDecomposition& td) {
+  EngineOptions options;
+  options.decomposition = td;
+  options.num_threads = 1;
+  return options;
+}
 
 TEST(PrimalityTest, PaperExampleDecision) {
   Schema schema = Schema::PaperExampleSchema();
@@ -77,13 +83,11 @@ TEST(PrimalityTest, BalancedInstanceGroundTruth) {
   for (int g : {1, 2, 3, 4}) {
     BalancedInstance inst = GenerateBalancedInstance(g);
     // x1 is prime, z1 is not — and the whole profile matches brute force.
-    EXPECT_TRUE(IsPrimeViaTd(inst.schema, inst.encoding, inst.td,
-                             inst.query_attribute)
-                    .value());
-    EXPECT_FALSE(IsPrimeViaTd(inst.schema, inst.encoding, inst.td,
-                              inst.nonprime_attribute)
-                     .value());
-    auto primes = EnumeratePrimes(inst.schema, inst.encoding, inst.td);
+    // The decisions run before AllPrimes, so they are not memo reads.
+    Engine engine(inst.schema, SessionOver(inst.td));
+    EXPECT_TRUE(engine.IsPrime(inst.query_attribute).value());
+    EXPECT_FALSE(engine.IsPrime(inst.nonprime_attribute).value());
+    auto primes = engine.AllPrimes();
     ASSERT_TRUE(primes.ok()) << primes.status();
     EXPECT_EQ(*primes, AllPrimesBruteForce(inst.schema)) << "g=" << g;
   }
@@ -93,7 +97,7 @@ TEST(PrimalityTest, LargeBalancedInstanceRuns) {
   // Far beyond brute-force reach: just verify the structural ground truth
   // (x*/y* prime, z* not) on the Table 1-sized instance.
   BalancedInstance inst = GenerateBalancedInstance(31);  // 93 attributes
-  auto primes = EnumeratePrimes(inst.schema, inst.encoding, inst.td);
+  auto primes = Engine(inst.schema, SessionOver(inst.td)).AllPrimes();
   ASSERT_TRUE(primes.ok()) << primes.status();
   for (AttributeId a = 0; a < inst.schema.NumAttributes(); ++a) {
     char kind = inst.schema.AttributeName(a)[0];
@@ -342,8 +346,9 @@ TEST_P(PrimalityPropertyTest, DecisionMatchesBruteForce) {
   SchemaEncoding encoding = EncodeSchema(schema);
   auto td = DecomposeStructure(encoding.structure);
   ASSERT_TRUE(td.ok());
+  Engine engine(schema, SessionOver(*td));
   for (AttributeId a = 0; a < schema.NumAttributes(); ++a) {
-    auto result = IsPrimeViaTd(schema, encoding, *td, a);
+    auto result = engine.IsPrime(a);
     ASSERT_TRUE(result.ok()) << result.status();
     EXPECT_EQ(*result, IsPrimeBruteForce(schema, a))
         << "seed " << GetParam() << " attr " << schema.AttributeName(a)
@@ -357,14 +362,21 @@ TEST_P(PrimalityPropertyTest, EnumerationMatchesBruteForceAndQuadratic) {
   SchemaEncoding encoding = EncodeSchema(schema);
   auto td = DecomposeStructure(encoding.structure);
   ASSERT_TRUE(td.ok());
-  auto linear = EnumeratePrimes(schema, encoding, *td);
+  auto linear = Engine(schema, SessionOver(*td)).AllPrimes();
   ASSERT_TRUE(linear.ok()) << linear.status();
-  auto quadratic = EnumeratePrimesQuadratic(schema, encoding, *td);
-  ASSERT_TRUE(quadratic.ok()) << quadratic.status();
+  // The quadratic baseline: one re-rooted decision per attribute, on a
+  // second session that never ran AllPrimes (so no answer is a memo read).
+  Engine decide(schema, SessionOver(*td));
+  std::vector<bool> quadratic(static_cast<size_t>(schema.NumAttributes()));
+  for (AttributeId a = 0; a < schema.NumAttributes(); ++a) {
+    auto prime = decide.IsPrime(a);
+    ASSERT_TRUE(prime.ok()) << prime.status();
+    quadratic[static_cast<size_t>(a)] = *prime;
+  }
   auto brute = AllPrimesBruteForce(schema);
   EXPECT_EQ(*linear, brute) << "seed " << GetParam() << " schema "
                             << schema.ToString();
-  EXPECT_EQ(*quadratic, brute);
+  EXPECT_EQ(quadratic, brute);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PrimalityPropertyTest, ::testing::Range(0, 25));
@@ -375,12 +387,21 @@ TEST(PrimalityTest, RejectsBadInputs) {
   // Out-of-range attribute.
   auto td = DecomposeStructure(encoding.structure);
   ASSERT_TRUE(td.ok());
-  EXPECT_FALSE(IsPrimeViaTd(schema, encoding, *td, 99).ok());
-  // Invalid decomposition.
+  Engine engine(schema, SessionOver(*td));
+  for (AttributeId a : {AttributeId{99}, AttributeId{-1}}) {
+    auto out_of_range = engine.IsPrime(a);
+    ASSERT_FALSE(out_of_range.ok());
+    EXPECT_EQ(out_of_range.status().code(), StatusCode::kInvalidArgument);
+  }
+  // Invalid decomposition: it covers element 0 only.
   TreeDecomposition bad;
   bad.AddNode({0});
-  EXPECT_FALSE(IsPrimeViaTd(schema, encoding, bad, 0).ok());
-  EXPECT_FALSE(EnumeratePrimes(schema, encoding, bad).ok());
+  auto decided = Engine(schema, SessionOver(bad)).IsPrime(0);
+  ASSERT_FALSE(decided.ok());
+  EXPECT_EQ(decided.status().code(), StatusCode::kInvalidArgument);
+  auto enumerated = Engine(schema, SessionOver(bad)).AllPrimes();
+  ASSERT_FALSE(enumerated.ok());
+  EXPECT_EQ(enumerated.status().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -108,6 +108,8 @@ TEST(ThreeColorTest, CountOnKnownGraphs) {
   EXPECT_EQ(CountThreeColorings(CycleGraph(4)).value(), 18u);
   // Edgeless on n vertices: 3^n.
   EXPECT_EQ(CountThreeColorings(Graph(5)).value(), 243u);
+  // P_n: 3 * 2^(n-1); P63 is the longest path whose count fits in 64 bits.
+  EXPECT_EQ(CountThreeColorings(PathGraph(63)).value(), uint64_t{3} << 62);
 }
 
 TEST(ThreeColorTest, RejectsInvalidDecomposition) {
@@ -142,6 +144,47 @@ TEST(ThreeColorTest, DisconnectedGraphs) {
   EXPECT_TRUE(result->feasible);
   ExpectProper(g, *result->witness);
   EXPECT_EQ(CountThreeColorings(g).value(), 6u * 6u * 3u);
+}
+
+// --- Counting past 64 bits ----------------------------------------------------
+
+TEST(ThreeColorTest, CountPastSixtyFourBitsIsOutOfRange) {
+  // P64 (3 * 2^63) and P65 do not fit; wrapped, they would read 2^63 and
+  // 0, which also claims "not 3-colorable".
+  for (size_t n : {64, 65}) {
+    auto count =
+        Engine::FromGraph(PathGraph(n)).Solve(Problem::kThreeColorCount);
+    ASSERT_FALSE(count.ok()) << "P" << n;
+    EXPECT_EQ(count.status().code(), StatusCode::kOutOfRange) << count.status();
+    // SolveAll stops at the failing walk, as it does for a tripped budget.
+    auto all = Engine::FromGraph(PathGraph(n)).SolveAll();
+    ASSERT_FALSE(all.ok()) << "P" << n;
+    EXPECT_EQ(all.status().code(), StatusCode::kOutOfRange) << all.status();
+  }
+}
+
+TEST(ThreeColorTest, InteriorSaturationUnderAnEmptyRootAnswersZero) {
+  // A 70-vertex path with a K4 hung on its last vertex: not 3-colorable.
+  // The path decomposition is rooted at the K4 bag, so the walk counts the
+  // 3 * 2^k colorings of ever longer path prefixes — past 2^64 — before the
+  // K4 bag empties the root table. Saturation there is no error.
+  constexpr VertexId kPath = 70;
+  Graph g(kPath + 3);
+  for (VertexId v = 0; v + 1 < kPath; ++v) g.AddEdge(v, v + 1);
+  const std::vector<VertexId> k4 = {kPath - 1, kPath, kPath + 1, kPath + 2};
+  for (size_t i = 0; i < k4.size(); ++i) {
+    for (size_t j = i + 1; j < k4.size(); ++j) g.AddEdge(k4[i], k4[j]);
+  }
+  TreeDecomposition td;
+  TdNodeId parent = td.AddNode({k4.begin(), k4.end()});
+  for (VertexId v = kPath - 1; v-- > 0;) parent = td.AddNode({v, v + 1}, parent);
+  EngineOptions options;
+  options.decomposition = td;
+  auto count =
+      Engine::FromGraph(g, options).Solve(Problem::kThreeColorCount);
+  ASSERT_TRUE(count.ok()) << count.status();
+  EXPECT_EQ(count->count, 0u);
+  EXPECT_FALSE(count->feasible);
 }
 
 }  // namespace
