@@ -139,21 +139,13 @@ class FlatTable {
       }
     }
     new (&records_[size_]) Record{hash, {std::move(state), std::move(value)}};
-    // States that support it (ByteVec members) move any heap-spilled bytes
-    // into the table arena, so a stored state never keeps a private heap
-    // block: its storage is freed by Release() with everything else and is
-    // counted by MemoryBytes().
-    if constexpr (requires(State& s, Arena* a) { s.RelocateTo(a); }) {
-      records_[size_].entry.first.RelocateTo(&arena_);
-    }
     slots_[probe] = static_cast<uint32_t>(++size_);
   }
 
   /// The arena footprint in bytes — what this table charges against
-  /// DpStats::peak_table_bytes / EngineOptions::table_memory_budget.
-  /// Arena-relocatable states (see Emplace) keep their spilled bytes in this
-  /// same arena, so their storage is included; only states that hold plain
-  /// heap-owning members (e.g. std::vector) escape the count.
+  /// DpStats::peak_table_bytes / EngineOptions::table_memory_budget. The DP
+  /// states are flat words, so this is all of a table's storage; only a
+  /// state with heap-owning members (e.g. std::vector) would escape it.
   size_t MemoryBytes() const { return arena_.TotalBytes(); }
 
   /// Eviction: destroys every entry and frees the arena, returning the table

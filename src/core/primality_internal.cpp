@@ -347,35 +347,10 @@ void JoinStates(const PrimalityContext& context,
                 const PrimTable& right, PrimTable* out) {
   if (left.empty() || right.empty()) return;
   BagLayout layout = context.Layout(bag);
-  // Index the right table by join key: each key maps to a chain of right
-  // states in insertion order (first/last entry; next[] links the rest).
-  struct Chain {
-    uint32_t first;
-    uint32_t last;
-  };
-  std::vector<const PrimState*> states;
-  states.reserve(right.size());
-  std::vector<uint32_t> next(right.size());
-  FlatTable<PrimJoinKey, Chain> chains;
-  for (const auto& [s, value] : right) {
-    (void)value;
-    uint32_t i = static_cast<uint32_t>(states.size());
-    states.push_back(&s);
-    chains.Emplace(PrimJoinKey(s), Chain{i, i},
-                   [&](const Chain& chain, const Chain& added) {
-                     next[chain.last] = added.first;
-                     return Chain{chain.first, added.last};
-                   });
-  }
-  for (const auto& [s, value] : left) {
-    (void)value;
-    const Chain* chain = chains.Find(PrimJoinKey(s));
-    if (chain == nullptr) continue;
-    for (uint32_t i = chain->first;; i = next[i]) {
-      Join(layout, s, *states[i], out);
-      if (i == chain->last) break;
-    }
-  }
+  ForEachJoinPair(
+      left, right, [](const PrimState& s) { return PrimJoinKey(s); },
+      [&](const PrimState& a, std::monostate, const PrimState& b,
+          std::monostate) { Join(layout, a, b, out); });
 }
 
 void CopyStates(const PrimTable& in, PrimTable* out) {

@@ -57,28 +57,6 @@ inline constexpr int kMaxPrimBagSize = 63;
 inline constexpr int kCoCapacity = 23;
 inline constexpr int kMaxLeafAttributes = 10;
 
-/// Inserts a zero bit at position p: bits >= p move up by one.
-inline uint64_t OpenBit(uint64_t mask, int p) {
-  uint64_t low = (uint64_t{1} << p) - 1;
-  return (mask & low) | ((mask & ~low) << 1);
-}
-
-/// Removes bit p: bits > p move down by one.
-inline uint64_t DropBit(uint64_t mask, int p) {
-  uint64_t low = (uint64_t{1} << p) - 1;
-  return (mask & low) | ((mask >> 1) & ~low);
-}
-
-/// Word hash of the packed records (multiply-xorshift per word).
-inline size_t HashWords(const uint64_t* words, size_t n) {
-  uint64_t h = 0x9e3779b97f4a7c15ULL;
-  for (size_t i = 0; i < n; ++i) {
-    h = (h ^ words[i]) * 0xbf58476d1ce4e5b9ULL;
-    h ^= h >> 31;
-  }
-  return h;
-}
-
 struct PrimState {
   uint64_t y = 0;
   uint64_t fy = 0;

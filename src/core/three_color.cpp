@@ -1,139 +1,13 @@
 #include "core/three_color.hpp"
 
-#include <limits>
-
-#include "common/byte_vec.hpp"
+#include "core/graph_dp_internal.hpp"
 
 namespace treedl::core {
 
 namespace {
 
-// Bag coloring aligned with the node's sorted bag. ByteVec keeps the bytes
-// inline for ordinary widths and relocates any spill into the state table's
-// arena — no per-state heap allocation survives an insert.
-struct ColorState {
-  ByteVec colors;
-
-  bool operator==(const ColorState&) const = default;
-  size_t hash() const { return colors.hash(); }
-};
-
-// Saturation point of the counting semiring. Every value is >= 1 (leaves
-// seed 1), so a saturated value stays saturated through any later add or
-// multiply, and an unsaturated value is exact.
-constexpr uint64_t kSaturated = std::numeric_limits<uint64_t>::max();
-
-uint64_t SaturatingAdd(uint64_t a, uint64_t b) {
-  uint64_t sum;
-  return __builtin_add_overflow(a, b, &sum) ? kSaturated : sum;
-}
-
-uint64_t SaturatingMul(uint64_t a, uint64_t b) {
-  uint64_t product;
-  return __builtin_mul_overflow(a, b, &product) ? kSaturated : product;
-}
-
-// Shared transition logic, parameterized over the value semiring:
-//   decision: Value = monostate, Merge = first;
-//   counting: Value = uint64_t, Leaf seeds 1, Merge adds, Join multiplies
-//   (both saturating at kSaturated).
-template <bool kCounting>
-class ColorProblem {
- public:
-  using State = ColorState;
-  using Value = std::conditional_t<kCounting, uint64_t, std::monostate>;
-  using Emit = std::function<void(State, Value)>;
-
-  explicit ColorProblem(const Graph& graph) : graph_(graph) {}
-
-  void Leaf(const std::vector<ElementId>& bag, const Emit& emit) const {
-    State state;
-    state.colors.assign(bag.size(), 0);
-    while (true) {
-      if (ProperOnBag(bag, state)) emit(state, One());
-      size_t pos = 0;
-      while (pos < bag.size() && ++state.colors[pos] == 3) {
-        state.colors[pos] = 0;
-        ++pos;
-      }
-      if (pos == bag.size()) break;
-    }
-  }
-
-  void Introduce(const std::vector<ElementId>& bag, ElementId v,
-                 const State& child, const Value& value,
-                 const Emit& emit) const {
-    size_t pos = PositionInBag(bag, v);
-    for (uint8_t c = 0; c < 3; ++c) {
-      // allowed(s, ·): the new vertex must not clash with its bag neighbors.
-      bool ok = true;
-      for (size_t i = 0; i < bag.size() && ok; ++i) {
-        if (bag[i] == v) continue;
-        uint8_t other = child.colors[i < pos ? i : i - 1];
-        if (other == c && graph_.HasEdge(v, bag[i])) ok = false;
-      }
-      if (!ok) continue;
-      State state = child;
-      state.colors.insert(state.colors.begin() + static_cast<long>(pos), c);
-      emit(std::move(state), value);
-    }
-  }
-
-  void Forget(const std::vector<ElementId>& bag, ElementId v,
-              const State& child, const Value& value, const Emit& emit) const {
-    // The child bag is this bag plus v.
-    size_t pos = PositionInBag(bag, v);
-    State state = child;
-    state.colors.erase(state.colors.begin() + static_cast<long>(pos));
-    emit(std::move(state), value);
-  }
-
-  const State& KeyOf(const State& state) const { return state; }
-
-  void Join(const std::vector<ElementId>& /*bag*/, const State& a,
-            const Value& va, const State& b, const Value& vb,
-            const Emit& emit) const {
-    TREEDL_DCHECK(a == b);
-    (void)b;
-    if constexpr (kCounting) {
-      emit(a, SaturatingMul(va, vb));
-    } else {
-      (void)vb;
-      emit(a, va);
-    }
-  }
-
-  Value Merge(const Value& a, const Value& b) const {
-    if constexpr (kCounting) {
-      return SaturatingAdd(a, b);
-    } else {
-      (void)b;
-      return a;
-    }
-  }
-
- private:
-  static Value One() {
-    if constexpr (kCounting) {
-      return 1;
-    } else {
-      return {};
-    }
-  }
-
-  bool ProperOnBag(const std::vector<ElementId>& bag, const State& s) const {
-    for (size_t i = 0; i < bag.size(); ++i) {
-      for (size_t j = i + 1; j < bag.size(); ++j) {
-        if (s.colors[i] == s.colors[j] && graph_.HasEdge(bag[i], bag[j])) {
-          return false;
-        }
-      }
-    }
-    return true;
-  }
-
-  const Graph& graph_;
-};
+using internal::ColorProblem;
+using internal::ColorState;
 
 // Reconstructs one proper coloring by walking the table top-down from an
 // accepting root state, re-deriving a consistent predecessor at each node.
@@ -153,7 +27,7 @@ std::vector<int> ExtractColoring(const Graph& graph,
     const NormNode& node = ntd.node(id);
     const ColorState& state = chosen[static_cast<size_t>(id)];
     for (size_t i = 0; i < node.bag.size(); ++i) {
-      colors[node.bag[i]] = state.colors[i];
+      colors[node.bag[i]] = state.Colour(static_cast<int>(i));
     }
     auto set_child = [&](TdNodeId child, ColorState s) {
       chosen[static_cast<size_t>(child)] = std::move(s);
@@ -167,25 +41,20 @@ std::vector<int> ExtractColoring(const Graph& graph,
         for (TdNodeId c : node.children) set_child(c, state);
         break;
       case NormNodeKind::kIntroduce: {
-        size_t pos = PositionInBag(node.bag, node.element);
-        ColorState child_state = state;
-        child_state.colors.erase(child_state.colors.begin() +
-                                 static_cast<long>(pos));
-        TREEDL_CHECK(
-            table.at(node.children[0]).count(child_state) > 0)
+        int pos = static_cast<int>(PositionInBag(node.bag, node.element));
+        ColorState child_state = state.Drop(pos);
+        TREEDL_CHECK(table.at(node.children[0]).count(child_state) > 0)
             << "introduce predecessor missing";
-        set_child(node.children[0], std::move(child_state));
+        set_child(node.children[0], child_state);
         break;
       }
       case NormNodeKind::kForget: {
-        size_t pos = PositionInBag(node.bag, node.element);
+        int pos = static_cast<int>(PositionInBag(node.bag, node.element));
         bool found = false;
-        for (uint8_t c = 0; c < 3 && !found; ++c) {
-          ColorState child_state = state;
-          child_state.colors.insert(
-              child_state.colors.begin() + static_cast<long>(pos), c);
+        for (int c = 0; c < 3 && !found; ++c) {
+          ColorState child_state = state.Open(pos, c);
           if (table.at(node.children[0]).count(child_state)) {
-            set_child(node.children[0], std::move(child_state));
+            set_child(node.children[0], child_state);
             found = true;
           }
         }
@@ -233,9 +102,9 @@ StatusOr<uint64_t> CountThreeColorings(const Graph& graph,
   // before the root (then the answer is exact, possibly 0).
   uint64_t total = 0;
   for (const auto& [state, count] : table.at(ntd.root())) {
-    total = SaturatingAdd(total, count);
+    total = internal::SaturatingAdd(total, count);
   }
-  if (total == kSaturated) {
+  if (total == internal::kSaturated) {
     return Status::OutOfRange("3-coloring count does not fit in 64 bits");
   }
   return total;

@@ -8,17 +8,36 @@
 //   struct Problem {
 //     using State = ...;   // provides hash() and operator==
 //     using Value = ...;   // e.g. std::monostate (decision), uint64_t (count)
-//     void Leaf(bag, emit);
-//     void Introduce(bag, element, state, value, emit);
-//     void Forget(bag, element, state, value, emit);
+//     BagContext Context(const NormNode& node);
+//     template <typename Emit> void Leaf(ctx, Emit&& emit);
+//     template <typename Emit> void Introduce(ctx, state, value, Emit&& emit);
+//     template <typename Emit> void Forget(ctx, state, value, Emit&& emit);
 //     JoinKey KeyOf(state);                     // JoinKey provides hash()/==
-//     void Join(bag, s1, v1, s2, v2, emit);     // called per key-equal pair
+//     template <typename Emit>
+//     void Join(ctx, s1, v1, s2, v2, Emit&& emit);  // per key-equal pair
 //     Value Merge(v1, v2);                      // same state reached twice
 //   };
 //
-// `emit(state, value)` may be called any number of times per transition.
-// Merge must be commutative and associative — the walks rely on this for
-// order-independence of the final tables.
+// Context is called once per node step, before any transition of that node;
+// every hook of the step then reads the same BagContext `ctx`: the bag size,
+// the position of the introduced/forgotten element, and (for problems over a
+// graph, MakeBagContext) each bag position's bag-neighbour mask. States name
+// bag *positions*, never element ids, so a state is a few words and a
+// transition is a handful of word operations. Nothing of the context
+// outlives the step.
+//
+// `emit(state, value)` may be called any number of times per transition; it
+// is the node's table insert itself (Emit is the walk's lambda, so the
+// transition inlines into the node loop). Merge must be commutative and
+// associative — the walks rely on this for order-independence of the final
+// tables.
+//
+// Branch nodes pair each left-child entry with the right-child entries of
+// equal join key, left-major, the right entries in insertion order
+// (internal::ForEachJoinPair). When KeyOf's type is State itself, KeyOf must
+// be the identity: the pair is then found by one probe of the right child's
+// table. Any other key indexes the right table by key into insertion-ordered
+// chains.
 //
 // State tables are flat, arena-backed open-addressing tables (StateTable =
 // FlatTable, common/flat_table.hpp): states live contiguously per bag in the
@@ -53,8 +72,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <functional>
-#include <unordered_map>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -65,6 +85,7 @@
 #include "common/timer.hpp"
 #include "common/work_budget.hpp"
 #include "engine/run_stats.hpp"
+#include "graph/graph.hpp"
 #include "td/normalize.hpp"
 #include "td/shard.hpp"
 
@@ -78,10 +99,59 @@ inline size_t PositionInBag(const std::vector<ElementId>& bag, ElementId e) {
                              bag.begin());
 }
 
-template <typename T>
-struct MemberHash {
-  size_t operator()(const T& t) const { return t.hash(); }
+/// Widest bag the graph DPs accept: a bag position is one bit of a 64-bit
+/// word, and the subset problems enumerate 2^|bag| leaf states in one.
+inline constexpr int kMaxDpBagSize = 63;
+
+/// What every transition of one node step reads about the node's bag (see
+/// the header comment); built by Problem::Context once per step.
+struct BagContext {
+  int size = 0;
+  /// Position of node.element: in the bag for introduce, in the child's bag
+  /// for forget (the insertion point in this bag); -1 at other nodes.
+  int pos = -1;
+  /// adjacent[i] = mask of the bag positions adjacent to position i, over
+  /// the bag edges a transition may test (MakeBagContext with a graph): all
+  /// of them at a leaf, those at `pos` at an introduce node (the child's
+  /// states already satisfy the rest), none elsewhere.
+  uint64_t adjacent[kMaxDpBagSize] = {};
+
+  /// Mask of every bag position.
+  uint64_t All() const { return (uint64_t{1} << size) - 1; }
 };
+
+/// The BagContext of `node`; with a `graph`, also its adjacency masks
+/// (|bag|²/2 edge tests at a leaf, |bag| - 1 at an introduce node).
+/// Requires |bag| <= kMaxDpBagSize.
+inline BagContext MakeBagContext(const NormNode& node,
+                                 const Graph* graph = nullptr) {
+  TREEDL_CHECK(node.bag.size() <= static_cast<size_t>(kMaxDpBagSize))
+      << "bag of " << node.bag.size() << " elements exceeds the graph-DP limit";
+  BagContext ctx;
+  ctx.size = static_cast<int>(node.bag.size());
+  if (node.kind == NormNodeKind::kIntroduce ||
+      node.kind == NormNodeKind::kForget) {
+    ctx.pos = static_cast<int>(PositionInBag(node.bag, node.element));
+  }
+  if (graph == nullptr) return ctx;
+  auto link = [&](int i, int j) {
+    if (graph->HasEdge(node.bag[static_cast<size_t>(i)],
+                       node.bag[static_cast<size_t>(j)])) {
+      ctx.adjacent[i] |= uint64_t{1} << j;
+      ctx.adjacent[j] |= uint64_t{1} << i;
+    }
+  };
+  if (node.kind == NormNodeKind::kLeaf) {
+    for (int i = 0; i < ctx.size; ++i) {
+      for (int j = i + 1; j < ctx.size; ++j) link(i, j);
+    }
+  } else if (node.kind == NormNodeKind::kIntroduce) {
+    for (int j = 0; j < ctx.size; ++j) {
+      if (j != ctx.pos) link(ctx.pos, j);
+    }
+  }
+  return ctx;
+}
 
 /// One bag's state table: flat open addressing over an arena (see header
 /// comment). Iteration order is insertion order — deterministic and identical
@@ -142,6 +212,77 @@ struct DpExec {
 };
 
 namespace internal {
+
+/// Inserts a zero bit at position p: bits >= p move up by one (a bag gained
+/// the element at position p).
+inline uint64_t OpenBit(uint64_t mask, int p) {
+  uint64_t low = (uint64_t{1} << p) - 1;
+  return (mask & low) | ((mask & ~low) << 1);
+}
+
+/// Removes bit p: bits > p move down by one (a bag lost position p).
+inline uint64_t DropBit(uint64_t mask, int p) {
+  uint64_t low = (uint64_t{1} << p) - 1;
+  return (mask & low) | ((mask >> 1) & ~low);
+}
+
+/// Word hash of the packed records (multiply-xorshift per word).
+inline size_t HashWords(const uint64_t* words, size_t n) {
+  uint64_t h = 0x9e3779b97f4a7c15ULL;
+  for (size_t i = 0; i < n; ++i) {
+    h = (h ^ words[i]) * 0xbf58476d1ce4e5b9ULL;
+    h ^= h >> 31;
+  }
+  return h;
+}
+
+/// The branch-node pairing (header comment): calls pair(a, va, b, vb) for
+/// every entry (a, va) of `left` and (b, vb) of `right` with
+/// key_of(a) == key_of(b) — left-major, each left entry's partners in
+/// right-insertion order. A key of type State is the state itself, so each
+/// left state has at most one partner, found by probing `right`; any other
+/// key indexes `right` into one insertion-ordered chain per key.
+template <typename State, typename Value, typename KeyOf, typename Pair>
+void ForEachJoinPair(const FlatTable<State, Value>& left,
+                     const FlatTable<State, Value>& right, KeyOf&& key_of,
+                     Pair&& pair) {
+  if (left.empty() || right.empty()) return;
+  using Key = std::decay_t<std::invoke_result_t<KeyOf&, const State&>>;
+  if constexpr (std::is_same_v<Key, State>) {
+    for (const auto& [state, value] : left) {
+      const Value* match = right.Find(state);
+      if (match != nullptr) pair(state, value, state, *match);
+    }
+  } else {
+    // Chain per key: first/last entry; next[] links the rest in order.
+    struct Chain {
+      uint32_t first;
+      uint32_t last;
+    };
+    using Entry = typename FlatTable<State, Value>::Entry;
+    std::vector<const Entry*> entries;
+    entries.reserve(right.size());
+    std::vector<uint32_t> next(right.size());
+    FlatTable<Key, Chain> chains;
+    for (const Entry& entry : right) {
+      uint32_t i = static_cast<uint32_t>(entries.size());
+      entries.push_back(&entry);
+      chains.Emplace(key_of(entry.first), Chain{i, i},
+                     [&](const Chain& chain, const Chain& added) {
+                       next[chain.last] = added.first;
+                       return Chain{chain.first, added.last};
+                     });
+    }
+    for (const auto& [state, value] : left) {
+      const Chain* chain = chains.Find(key_of(state));
+      if (chain == nullptr) continue;
+      for (uint32_t i = chain->first;; i = next[i]) {
+        pair(state, value, entries[i]->first, entries[i]->second);
+        if (i == chain->last) break;
+      }
+    }
+  }
+}
 
 /// Cross-shard accounting of live state-table bytes. Relaxed atomics: the
 /// counters are statistics, not synchronization; table lifetime is ordered by
@@ -211,58 +352,40 @@ void DpProcessNode(const NormalizedTreeDecomposition& ntd, TdNodeId id,
   using Value = typename Problem::Value;
   const NormNode& node = ntd.node(id);
   auto& states = table->nodes[static_cast<size_t>(id)];
-  auto emit = [&](State state, Value value) {
-    states.Emplace(std::move(state), std::move(value),
+  auto child = [&](size_t i) -> const StateTable<State, Value>& {
+    return table->nodes[static_cast<size_t>(node.children[i])];
+  };
+  const BagContext ctx = problem.Context(node);
+  auto emit = [&](const State& state, Value value) {
+    states.Emplace(state, std::move(value),
                    [&](const Value& existing, const Value& incoming) {
                      return problem.Merge(existing, incoming);
                    });
   };
   switch (node.kind) {
     case NormNodeKind::kLeaf:
-      problem.Leaf(node.bag, emit);
+      problem.Leaf(ctx, emit);
       break;
-    case NormNodeKind::kIntroduce: {
-      const auto& child = table->nodes[static_cast<size_t>(node.children[0])];
-      for (const auto& [state, value] : child) {
-        problem.Introduce(node.bag, node.element, state, value, emit);
+    case NormNodeKind::kIntroduce:
+      for (const auto& [state, value] : child(0)) {
+        problem.Introduce(ctx, state, value, emit);
       }
       break;
-    }
-    case NormNodeKind::kForget: {
-      const auto& child = table->nodes[static_cast<size_t>(node.children[0])];
-      for (const auto& [state, value] : child) {
-        problem.Forget(node.bag, node.element, state, value, emit);
+    case NormNodeKind::kForget:
+      for (const auto& [state, value] : child(0)) {
+        problem.Forget(ctx, state, value, emit);
       }
       break;
-    }
-    case NormNodeKind::kCopy: {
-      const auto& child = table->nodes[static_cast<size_t>(node.children[0])];
-      for (const auto& [state, value] : child) emit(state, value);
+    case NormNodeKind::kCopy:
+      for (const auto& [state, value] : child(0)) emit(state, value);
       break;
-    }
-    case NormNodeKind::kBranch: {
-      const auto& left = table->nodes[static_cast<size_t>(node.children[0])];
-      const auto& right = table->nodes[static_cast<size_t>(node.children[1])];
-      // Bucket the right child's entries by join key, then pair. Entry
-      // pointers stay valid while the (completed) right table is alive.
-      using Entry = typename StateTable<State, Value>::Entry;
-      using JoinKey = std::decay_t<decltype(problem.KeyOf(
-          std::declval<const State&>()))>;
-      std::unordered_map<JoinKey, std::vector<const Entry*>,
-                         MemberHash<JoinKey>>
-          buckets;
-      for (const auto& entry : right) {
-        buckets[problem.KeyOf(entry.first)].push_back(&entry);
-      }
-      for (const auto& [state, value] : left) {
-        auto it = buckets.find(problem.KeyOf(state));
-        if (it == buckets.end()) continue;
-        for (const Entry* rhs : it->second) {
-          problem.Join(node.bag, state, value, rhs->first, rhs->second, emit);
-        }
-      }
+    case NormNodeKind::kBranch:
+      ForEachJoinPair(
+          child(0), child(1),
+          [&](const State& s) -> decltype(auto) { return problem.KeyOf(s); },
+          [&](const State& a, const Value& va, const State& b,
+              const Value& vb) { problem.Join(ctx, a, va, b, vb, emit); });
       break;
-    }
   }
 }
 

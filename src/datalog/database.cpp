@@ -27,7 +27,7 @@ FactStore::FactStore(const Signature& sig) {
   for (PredicateId p = 0; p < sig.size(); ++p) {
     Relation& rel = relations_[static_cast<size_t>(p)];
     rel.arity = sig.arity(p);
-    TREEDL_CHECK(rel.arity < 32) << "arity too large for pattern masks";
+    TREEDL_CHECK(rel.arity <= kMaxArity) << "arity too large for pattern masks";
     rel.full_mask = rel.arity == 0 ? 0 : (1u << rel.arity) - 1;
     rel.columns.resize(static_cast<size_t>(rel.arity));
     rel.dedup.mask = rel.full_mask;

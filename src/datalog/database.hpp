@@ -45,9 +45,14 @@ class FactStore {
  public:
   /// Row chain terminator / "no match" sentinel.
   static constexpr uint32_t kNoRow = std::numeric_limits<uint32_t>::max();
+  /// Widest relation: probe masks are uint32_t bit sets over the argument
+  /// positions, and the executor's probe keys hold at most 31 values.
+  static constexpr int kMaxArity = 31;
 
   FactStore() = default;
   /// One columnar relation per predicate of `sig`, with matching arities.
+  /// Requires every arity <= kMaxArity (internal::Prepare rejects wider
+  /// predicates with a typed error first).
   explicit FactStore(const Signature& sig);
 
   FactStore(FactStore&&) = default;

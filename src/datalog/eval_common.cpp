@@ -30,6 +30,17 @@ StatusOr<PreparedProgram> Prepare(const Program& program,
     }
   }
 
+  // The fact store's probe masks bound every relation's arity, EDB and
+  // program alike: reject a wider one here, before a store is built.
+  for (PredicateId p = 0; p < combined.size(); ++p) {
+    if (combined.arity(p) > FactStore::kMaxArity) {
+      return Status::InvalidArgument(
+          "predicate " + combined.predicate(p).name + " has arity " +
+          std::to_string(combined.arity(p)) + "; at most " +
+          std::to_string(FactStore::kMaxArity) + " is supported");
+    }
+  }
+
   PreparedProgram prep;
   prep.result = Structure(combined);
   prep.predicate_map = predicate_map;

@@ -89,10 +89,6 @@ Status SolveOne(Engine::Problem problem, const Graph& graph,
   return Status::Internal("unknown problem");
 }
 
-/// Widest bag the graph DPs accept: the subset problems enumerate 2^|bag|
-/// leaf states in a 64-bit mask (and 3COL's 3^|bag| could never finish).
-constexpr int kMaxDpBagSize = 63;
-
 /// Shard tasks per worker thread in a parallel session's bag sharding (more
 /// shards = better load balance, more scheduling overhead).
 constexpr size_t kShardsPerThread = 4;
@@ -611,11 +607,11 @@ StatusOr<Engine::SolveAllResult> Engine::SolveProblems(
       exec.table_memory_budget = options_.table_memory_budget;
       exec.budget = budget != nullptr ? budget : options_.work_budget;
     }
-    if (ntd->Width() + 1 > kMaxDpBagSize) {
+    if (ntd->Width() + 1 > core::kMaxDpBagSize) {
       return Status::ResourceExhausted(
           "decomposition bag of " + std::to_string(ntd->Width() + 1) +
           " elements exceeds the graph-DP limit of " +
-          std::to_string(kMaxDpBagSize));
+          std::to_string(core::kMaxDpBagSize));
     }
     // Walks outside the lock, so concurrent queries share the pool: one
     // core::RunDp per problem (sharded when exec.Parallel()), each table

@@ -7,6 +7,7 @@
 #include <string>
 
 #include "datalog/eval.hpp"
+#include "datalog/grounder.hpp"
 #include "datalog/parser.hpp"
 #include "engine/engine.hpp"
 #include "graph/gaifman.hpp"
@@ -76,6 +77,55 @@ TEST(DatalogRobustnessTest, EmptyEdbAndNoRules) {
   auto result2 = datalog::SemiNaiveEvaluate(*no_rules, empty_edb);
   ASSERT_TRUE(result2.ok());
   EXPECT_EQ(result2->NumFacts(), 0u);
+}
+
+// "X, X, ..., X" with `arity` copies.
+std::string RepeatedVariable(int arity) {
+  std::string args = "X";
+  for (int i = 1; i < arity; ++i) args += ", X";
+  return args;
+}
+
+// The fact store indexes argument positions with 32-bit masks: a predicate
+// of arity 32, from the program or from the EDB, is a typed InvalidArgument
+// in every backend, not a process abort; arity 31 still evaluates.
+TEST(DatalogRobustnessTest, WidePredicatesAreTypedErrorsInEveryBackend) {
+  Structure graph_edb(Signature::GraphSignature());
+  graph_edb.AddElement("a");
+  ASSERT_TRUE(graph_edb.AddFact(0, {0, 0}).ok());
+  Structure wide_edb(Signature::Make({{"w", 32}}).value());
+  wide_edb.AddElement("a");
+  ASSERT_TRUE(wide_edb.AddFact(0, std::vector<ElementId>(32, 0)).ok());
+  using Backend = StatusOr<Structure> (*)(const datalog::Program&,
+                                          const Structure&, RunStats*);
+  const Backend kBackends[] = {&datalog::NaiveEvaluate,
+                               &datalog::SemiNaiveEvaluate,
+                               &datalog::GroundedEvaluate};
+  auto program = [](const std::string& text) {
+    auto parsed = datalog::ParseProgram(text);
+    EXPECT_TRUE(parsed.ok()) << parsed.status();
+    return *parsed;
+  };
+  const datalog::Program wide_idb = program(
+      "wide(" + RepeatedVariable(32) + ") :- e(X, X). out(X) :- wide(" +
+      RepeatedVariable(32) + ").");
+  const datalog::Program wide_query =
+      program("out(X) :- w(" + RepeatedVariable(32) + ").");
+  const datalog::Program widest_idb =
+      program("wide(" + RepeatedVariable(31) + ") :- e(X, X).");
+  for (Backend evaluate : kBackends) {
+    auto idb = evaluate(wide_idb, graph_edb, nullptr);
+    ASSERT_FALSE(idb.ok());
+    EXPECT_EQ(idb.status().code(), StatusCode::kInvalidArgument)
+        << idb.status();
+    auto edb = evaluate(wide_query, wide_edb, nullptr);
+    ASSERT_FALSE(edb.ok());
+    EXPECT_EQ(edb.status().code(), StatusCode::kInvalidArgument)
+        << edb.status();
+    auto widest = evaluate(widest_idb, graph_edb, nullptr);
+    ASSERT_TRUE(widest.ok()) << widest.status();
+    EXPECT_EQ(widest->NumFacts(), 2u);
+  }
 }
 
 // --- Decompositions: degenerate and deep shapes --------------------------------
@@ -432,6 +482,29 @@ TEST(ServerRobustnessTest, DeadlineAbortDoesNotPoisonCoTenant) {
   EXPECT_NE(b.find("optimum=6"), std::string::npos) << b;
   std::string a = Reply(&s, "SOLVE a VC");
   EXPECT_NE(a.find("optimum=6"), std::string::npos) << a;
+}
+
+// One QUERY with a 32-ary predicate, in the program or in the loaded
+// structure, used to abort the whole server; it is a typed E_ARG reply, and
+// the next request on the same server is answered.
+TEST(ServerRobustnessTest, WidePredicateQueryIsATypedErrorAndServerSurvives) {
+  server::Server s(QuietServer());
+  ASSERT_EQ(Reply(&s, "LOAD g SIG e/2 FACTS e(a, a).").rfind("OK LOAD", 0), 0u);
+  std::string idb = Reply(&s, "QUERY g wide(" + RepeatedVariable(32) +
+                                  ") :- e(X, X). out(X) :- wide(" +
+                                  RepeatedVariable(32) + ").");
+  EXPECT_EQ(idb.rfind("ERR E_ARG", 0), 0u) << idb;
+  EXPECT_EQ(Reply(&s, "SOLVE g 3COL").rfind("OK SOLVE", 0), 0u);
+
+  std::string constants = RepeatedVariable(32);
+  std::replace(constants.begin(), constants.end(), 'X', 'a');
+  ASSERT_EQ(Reply(&s, "LOAD h SIG w/32 FACTS w(" + constants + ").")
+                .rfind("OK LOAD", 0),
+            0u);
+  std::string edb =
+      Reply(&s, "QUERY h out(X) :- w(" + RepeatedVariable(32) + ").");
+  EXPECT_EQ(edb.rfind("ERR E_ARG", 0), 0u) << edb;
+  EXPECT_EQ(Reply(&s, "QUERY g out(X) :- e(X, X).").rfind("OK QUERY", 0), 0u);
 }
 
 }  // namespace

@@ -29,28 +29,37 @@ struct UnitState {
 struct CountProblem {
   using State = UnitState;
   using Value = size_t;
-  using Emit = std::function<void(State, Value)>;
 
-  void Leaf(const std::vector<ElementId>& bag, const Emit& emit) const {
-    emit(UnitState{bag.size()}, bag.size());
+  BagContext Context(const NormNode& node) const {
+    return MakeBagContext(node);
   }
-  void Introduce(const std::vector<ElementId>& bag, ElementId, const State&,
-                 const Value& value, const Emit& emit) const {
-    emit(UnitState{bag.size()}, value + 1);
+  template <typename Emit>
+  void Leaf(const BagContext& ctx, Emit&& emit) const {
+    emit(UnitState{Size(ctx)}, Size(ctx));
   }
-  void Forget(const std::vector<ElementId>& bag, ElementId, const State&,
-              const Value& value, const Emit& emit) const {
-    emit(UnitState{bag.size()}, value);
+  template <typename Emit>
+  void Introduce(const BagContext& ctx, const State&, const Value& value,
+                 Emit&& emit) const {
+    emit(UnitState{Size(ctx)}, value + 1);
+  }
+  template <typename Emit>
+  void Forget(const BagContext& ctx, const State&, const Value& value,
+              Emit&& emit) const {
+    emit(UnitState{Size(ctx)}, value);
   }
   UnitState KeyOf(const State& s) const { return s; }
-  void Join(const std::vector<ElementId>& bag, const State&, const Value& va,
-            const State&, const Value& vb, const Emit& emit) const {
-    emit(UnitState{bag.size()}, va + vb - bag.size());
+  template <typename Emit>
+  void Join(const BagContext& ctx, const State&, const Value& va,
+            const State&, const Value& vb, Emit&& emit) const {
+    emit(UnitState{Size(ctx)}, va + vb - Size(ctx));
   }
   Value Merge(const Value& a, const Value& b) const {
     // Both derivations must agree for this deterministic problem.
     EXPECT_EQ(a, b);
     return a;
+  }
+  static size_t Size(const BagContext& ctx) {
+    return static_cast<size_t>(ctx.size);
   }
 };
 
