@@ -1,9 +1,9 @@
 // §5.3: the two-pass PRIMALITY enumeration is linear in the input, while
 // re-running the §5.2 decision per attribute is quadratic. Prints a table of
 // both times and their ratio over growing balanced instances, then the
-// parallel/budgeted profile of the largest instance: the sharded two-pass
-// run (threads = 8) and the eviction run must reproduce the sequential prime
-// bits exactly.
+// parallel profile of the largest instance: the sharded two-pass run
+// (threads = 8) must reproduce the sequential prime bits exactly, and both
+// evict the same dead tables.
 //
 // Flags: --quick shrinks the instance ladder for CI; --json <path> writes
 // the deterministic counters (states, shard counts, table bytes, evictions —
@@ -12,6 +12,8 @@
 #include <cstdio>
 #include <cstring>
 #include <functional>
+#include <utility>
+#include <vector>
 
 #include "common/timer.hpp"
 #include "engine/engine.hpp"
@@ -32,18 +34,15 @@ double Once(const std::function<void()>& run) {
 }
 
 RunStats RunOnce(const BalancedInstance& inst, size_t num_threads,
-                 size_t budget, const std::vector<bool>& expected) {
+                 std::vector<bool>* primes) {
   EngineOptions options;
   options.decomposition = inst.td;
   options.num_threads = num_threads;
-  options.table_memory_budget = budget;
   Engine engine(inst.schema, options);
   RunStats run;
-  auto primes = engine.AllPrimes(&run);
-  TREEDL_CHECK(primes.ok()) << primes.status();
-  TREEDL_CHECK(*primes == expected)
-      << "threads=" << num_threads << " budget=" << budget
-      << ": prime bits diverged from the sequential run";
+  auto result = engine.AllPrimes(&run);
+  TREEDL_CHECK(result.ok()) << result.status();
+  *primes = std::move(*result);
   return run;
 }
 
@@ -87,29 +86,23 @@ void RunEnumerationBench(const BenchConfig& config) {
   std::printf("\n(the ratio should grow roughly linearly with the instance "
               "size)\n");
 
-  // Parallel + eviction profile on the largest instance: bit-identical prime
-  // vectors at every configuration, deterministic counters for the artifact.
+  // Parallel profile on the largest instance: bit-identical prime vectors
+  // and evictions at both thread counts, deterministic counters for the
+  // artifact.
   BalancedInstance inst = GenerateBalancedInstance(config.max_fds);
-  RunStats sequential;
   std::vector<bool> expected;
-  {
-    EngineOptions options;
-    options.decomposition = inst.td;
-    options.num_threads = 1;
-    Engine engine(inst.schema, options);
-    auto primes = engine.AllPrimes(&sequential);
-    TREEDL_CHECK(primes.ok()) << primes.status();
-    expected = std::move(*primes);
-  }
-  RunStats parallel = RunOnce(inst, 8, 0, expected);
-  RunStats budgeted = RunOnce(inst, 1, 16 * 1024, expected);
+  std::vector<bool> primes;
+  RunStats sequential = RunOnce(inst, 1, &expected);
+  RunStats parallel = RunOnce(inst, 8, &primes);
+  TREEDL_CHECK(primes == expected)
+      << "prime bits diverged from the sequential run";
+  TREEDL_CHECK(parallel.dp_tables_evicted == sequential.dp_tables_evicted)
+      << "the sharded run evicted other tables than the sequential one";
   std::printf(
       "\nlargest instance (#FD=%d): states=%zu  sharded walks (threads=8): "
-      "%zu shard tasks  eviction (budget 16KiB): table_peak %zuB -> %zuB, "
-      "%zu tables evicted\n",
+      "%zu shard tasks  table_peak %zuB, %zu tables evicted\n",
       config.max_fds, sequential.dp_states, parallel.primality_shards,
-      sequential.dp_peak_table_bytes, budgeted.dp_peak_table_bytes,
-      budgeted.dp_tables_evicted);
+      sequential.dp_peak_table_bytes, sequential.dp_tables_evicted);
 
   if (config.json_path != nullptr) {
     FILE* out = std::fopen(config.json_path, "w");
@@ -122,13 +115,11 @@ void RunEnumerationBench(const BenchConfig& config) {
                  "  \"dp_states\": %zu,\n"
                  "  \"primality_shards_parallel\": %zu,\n"
                  "  \"peak_table_bytes\": %zu,\n"
-                 "  \"peak_table_bytes_budgeted\": %zu,\n"
-                 "  \"tables_evicted_budgeted\": %zu\n"
+                 "  \"tables_evicted\": %zu\n"
                  "}\n",
                  config.max_fds, inst.schema.NumAttributes(),
                  sequential.dp_states, parallel.primality_shards,
-                 sequential.dp_peak_table_bytes,
-                 budgeted.dp_peak_table_bytes, budgeted.dp_tables_evicted);
+                 sequential.dp_peak_table_bytes, sequential.dp_tables_evicted);
     std::fclose(out);
     std::printf("  wrote %s\n", config.json_path);
   }

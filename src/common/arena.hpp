@@ -1,25 +1,31 @@
-// A bump allocator backing the flat DP state tables (common/flat_table.hpp).
+// A bump allocator backing the flat DP state tables (common/flat_table.hpp)
+// and the datalog relation storage (common/arena_vec.hpp).
 //
 // The tree DPs allocate in a rigid pattern: a node's table grows while the
 // node is processed, is then read by the node's parent, and finally dies as a
 // whole — individual states are never freed. An Arena matches that lifetime:
-// Allocate() bumps a pointer inside geometrically growing malloc'd blocks
-// (one or two mallocs for a typical node table, instead of one per state in
-// the old std::unordered_map representation), and Reset() returns everything
-// at once. Nothing is destructed — callers own destruction of non-trivial
-// objects placed in the arena (FlatTable does).
+// Allocate() bumps a pointer inside geometrically growing blocks (one or two
+// blocks for a typical node table, instead of one heap node per state), and
+// Reset() returns everything at once. Nothing is destructed — callers own
+// destruction of non-trivial objects placed in the arena (FlatTable does).
+//
+// Blocks are BlockCache size classes (powers of two up to 16 MiB, exact
+// sizes above) taken from and returned to the library's BlockCache (common/block_cache.hpp), so a walk reuses the blocks
+// of the tables it already evicted, and a query those of the query before
+// it, instead of faulting fresh pages in.
 //
 // Not thread-safe; the sharded DP driver gives every node table its own
-// arena, and a node is only ever touched by one thread at a time.
+// arena, and a node is only ever touched by one thread at a time. A block
+// may be returned on another thread than the one that took it.
 #ifndef TREEDL_COMMON_ARENA_HPP_
 #define TREEDL_COMMON_ARENA_HPP_
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <new>
 #include <utility>
 #include <vector>
+
+#include "common/block_cache.hpp"
 
 namespace treedl {
 
@@ -35,6 +41,7 @@ class Arena {
   }
   Arena& operator=(Arena&& other) noexcept {
     if (this != &other) {
+      Reset();
       blocks_ = std::move(other.blocks_);
       other.blocks_.clear();
       total_bytes_ = std::exchange(other.total_bytes_, 0);
@@ -43,6 +50,7 @@ class Arena {
   }
   Arena(const Arena&) = delete;
   Arena& operator=(const Arena&) = delete;
+  ~Arena() { Reset(); }
 
   /// Returns `bytes` of storage aligned to `align` (a power of two). The
   /// memory lives until Reset() or destruction; it is never reused before
@@ -53,27 +61,29 @@ class Arena {
       Block& block = blocks_.back();
       // Align the absolute address, not the offset — the block base itself
       // is only aligned to the default new alignment.
-      uintptr_t base = reinterpret_cast<uintptr_t>(block.data.get());
+      uintptr_t base = reinterpret_cast<uintptr_t>(block.data);
       size_t aligned = static_cast<size_t>(
           ((base + block.used + align - 1) & ~uintptr_t{align - 1}) - base);
       if (aligned + bytes <= block.size) {
         block.used = aligned + bytes;
-        return block.data.get() + aligned;
+        return block.data + aligned;
       }
     }
     // New block: geometric growth keeps the block count (and the bump-path
-    // misses) logarithmic in the table size.
-    size_t next = blocks_.empty() ? kMinBlockBytes : blocks_.back().size * 2;
-    if (next < bytes + align) next = bytes + align;
+    // misses) logarithmic in the table size; a request that outgrows the
+    // doubling jumps to its own size class.
+    size_t next = blocks_.empty() ? BlockCache::kMinBlockBytes
+                                  : blocks_.back().size * 2;
+    if (next < bytes + align) next = BlockCache::ClassBytes(bytes + align);
     Block block;
-    block.data = std::make_unique<std::byte[]>(next);
+    block.data = static_cast<std::byte*>(BlockCache::Take(next));
     block.size = next;
     total_bytes_ += next;
-    uintptr_t base = reinterpret_cast<uintptr_t>(block.data.get());
+    uintptr_t base = reinterpret_cast<uintptr_t>(block.data);
     size_t aligned = ((base + align - 1) & ~(align - 1)) - base;
     block.used = aligned + bytes;
-    blocks_.push_back(std::move(block));
-    return blocks_.back().data.get() + aligned;
+    blocks_.push_back(block);
+    return block.data + aligned;
   }
 
   /// Uninitialized storage for `n` objects of type T. The caller placement-
@@ -87,17 +97,17 @@ class Arena {
   /// memory footprint — what the DP memory accounting charges).
   size_t TotalBytes() const { return total_bytes_; }
 
-  /// Frees every block. Outstanding pointers become dangling.
+  /// Returns every block to the BlockCache. Outstanding pointers become
+  /// dangling.
   void Reset() {
+    for (const Block& block : blocks_) BlockCache::Give(block.data, block.size);
     blocks_.clear();
     total_bytes_ = 0;
   }
 
  private:
-  static constexpr size_t kMinBlockBytes = 256;
-
   struct Block {
-    std::unique_ptr<std::byte[]> data;
+    std::byte* data = nullptr;
     size_t size = 0;
     size_t used = 0;
   };

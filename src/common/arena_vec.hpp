@@ -3,8 +3,8 @@
 //
 // The datalog FactStore keeps every per-relation array — argument columns,
 // hash-index slots, bucket records, per-index row chains — in the relation's
-// own arena through this type: one malloc per geometric growth step of the
-// arena instead of one per std::vector resize, and the whole relation is
+// own arena through this type: one arena block per geometric growth step
+// instead of one malloc per std::vector resize, and the whole relation is
 // freed with a single Arena::Reset. Growth allocates a fresh arena block and
 // copies (the FlatTable tradeoff: superseded blocks stay until Reset, a
 // bounded ~2x overhead that MemoryBytes/TotalBytes reports honestly).

@@ -14,9 +14,11 @@
 //               move-construction).
 //
 // Both arrays live in the table's own bump Arena (common/arena.hpp): one
-// malloc'd block per growth step instead of one heap node per state, and
-// Release() frees the whole table at once — the primitive behind the DP's
-// shard-table eviction. MemoryBytes() reports the arena footprint, which the
+// power-of-two block per growth step instead of one heap node per state,
+// and Release() hands the whole table's blocks back at once — the primitive
+// behind the DP's dead-table eviction. The blocks are recycled through the
+// BlockCache (common/block_cache.hpp), so an evicted table's blocks become
+// the next table's. MemoryBytes() reports the arena footprint, which the
 // tree-DP walk aggregates into DpStats::peak_table_bytes.
 //
 // Iteration order is insertion order — deterministic given a deterministic
@@ -143,13 +145,13 @@ class FlatTable {
   }
 
   /// The arena footprint in bytes — what this table charges against
-  /// DpStats::peak_table_bytes / EngineOptions::table_memory_budget. The DP
+  /// DpStats::peak_table_bytes and the WorkBudget table-bytes cap. The DP
   /// states are flat words, so this is all of a table's storage; only a
   /// state with heap-owning members (e.g. std::vector) would escape it.
   size_t MemoryBytes() const { return arena_.TotalBytes(); }
 
-  /// Eviction: destroys every entry and frees the arena, returning the table
-  /// to the empty state. Safe to call on an empty table.
+  /// Eviction: destroys every entry and returns the arena's blocks to the
+  /// BlockCache, leaving the table empty. Safe to call on an empty table.
   void Release() {
     DestroyEntries();
     arena_.Reset();

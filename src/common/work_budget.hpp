@@ -20,13 +20,13 @@
 //                    claim trips), not "disabled".
 //
 //   table_bytes_limit  a hard ceiling on live DP table bytes, checked after
-//                    each table lands (CheckTableBytes). Distinct from
-//                    DpExec::table_memory_budget, which only drives dead-
-//                    table EVICTION: the hard cap fires even on passes that
-//                    retain tables (witness extraction), where eviction is
-//                    disabled by design. Peak overshoot is bounded by the
-//                    one table that tripped the check (per concurrently
-//                    stepping worker).
+//                    each table lands (CheckTableBytes). Walks that do not
+//                    retain their tables evict dead ones as they go and
+//                    stay near the traversal frontier; the hard cap fires
+//                    on passes that retain tables (witness extraction),
+//                    where eviction is off by design. Peak overshoot is
+//                    bounded by the one table that tripped the check (per
+//                    concurrently stepping worker).
 //
 // Aborting is sticky and one-way. Drivers stay infallible: a cancelled chunk
 // still runs its scheduling epilogue (dependency countdowns, WaitGroup) and

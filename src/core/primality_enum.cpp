@@ -79,7 +79,7 @@ void TopDownChunk(const PrimalityContext& context,
                   const NormalizedTreeDecomposition& ntd,
                   const std::vector<TdNodeId>& nodes,
                   std::vector<PrimTable>* up, std::vector<PrimTable>* down,
-                  TableMemoryTracker* memory, bool evict, WorkBudget* budget,
+                  TableMemoryTracker* memory, WorkBudget* budget,
                   std::vector<std::atomic<size_t>>* down_pending,
                   DpStats* stats) {
   for (TdNodeId x : nodes) {
@@ -87,7 +87,6 @@ void TopDownChunk(const PrimalityContext& context,
     TopDownStep(context, ntd, x, *up, down);
     internal::RecordTable((*down)[static_cast<size_t>(x)], memory, budget,
                           stats);
-    if (!evict) continue;
     if (x == ntd.root()) {
       // Nothing reads the root's bottom-up table after its pass completed.
       internal::ReleaseTable(&(*up)[static_cast<size_t>(x)], memory);
@@ -118,7 +117,6 @@ std::vector<bool> EnumeratePrimesPrepared(const PrimalityContext& context,
   DpStats dp;
   size_t num_nodes = ntd.NumNodes();
   TableMemoryTracker memory;
-  const bool evict = exec.table_memory_budget > 0;
 
   // Pass 1: bottom-up solve() tables, children before their parent; branch
   // children survive eviction for the top-down sibling joins.
@@ -131,17 +129,15 @@ std::vector<bool> EnumeratePrimesPrepared(const PrimalityContext& context,
   // their children (sharded: the root shard first, each shard's nodes in
   // reverse post order).
   std::vector<std::atomic<size_t>> down_pending(num_nodes);
-  if (evict) {
-    for (size_t id = 0; id < num_nodes; ++id) {
-      down_pending[id].store(ntd.node(static_cast<TdNodeId>(id)).children.size(),
-                             std::memory_order_relaxed);
-    }
+  for (size_t id = 0; id < num_nodes; ++id) {
+    down_pending[id].store(ntd.node(static_cast<TdNodeId>(id)).children.size(),
+                           std::memory_order_relaxed);
   }
   WalkChunks(
       ntd, exec,
       [&](const std::vector<TdNodeId>& nodes, DpStats* local) {
-        TopDownChunk(context, ntd, nodes, &up, &down, &memory, evict,
-                     exec.budget, &down_pending, local);
+        TopDownChunk(context, ntd, nodes, &up, &down, &memory, exec.budget,
+                     &down_pending, local);
       },
       &dp, WalkDirection::kTopDown);
 
@@ -157,10 +153,10 @@ std::vector<bool> EnumeratePrimesPrepared(const PrimalityContext& context,
   // bag by the ensure_leaf_coverage normalization option). Note that solve↓
   // at a leaf characterizes the envelope of the leaf — the *entire*
   // structure — exactly like solve at the root of a re-rooted decomposition.
-  // Leaf-only on purpose: under a table_memory_budget the eviction protocol
-  // above released every *interior* down table (leaves have no children, so
-  // the countdown never fires for them) — the leaves are exactly the tables
-  // guaranteed to survive the walk.
+  // Leaf-only on purpose: the eviction protocol above released every
+  // *interior* down table (leaves have no children, so the countdown never
+  // fires for them) — the leaves are exactly the tables that survive the
+  // walk.
   std::vector<bool> primes(static_cast<size_t>(num_attributes), false);
   for (TdNodeId id : ntd.PreOrder()) {
     if (ntd.node(id).kind != NormNodeKind::kLeaf) continue;

@@ -399,7 +399,6 @@ std::vector<PrimTable> SolveBottomUp(const PrimalityContext& context,
                                      TableMemoryTracker* memory,
                                      DpStats* stats) {
   std::vector<PrimTable> up(ntd.NumNodes());
-  const bool evict = exec.table_memory_budget > 0;
   WorkBudget* budget = exec.budget;
   // A tripped budget skips the per-node work but keeps walking the chunk, so
   // the shard scheduling epilogue (and the caller's abort check) still run.
@@ -411,8 +410,7 @@ std::vector<PrimTable> SolveBottomUp(const PrimalityContext& context,
           BottomUpStep(context, ntd, id, &up);
           RecordTable(up[static_cast<size_t>(id)], memory, budget, local);
           const NormNode& node = ntd.node(id);
-          if (!evict ||
-              (keep_branch_children && node.kind == NormNodeKind::kBranch)) {
+          if (keep_branch_children && node.kind == NormNodeKind::kBranch) {
             continue;
           }
           for (TdNodeId child : node.children) {

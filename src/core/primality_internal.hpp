@@ -207,10 +207,10 @@ void CopyStates(const PrimTable& in, PrimTable* out);
 bool Accepts(const BagLayout& bag, const PrimState& s, int query);
 
 /// The bottom-up solve() pass: one table per node, children before parents
-/// (shard-parallel when exec.Parallel()). With exec.table_memory_budget > 0 a
-/// node's child tables are released once it is built, except the children
-/// of branch nodes when `keep_branch_children` (the enumeration's top-down
-/// pass re-reads them). A tripped exec.budget leaves the tables partial.
+/// (shard-parallel when exec.Parallel()). A node's child tables are released
+/// once it is built, except the children of branch nodes when
+/// `keep_branch_children` (the enumeration's top-down pass re-reads them). A
+/// tripped exec.budget leaves the tables partial.
 std::vector<PrimTable> SolveBottomUp(const PrimalityContext& context,
                                      const NormalizedTreeDecomposition& ntd,
                                      const DpExec& exec,
@@ -246,9 +246,8 @@ bool DecidePrimePrepared(const PrimalityContext& context,
 /// rhs-closed, normalized with PrimalityNormalizeOptions(·, true), and within
 /// CheckBags(·, true). When `exec` carries a sharding and pool, both passes
 /// run shard-parallel on it (bottom-up solve, then the inverted top-down
-/// solve↓ schedule); with exec.table_memory_budget > 0 dead state tables are
-/// evicted as the passes consume them. Results are bit-identical at any
-/// thread count.
+/// solve↓ schedule); dead state tables are evicted as the passes consume
+/// them. Results are bit-identical at any thread count.
 std::vector<bool> EnumeratePrimesPrepared(const PrimalityContext& context,
                                           const SchemaEncoding& encoding,
                                           int num_attributes,

@@ -72,7 +72,7 @@ StatusOr<ThreeColorResult> DecideThreeColor(
     const Graph& graph, const NormalizedTreeDecomposition& ntd,
     const DpExec& exec, DpStats* stats, bool extract_coloring) {
   // Only the witness walk needs interior tables after the traversal; a pure
-  // decision reads the root alone and its tables may be evicted.
+  // decision reads the root alone and its tables are evicted.
   auto table = RunDp(ntd, ColorProblem<false>(graph), exec, stats,
                      /*retain_tables=*/extract_coloring);
   // An aborted budget leaves partial tables — the witness walk's predecessor

@@ -41,9 +41,12 @@
 //
 // State tables are flat, arena-backed open-addressing tables (StateTable =
 // FlatTable, common/flat_table.hpp): states live contiguously per bag in the
-// node's own bump arena — one allocation per growth step instead of one heap
+// node's own bump arena — one block per growth step instead of one heap
 // node per state — and a whole table can be released at once, which is the
-// primitive behind dead-table eviction (below).
+// primitive behind dead-table eviction (below). The blocks come from the
+// library's BlockCache (common/block_cache.hpp): a released table's blocks
+// are the next tables' blocks, so a walk touches the same few cache-hot
+// blocks and never hands memory back to the OS mid-query.
 //
 // RunDp runs every tree DP: one problem, one bottom-up walk, one table per
 // node — the paper's §5 evaluation of one program as one linear-time pass.
@@ -57,16 +60,16 @@
 // in the same order. The primality DPs (§5.2 decision, §5.3 enumeration)
 // drive the same walk directly, top-down included.
 //
-// Dead-table eviction (DpExec::table_memory_budget > 0): a node's table is
-// consumed exactly once — by its parent node (in the same shard, or as the
-// boundary table of a child shard that the parent shard reads). RunDp
-// therefore releases every child table right after its parent node is
-// processed, bounding peak table memory by the live frontier of the
-// traversal instead of the whole decomposition. The root's table is never
-// evicted (the caller reads its answer there), and problems that re-read
-// interior tables after the run (witness extraction) opt out with
-// retain_tables. DpStats::peak_table_bytes / tables_evicted report the
-// effect.
+// Dead-table eviction: a node's table is consumed exactly once — by its
+// parent node (in the same shard, or as the boundary table of a child shard
+// that the parent shard reads). Every walk that does not retain its tables
+// therefore releases each child table right after its parent node is
+// processed: live tables follow the traversal frontier instead of the whole
+// decomposition, and nothing is left to tear down when the walk ends but
+// the root's table, which is never evicted (the caller reads its answer
+// there). Problems that re-read interior tables after the run (witness
+// extraction) opt out with retain_tables and release the tables as a whole.
+// DpStats::peak_table_bytes / tables_evicted report the effect.
 #ifndef TREEDL_CORE_TREE_DP_HPP_
 #define TREEDL_CORE_TREE_DP_HPP_
 
@@ -181,7 +184,9 @@ struct DpStats {
   /// High-water mark of live state-table bytes (arena footprints); across
   /// several runs folded into one record, the largest single run's peak.
   size_t peak_table_bytes = 0;
-  /// Dead tables released before the end of the run (0 without a budget).
+  /// Dead tables released before the end of the run: every table but the
+  /// root's in a walk that does not retain its tables, none in one that
+  /// does.
   size_t tables_evicted = 0;
 };
 
@@ -190,14 +195,6 @@ struct DpStats {
 struct DpExec {
   const BagSharding* sharding = nullptr;
   ThreadPool* pool = nullptr;
-  /// > 0 enables dead-table eviction (header comment): a soft ceiling on
-  /// live table bytes. Eviction frees tables as soon as the traversal proves
-  /// them dead, so peak memory tracks the traversal frontier; a budget
-  /// smaller than the frontier itself is exceeded, never enforced by
-  /// aborting. 0 keeps every table alive until the run ends. Problems that
-  /// re-read interior tables (witness extraction) opt out via RunDp's
-  /// retain_tables.
-  size_t table_memory_budget = 0;
   /// Optional cooperative cancellation: each node step claims one work
   /// unit, and live table bytes are checked against the budget's hard cap
   /// after every table lands. Once the budget aborts, remaining steps are
@@ -530,9 +527,9 @@ void WalkChunks(const NormalizedTreeDecomposition& ntd, const DpExec& exec,
 /// fills and returns `problem`'s table, indexed by node id. Sequential by
 /// default; bag-sharded on exec.pool when exec.Parallel(), in which case the
 /// problem's hooks run concurrently and must be const and stateless.
-/// exec.table_memory_budget evicts dead interior tables unless
-/// `retain_tables` is set (callers that re-read interior tables after the
-/// run, i.e. witness extraction, keep it); the root table always survives.
+/// Dead interior tables are evicted as the walk goes unless `retain_tables`
+/// is set (callers that re-read interior tables after the run, i.e. witness
+/// extraction, keep it); the root table always survives.
 /// After an exec.budget abort the table is partial: the caller surfaces
 /// budget->AbortStatus() instead of reading it.
 template <typename Problem>
@@ -543,13 +540,12 @@ DpTable<typename Problem::State, typename Problem::Value> RunDp(
   DpTable<typename Problem::State, typename Problem::Value> table;
   table.nodes.resize(ntd.NumNodes());
   internal::TableMemoryTracker memory;
-  const bool evict = exec.table_memory_budget > 0 && !retain_tables;
   internal::WalkChunks(
       ntd, exec,
       [&](const std::vector<TdNodeId>& nodes, DpStats* local) {
         for (TdNodeId id : nodes) {
-          internal::DpStepNode(ntd, id, problem, &table, &memory, evict, local,
-                               exec.budget);
+          internal::DpStepNode(ntd, id, problem, &table, &memory,
+                               /*evict=*/!retain_tables, local, exec.budget);
         }
       },
       stats);

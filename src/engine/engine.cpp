@@ -354,7 +354,6 @@ StatusOr<bool> Engine::IsPrime(AttributeId a, RunStats* stats) {
       TREEDL_ASSIGN_OR_RETURN(closed, EnsureClosedTd(s));
       TREEDL_ASSIGN_OR_RETURN(context, EnsurePrimality(s));
       encoding = encoding_.get();
-      exec.table_memory_budget = options_.table_memory_budget;
       exec.budget = options_.work_budget;
     }
     // Per-query work on the immutable artifacts, outside the lock: re-root
@@ -404,7 +403,6 @@ StatusOr<std::vector<bool>> Engine::AllPrimes(RunStats* stats,
       encoding = encoding_.get();
       exec.pool = EnsurePool();
       exec.sharding = enum_sharding_.has_value() ? &*enum_sharding_ : nullptr;
-      exec.table_memory_budget = options_.table_memory_budget;
       exec.budget = budget != nullptr ? budget : options_.work_budget;
     }
     TREEDL_RETURN_IF_ERROR(context->CheckBags(*ntd, /*for_enumeration=*/true));
@@ -604,7 +602,6 @@ StatusOr<Engine::SolveAllResult> Engine::SolveProblems(
       TREEDL_ASSIGN_OR_RETURN(ntd, EnsurePlainNtd(s));
       exec.pool = EnsurePool();
       exec.sharding = sharding_.has_value() ? &*sharding_ : nullptr;
-      exec.table_memory_budget = options_.table_memory_budget;
       exec.budget = budget != nullptr ? budget : options_.work_budget;
     }
     if (ntd->Width() + 1 > core::kMaxDpBagSize) {

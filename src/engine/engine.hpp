@@ -123,8 +123,8 @@ class Engine {
   /// §5.2 decision: is attribute `a` prime? Reuses the cached encoding and
   /// decomposition; re-roots and normalizes per query (linear). After
   /// AllPrimes() has run, answers O(1) from the memoized enumeration. The DP
-  /// runs under EngineOptions::work_budget and table_memory_budget; a
-  /// tripped budget returns its DeadlineExceeded/ResourceExhausted status.
+  /// runs under EngineOptions::work_budget; a tripped budget returns its
+  /// DeadlineExceeded/ResourceExhausted status.
   StatusOr<bool> IsPrime(AttributeId a, RunStats* stats = nullptr);
 
   /// §5.3 enumeration: all prime attributes in one two-pass run. The result

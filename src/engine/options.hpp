@@ -69,16 +69,6 @@ struct EngineOptions {
   /// this is how the serving layer keeps N concurrent sessions on one pool.
   /// The pool must outlive the Engine.
   ThreadPool* shared_pool = nullptr;
-  /// Soft ceiling, in bytes, on live DP state-table memory for Solve /
-  /// SolveAll. 0 (default) keeps every bag's table alive until the query
-  /// ends — today's behavior. Any positive value enables dead-table
-  /// eviction: a bag's table is released as soon as the traversal has
-  /// consumed it, so peak table memory tracks the traversal frontier instead
-  /// of the whole decomposition (RunStats::dp_peak_table_bytes /
-  /// dp_tables_evicted report the effect). Answers are unaffected; passes
-  /// that must re-read interior tables (witness extraction) are exempted
-  /// automatically.
-  size_t table_memory_budget = 0;
   /// Non-owning cooperative cancellation/deadline budget applied to every
   /// query this session runs (per-call budget arguments override it). The
   /// budget counts deterministic logical work units — DP nodes processed,

@@ -54,11 +54,13 @@ struct RunStats {
   /// High-water mark of live DP state-table bytes (flat-table arena
   /// footprints) of the query's largest walk — the walks run one after
   /// another, so SolveAll peaks at its largest single table, not the sum.
-  /// With a table_memory_budget this stays near the traversal frontier;
-  /// without one it grows with the whole decomposition.
+  /// Walks that evict dead tables stay near the traversal frontier; walks
+  /// that retain them (the 3COL witness) grow with the whole decomposition.
+  /// A sequential walk's peak is deterministic; a sharded walk's depends on
+  /// which shards hold live tables at the same time.
   size_t dp_peak_table_bytes = 0;
-  /// Dead state tables released mid-run by the eviction protocol (0 unless
-  /// EngineOptions::table_memory_budget is set).
+  /// Dead state tables released mid-run by the eviction protocol: every
+  /// table but the root's of each walk that does not retain its tables.
   size_t dp_tables_evicted = 0;
 
   // --- Datalog fixpoint work (datalog::EvalStats slice) -------------------

@@ -23,9 +23,6 @@ bool FileExists(const std::string& path) {
 SessionPool::SessionPool(SessionPoolOptions options)
     : options_(std::move(options)) {
   if (options_.max_sessions == 0) options_.max_sessions = 1;
-  if (options_.table_memory_budget > 0) {
-    options_.engine_options.table_memory_budget = options_.table_memory_budget;
-  }
 }
 
 SessionPool::Lease SessionPool::MakeLeaseLocked(Entry& entry,

@@ -57,14 +57,13 @@ struct SessionPoolOptions {
   size_t max_sessions = 8;
   /// Global byte budget shared by all resident sessions (0 = unlimited).
   /// Each session is charged max(structure estimate, resident artifacts);
-  /// the same value becomes each Engine's per-query table_memory_budget, so
-  /// live DP tables obey the ceiling too.
+  /// the server also makes it each request's hard cap on live DP table
+  /// bytes (WorkBudget::SetTableBytesLimit).
   size_t table_memory_budget = 0;
   /// Directory of session files ("<16-hex-fingerprint>.tdls"). Empty
   /// disables warm start and Save.
   std::string session_dir;
-  /// Template for pooled engines (the server fills shared_pool and, when a
-  /// global budget is set, table_memory_budget).
+  /// Template for pooled engines (the server fills shared_pool).
   EngineOptions engine_options;
 };
 

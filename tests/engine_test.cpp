@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/work_budget.hpp"
+#include "core/primality_internal.hpp"
 #include "datalog/parser.hpp"
 #include "engine/engine.hpp"
 #include "graph/gaifman.hpp"
@@ -433,28 +434,40 @@ TEST(EngineTest, HeuristicOptionChoosesTheSessionDecomposition) {
 
 TEST(EngineTest, IsPrimeReportsTheFullDpRecord) {
   // IsPrime runs one walk, like Solve: the traversal and table-byte
-  // counters are filled, not just the state counts.
-  EngineOptions options;
-  options.num_threads = 1;
-  Engine engine(Schema::PaperExampleSchema(), options);
-  RunStats run;
-  ASSERT_TRUE(engine.IsPrime(0, &run).ok());
-  EXPECT_GT(run.dp_states, 0u);
-  EXPECT_EQ(run.dp_traversals, 1u);
-  EXPECT_GT(run.dp_peak_table_bytes, 0u);
-  EXPECT_EQ(run.dp_tables_evicted, 0u);
-  EXPECT_NE(run.ToString().find(" dp{states="), std::string::npos)
-      << run.ToString();
+  // counters are filled, not just the state counts. The walk retains no
+  // table, so it evicts every table but the root's, at any thread count.
+  Schema schema = Schema::PaperExampleSchema();
+  SchemaEncoding encoding = EncodeSchema(schema);
+  core::internal::PrimalityContext context(schema, encoding);
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    EngineOptions options;
+    options.num_threads = threads;
+    Engine engine(schema, options);
+    RunStats run;
+    auto prime = engine.IsPrime(0, &run);
+    ASSERT_TRUE(prime.ok()) << prime.status();
+    EXPECT_EQ(*prime, AllPrimesBruteForce(schema)[0]);
+    EXPECT_GT(run.dp_states, 0u);
+    EXPECT_EQ(run.dp_traversals, 1u);
+    EXPECT_GT(run.dp_peak_table_bytes, 0u);
+    EXPECT_NE(run.ToString().find(" dp{states="), std::string::npos)
+        << run.ToString();
 
-  // The session's table_memory_budget reaches the IsPrime walk: dead tables
-  // are evicted and the answer is unchanged.
-  options.table_memory_budget = 1;
-  Engine budgeted(Schema::PaperExampleSchema(), options);
-  RunStats evicting;
-  auto prime = budgeted.IsPrime(0, &evicting);
-  ASSERT_TRUE(prime.ok()) << prime.status();
-  EXPECT_EQ(*prime, engine.IsPrime(0).value());
-  EXPECT_GT(evicting.dp_tables_evicted, 0u);
+    // The decomposition IsPrime walked: the session's, rhs-closed,
+    // re-rooted at a bag holding attribute 0, normalized.
+    auto td = engine.Decomposition();
+    ASSERT_TRUE(td.ok()) << td.status();
+    TreeDecomposition rooted =
+        core::internal::CloseBagsForRhs(**td, encoding, context);
+    ASSERT_TRUE(
+        rooted.ReRoot(rooted.FindNodeContaining(encoding.AttrElement(0)))
+            .ok());
+    auto ntd = Normalize(rooted, core::internal::PrimalityNormalizeOptions(
+                                     encoding, /*for_enumeration=*/false));
+    ASSERT_TRUE(ntd.ok()) << ntd.status();
+    EXPECT_EQ(run.dp_tables_evicted, ntd->NumNodes() - 1);
+  }
 }
 
 TEST(EngineTest, IsPrimeHonorsTheSessionWorkBudget) {

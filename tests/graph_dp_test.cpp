@@ -68,46 +68,42 @@ TEST(GraphDpTest, GoldenStateCounts) {
                                Problem::kVertexCover, Problem::kIndependentSet,
                                Problem::kDominatingSet};
   for (size_t threads : {1, 4}) {
-    for (size_t table_budget : {size_t{0}, size_t{4096}}) {
-      EngineOptions options;
-      options.num_threads = threads;
-      options.table_memory_budget = table_budget;
-      for (size_t i = 0; i < family.size(); ++i) {
-        const GoldenGraph& golden = kGolden[i];
-        SCOPED_TRACE(std::string(golden.name) + " threads " +
-                     std::to_string(threads) + " budget " +
-                     std::to_string(table_budget));
-        Engine engine = Engine::FromGraph(family[i], options);
-        for (size_t p = 0; p < std::size(kProblems); ++p) {
-          RunStats stats;
-          auto result = engine.Solve(kProblems[p], &stats);
-          ASSERT_TRUE(result.ok()) << result.status();
-          EXPECT_EQ(stats.dp_states, golden.states[p].first) << "problem " << p;
-          EXPECT_EQ(stats.dp_max_states_per_node, golden.states[p].second)
-              << "problem " << p;
-          switch (kProblems[p]) {
-            case Problem::kThreeColor: {
-              EXPECT_EQ(result->feasible, golden.colorable);
-              std::string witness;
-              if (result->witness) {
-                for (int c : *result->witness) witness += char('0' + c);
-              }
-              EXPECT_EQ(witness, golden.witness);
-              break;
+    EngineOptions options;
+    options.num_threads = threads;
+    for (size_t i = 0; i < family.size(); ++i) {
+      const GoldenGraph& golden = kGolden[i];
+      SCOPED_TRACE(std::string(golden.name) + " threads " +
+                   std::to_string(threads));
+      Engine engine = Engine::FromGraph(family[i], options);
+      for (size_t p = 0; p < std::size(kProblems); ++p) {
+        RunStats stats;
+        auto result = engine.Solve(kProblems[p], &stats);
+        ASSERT_TRUE(result.ok()) << result.status();
+        EXPECT_EQ(stats.dp_states, golden.states[p].first) << "problem " << p;
+        EXPECT_EQ(stats.dp_max_states_per_node, golden.states[p].second)
+            << "problem " << p;
+        switch (kProblems[p]) {
+          case Problem::kThreeColor: {
+            EXPECT_EQ(result->feasible, golden.colorable);
+            std::string witness;
+            if (result->witness) {
+              for (int c : *result->witness) witness += char('0' + c);
             }
-            case Problem::kThreeColorCount:
-              EXPECT_EQ(result->count, golden.colorings);
-              break;
-            case Problem::kVertexCover:
-              EXPECT_EQ(result->optimum, golden.vc);
-              break;
-            case Problem::kIndependentSet:
-              EXPECT_EQ(result->optimum, golden.is);
-              break;
-            case Problem::kDominatingSet:
-              EXPECT_EQ(result->optimum, golden.ds);
-              break;
+            EXPECT_EQ(witness, golden.witness);
+            break;
           }
+          case Problem::kThreeColorCount:
+            EXPECT_EQ(result->count, golden.colorings);
+            break;
+          case Problem::kVertexCover:
+            EXPECT_EQ(result->optimum, golden.vc);
+            break;
+          case Problem::kIndependentSet:
+            EXPECT_EQ(result->optimum, golden.is);
+            break;
+          case Problem::kDominatingSet:
+            EXPECT_EQ(result->optimum, golden.ds);
+            break;
         }
       }
     }

@@ -129,68 +129,93 @@ TEST(ParallelPropertyTest, SolveAllEqualsFiveSolvesAcrossThreadCounts) {
   }
 }
 
-// The eviction acceptance property: with a table_memory_budget, every answer
-// (including the retained-pass witness) stays bit-identical to the
-// unbudgeted flat-table run at threads 1 and 8, while RunStats proves tables
-// were evicted and the live-table peak dropped.
+// The eviction contract at 1 and 4 threads: a walk that does not retain its
+// tables evicts every table but the root's — NumNodes() - 1 of them, or
+// fewer for 3COL/#3COL on a graph that is not 3-colorable, whose emptied
+// tables hold nothing to release — while the retaining 3COL witness walk
+// evicts none and peaks above the evicting 3COL walk. Every answer, the
+// witness included, is identical at both thread counts.
 TEST(ParallelPropertyTest, EvictionPreservesAnswersAndBoundsTableMemory) {
-  for (uint64_t trial = 0; trial < 3; ++trial) {
+  // The last trial is a partial 2-tree, 3-colorable by its width, and small
+  // enough that its #3COL count fits in 64 bits.
+  bool any_colorable = false;
+  for (uint64_t trial = 0; trial < 4; ++trial) {
     Rng rng(TestSeed(trial));
-    size_t n = 120 + 60 * static_cast<size_t>(trial);
-    Graph graph = RandomPartialKTree(n, 3 + static_cast<int>(trial % 2), 0.7,
-                                     &rng);
-
-    struct Config {
-      size_t threads;
-      size_t budget;
-    };
-    const Config configs[] = {
-        {1, 0}, {8, 0}, {1, 64 * 1024}, {8, 64 * 1024}};
+    size_t n = trial == 3 ? 36 : 120 + 60 * static_cast<size_t>(trial);
+    int k = trial == 3 ? 2 : 3 + static_cast<int>(trial % 2);
+    Graph graph = RandomPartialKTree(n, k, 0.7, &rng);
 
     std::vector<Engine::SolveAllResult> results;
-    std::vector<RunStats> runs;
-    for (const Config& config : configs) {
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      SCOPED_TRACE("trial " + std::to_string(trial) + " threads " +
+                   std::to_string(threads));
       EngineOptions options;
-      options.num_threads = config.threads;
-      options.table_memory_budget = config.budget;
+      options.num_threads = threads;
       Engine engine = Engine::FromGraph(graph, options);
       RunStats run;
       auto all = engine.SolveAll(&run);
       ASSERT_TRUE(all.ok()) << all.status();
       results.push_back(*all);
-      runs.push_back(run);
 
-      // The per-problem driver agrees under the same budget, witness included.
+      auto td = engine.Decomposition();
+      ASSERT_TRUE(td.ok()) << td.status();
+      auto ntd = Normalize(**td);
+      ASSERT_TRUE(ntd.ok()) << ntd.status();
+      const size_t dead = ntd->NumNodes() - 1;
+      const bool colorable = all->three_colorable;
+      any_colorable |= colorable;
+
+      // Solve agrees with SolveAll, witness included; each walk evicts
+      // what the contract says.
+      size_t evicted = 0;
       for (Engine::Problem problem : kAllProblems) {
-        auto solo = engine.Solve(problem);
+        RunStats solo_run;
+        auto solo = engine.Solve(problem, &solo_run);
         ASSERT_TRUE(solo.ok()) << solo.status();
         Engine::SolveResult batched = all->Result(problem);
-        EXPECT_EQ(solo->feasible, batched.feasible) << "trial " << trial;
-        EXPECT_EQ(solo->optimum, batched.optimum) << "trial " << trial;
-        EXPECT_EQ(solo->count, batched.count) << "trial " << trial;
-        EXPECT_EQ(solo->witness, batched.witness) << "trial " << trial;
+        EXPECT_EQ(solo->feasible, batched.feasible);
+        EXPECT_EQ(solo->optimum, batched.optimum);
+        EXPECT_EQ(solo->count, batched.count);
+        EXPECT_EQ(solo->witness, batched.witness);
+        evicted += solo_run.dp_tables_evicted;
+        if (problem == Engine::Problem::kThreeColor) {
+          EXPECT_EQ(solo_run.dp_tables_evicted, 0u);
+        } else if (problem == Engine::Problem::kThreeColorCount &&
+                   !colorable) {
+          EXPECT_LT(solo_run.dp_tables_evicted, dead);
+        } else {
+          EXPECT_EQ(solo_run.dp_tables_evicted, dead);
+        }
       }
+      EXPECT_EQ(run.dp_tables_evicted, evicted);
+
+      // Without a witness to extract, the 3COL walk evicts too.
+      EngineOptions no_witness = options;
+      no_witness.extract_witness = false;
+      Engine decision = Engine::FromGraph(graph, no_witness);
+      RunStats retained_run;
+      RunStats evicting_run;
+      ASSERT_TRUE(engine.Solve(Engine::Problem::kThreeColor, &retained_run)
+                      .ok());
+      ASSERT_TRUE(decision.Solve(Engine::Problem::kThreeColor, &evicting_run)
+                      .ok());
+      if (colorable) {
+        EXPECT_EQ(evicting_run.dp_tables_evicted, dead);
+        EXPECT_LT(evicting_run.dp_peak_table_bytes,
+                  retained_run.dp_peak_table_bytes);
+      } else {
+        EXPECT_LT(evicting_run.dp_tables_evicted, dead);
+      }
+      EXPECT_EQ(evicting_run.dp_states, retained_run.dp_states);
     }
-    for (size_t i = 1; i < results.size(); ++i) {
-      EXPECT_EQ(results[i].three_colorable, results[0].three_colorable);
-      EXPECT_EQ(results[i].coloring, results[0].coloring) << "config " << i;
-      EXPECT_EQ(results[i].three_colorings, results[0].three_colorings);
-      EXPECT_EQ(results[i].min_vertex_cover, results[0].min_vertex_cover);
-      EXPECT_EQ(results[i].max_independent_set, results[0].max_independent_set);
-      EXPECT_EQ(results[i].min_dominating_set, results[0].min_dominating_set);
-      EXPECT_EQ(runs[i].dp_states, runs[0].dp_states) << "config " << i;
-    }
-    // Budgeted runs evicted dead tables and peaked strictly below the
-    // unbudgeted peak; unbudgeted runs evicted nothing.
-    EXPECT_EQ(runs[0].dp_tables_evicted, 0u);
-    EXPECT_EQ(runs[1].dp_tables_evicted, 0u);
-    EXPECT_GT(runs[0].dp_peak_table_bytes, 0u);
-    for (size_t i : {size_t{2}, size_t{3}}) {
-      EXPECT_GT(runs[i].dp_tables_evicted, 0u) << "config " << i;
-      EXPECT_LT(runs[i].dp_peak_table_bytes, runs[i - 2].dp_peak_table_bytes)
-          << "config " << i;
-    }
+    EXPECT_EQ(results[1].three_colorable, results[0].three_colorable);
+    EXPECT_EQ(results[1].coloring, results[0].coloring);
+    EXPECT_EQ(results[1].three_colorings, results[0].three_colorings);
+    EXPECT_EQ(results[1].min_vertex_cover, results[0].min_vertex_cover);
+    EXPECT_EQ(results[1].max_independent_set, results[0].max_independent_set);
+    EXPECT_EQ(results[1].min_dominating_set, results[0].min_dominating_set);
   }
+  EXPECT_TRUE(any_colorable);
 }
 
 TEST(ParallelPropertyTest, CostModelOrdersNodesByBagSizeAndKind) {
@@ -384,23 +409,17 @@ TEST(ParallelPropertyTest, PrimalityEnumerationAgreesAcrossThreadCounts) {
   }
 }
 
-// Eviction under the enumeration: a table_memory_budget releases dead solve /
+// Eviction under the enumeration: the two passes release dead solve /
 // solve↓ tables mid-run (siblings release each other's bottom-up tables at
-// the top-down joins) without changing a single prime bit, at both thread
-// counts.
+// the top-down joins) without changing a single prime bit, and evict the
+// same tables at both thread counts.
 TEST(ParallelPropertyTest, PrimalityEnumerationEvictionPreservesAnswers) {
   BalancedInstance inst = GenerateBalancedInstance(24);
   std::vector<bool> reference;
   std::vector<RunStats> runs;
-  struct Config {
-    size_t threads;
-    size_t budget;
-  };
-  const Config configs[] = {{1, 0}, {8, 0}, {1, 16 * 1024}, {8, 16 * 1024}};
-  for (const Config& config : configs) {
+  for (size_t threads : {size_t{1}, size_t{8}}) {
     EngineOptions options;
-    options.num_threads = config.threads;
-    options.table_memory_budget = config.budget;
+    options.num_threads = threads;
     options.decomposition = inst.td;
     Engine engine(inst.schema, options);
     RunStats run;
@@ -410,14 +429,9 @@ TEST(ParallelPropertyTest, PrimalityEnumerationEvictionPreservesAnswers) {
     EXPECT_EQ(*primes, reference);
     runs.push_back(run);
   }
-  EXPECT_EQ(runs[0].dp_tables_evicted, 0u);
-  EXPECT_EQ(runs[1].dp_tables_evicted, 0u);
-  EXPECT_GT(runs[0].dp_peak_table_bytes, 0u);
-  for (size_t i : {size_t{2}, size_t{3}}) {
-    EXPECT_GT(runs[i].dp_tables_evicted, 0u) << "config " << i;
-    EXPECT_LT(runs[i].dp_peak_table_bytes, runs[i - 2].dp_peak_table_bytes)
-        << "config " << i;
-  }
+  EXPECT_GT(runs[0].dp_tables_evicted, 0u);
+  EXPECT_EQ(runs[1].dp_tables_evicted, runs[0].dp_tables_evicted);
+  EXPECT_EQ(runs[1].dp_states, runs[0].dp_states);
 }
 
 TEST(ParallelPropertyTest, DatalogBackendsAgreeOnRandomPartialKTrees) {

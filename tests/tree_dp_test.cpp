@@ -109,8 +109,9 @@ TEST(TreeDpTest, SingleNodeDecomposition) {
 }
 
 // The sequential walk (one chunk) and the shard schedule on a pool must give
-// the same root table and the same deterministic counters, with and without
-// dead-table eviction.
+// the same root table and the same deterministic counters. A walk that does
+// not retain its tables evicts every table but the root's, on either
+// schedule; a retaining walk evicts none.
 TEST(TreeDpTest, ShardedWalkMatchesSequentialWalk) {
   Rng rng(TestSeed());
   Graph g = RandomPartialKTree(300, 3, 0.6, &rng);
@@ -121,31 +122,36 @@ TEST(TreeDpTest, ShardedWalkMatchesSequentialWalk) {
   BagSharding sharding = ComputeBagShardingByCost(*ntd, 16);
   ASSERT_GT(sharding.NumShards(), 1u);
   ThreadPool pool(4);
-  for (size_t table_budget : {size_t{0}, size_t{1}}) {
-    SCOPED_TRACE("table_memory_budget=" + std::to_string(table_budget));
-    DpExec sequential;
-    sequential.table_memory_budget = table_budget;
-    DpExec parallel = sequential;
-    parallel.sharding = &sharding;
-    parallel.pool = &pool;
-    ASSERT_TRUE(parallel.Parallel());
+  DpExec sequential;
+  DpExec parallel;
+  parallel.sharding = &sharding;
+  parallel.pool = &pool;
+  ASSERT_TRUE(parallel.Parallel());
 
-    DpStats seq_stats;
-    DpStats par_stats;
-    auto seq_root = RunCount(*ntd, sequential, &seq_stats);
-    auto par_root = RunCount(*ntd, parallel, &par_stats);
-    ASSERT_EQ(seq_root.size(), 1u);
-    EXPECT_EQ(seq_root[0].second, g.NumVertices());
-    EXPECT_EQ(par_root, seq_root);
-    EXPECT_EQ(par_stats.total_states, seq_stats.total_states);
-    EXPECT_EQ(par_stats.max_states_per_node, seq_stats.max_states_per_node);
-    EXPECT_EQ(par_stats.traversals, seq_stats.traversals);
-    EXPECT_EQ(par_stats.tables_evicted, seq_stats.tables_evicted);
-    EXPECT_EQ(seq_stats.shards, 0u);
-    EXPECT_EQ(par_stats.shards, sharding.NumShards());
-    // Eviction releases every table but the root's, in either walk.
-    EXPECT_EQ(seq_stats.tables_evicted,
-              table_budget > 0 ? ntd->NumNodes() - 1 : 0u);
+  DpStats seq_stats;
+  DpStats par_stats;
+  auto seq_root = RunCount(*ntd, sequential, &seq_stats);
+  auto par_root = RunCount(*ntd, parallel, &par_stats);
+  ASSERT_EQ(seq_root.size(), 1u);
+  EXPECT_EQ(seq_root[0].second, g.NumVertices());
+  EXPECT_EQ(par_root, seq_root);
+  EXPECT_EQ(par_stats.total_states, seq_stats.total_states);
+  EXPECT_EQ(par_stats.max_states_per_node, seq_stats.max_states_per_node);
+  EXPECT_EQ(par_stats.traversals, seq_stats.traversals);
+  EXPECT_EQ(seq_stats.shards, 0u);
+  EXPECT_EQ(par_stats.shards, sharding.NumShards());
+  EXPECT_EQ(seq_stats.tables_evicted, ntd->NumNodes() - 1);
+  EXPECT_EQ(par_stats.tables_evicted, ntd->NumNodes() - 1);
+
+  for (const DpExec& exec : {sequential, parallel}) {
+    DpStats retained;
+    auto table = RunDp(*ntd, CountProblem{}, exec, &retained,
+                       /*retain_tables=*/true);
+    EXPECT_EQ(retained.tables_evicted, 0u);
+    EXPECT_EQ(retained.total_states, seq_stats.total_states);
+    for (const auto& node_table : table.nodes) {
+      EXPECT_EQ(node_table.size(), 1u);
+    }
   }
 }
 
