@@ -7,8 +7,8 @@
 // deterministic counters of the largest instance (derived facts, fixpoint
 // rounds/tasks, compiled plans, executor dispatches, ground clauses/atoms —
 // no wall-clock, so a 1-CPU runner produces meaningful, comparable
-// artifacts). The parallel semi-naive run must reproduce the sequential
-// model and counters exactly; the bench checks that before writing.
+// artifacts). The naive oracle runs through datalog::NaiveEvaluate directly;
+// the other two engines run through the Engine.
 #include <cstdio>
 #include <cstring>
 #include <functional>
@@ -57,11 +57,8 @@ double Once(const std::function<void()>& run) {
 }
 
 RunStats Evaluate(const datalog::Program& program, const Structure& atd,
-                  DatalogBackend backend, size_t num_threads,
-                  Structure* model) {
-  EngineOptions options;
-  options.num_threads = num_threads;
-  Engine engine(atd, options);
+                  DatalogBackend backend, Structure* model) {
+  Engine engine(atd);
   RunStats run;
   auto result = engine.EvaluateDatalog(program, backend, &run);
   TREEDL_CHECK(result.ok()) << result.status();
@@ -84,17 +81,18 @@ void RunQuasiGuardedBench(const BenchConfig& config) {
     Structure grounded_model{Signature()}, seminaive_model{Signature()},
         naive_model{Signature()};
     double grounded_ms = Once([&] {
-      Evaluate(*program, atd, DatalogBackend::kGrounded, 1, &grounded_model);
+      Evaluate(*program, atd, DatalogBackend::kGrounded, &grounded_model);
     });
     double seminaive_ms = Once([&] {
-      Evaluate(*program, atd, DatalogBackend::kSemiNaive, 1,
-               &seminaive_model);
+      Evaluate(*program, atd, DatalogBackend::kSemiNaive, &seminaive_model);
     });
     // Naive evaluation is quadratic-ish in rounds; keep sizes smaller.
     double naive_ms = -1.0;
     if (n <= 128) {
       naive_ms = Once([&] {
-        Evaluate(*program, atd, DatalogBackend::kNaive, 1, &naive_model);
+        auto result = datalog::NaiveEvaluate(*program, atd);
+        TREEDL_CHECK(result.ok()) << result.status();
+        naive_model = std::move(*result);
       });
       TREEDL_CHECK(naive_model == seminaive_model)
           << "n=" << n << ": naive and semi-naive models diverged";
@@ -113,23 +111,12 @@ void RunQuasiGuardedBench(const BenchConfig& config) {
               "semi-naive engine\n close behind; naive pays a full "
               "re-derivation per round)\n");
 
-  // Deterministic counter profile of the largest instance, with the
-  // threads=8 semi-naive run pinned bit-identical to the sequential one.
+  // Deterministic counter profile of the largest instance.
   Structure atd = Atd(config.max_vertices);
-  Structure sequential_model{Signature()}, parallel_model{Signature()};
   RunStats grounded =
-      Evaluate(*program, atd, DatalogBackend::kGrounded, 1, nullptr);
-  RunStats sequential = Evaluate(*program, atd, DatalogBackend::kSemiNaive, 1,
-                                 &sequential_model);
-  RunStats parallel = Evaluate(*program, atd, DatalogBackend::kSemiNaive, 8,
-                               &parallel_model);
-  TREEDL_CHECK(parallel_model == sequential_model)
-      << "threads=8 semi-naive model diverged from the sequential run";
-  TREEDL_CHECK(parallel.derived_facts == sequential.derived_facts &&
-               parallel.fixpoint_rounds == sequential.fixpoint_rounds &&
-               parallel.fixpoint_rule_tasks == sequential.fixpoint_rule_tasks &&
-               parallel.executor_dispatches == sequential.executor_dispatches)
-      << "threads=8 semi-naive counters diverged from the sequential run";
+      Evaluate(*program, atd, DatalogBackend::kGrounded, nullptr);
+  RunStats sequential =
+      Evaluate(*program, atd, DatalogBackend::kSemiNaive, nullptr);
   std::printf(
       "\nlargest instance (n=%zu): derived=%zu rounds=%zu rule_tasks=%zu "
       "plans=%zu dispatches=%zu  grounded: clauses=%zu atoms=%zu guards=%zu\n",

@@ -1,7 +1,7 @@
-// Datalog runner: evaluate a program against a fact base with any of the
-// three engines and print the derived facts.
+// Datalog runner: evaluate a program against a fact base with either
+// Engine backend and print the derived facts.
 //
-// Usage: datalog_repl [program.dl facts.txt [naive|seminaive|grounded]]
+// Usage: datalog_repl [program.dl facts.txt [seminaive|grounded]]
 // Without arguments, runs a built-in transitive-closure demo.
 //
 // A thin client of the serving layer: the program and facts become LOAD +
@@ -68,9 +68,9 @@ int main(int argc, char** argv) {
   std::string facts_text = kDemoFacts;
   std::string engine = argc >= 4 ? argv[3] : "seminaive";
   if (argc == 2 || argc > 4 ||
-      (engine != "naive" && engine != "seminaive" && engine != "grounded")) {
+      (engine != "seminaive" && engine != "grounded")) {
     std::cerr << "usage: datalog_repl [program.dl facts.txt "
-                 "[naive|seminaive|grounded]]\n";
+                 "[seminaive|grounded]]\n";
     return 1;
   }
   if (argc >= 3) {
@@ -125,10 +125,9 @@ int main(int argc, char** argv) {
   // The server executes the transcript; the backend is an option, not a
   // different API.
   server::ServerOptions options;
-  options.engine_options.backend =
-      engine == "naive"      ? DatalogBackend::kNaive
-      : engine == "grounded" ? DatalogBackend::kGrounded
-                             : DatalogBackend::kSemiNaive;
+  options.engine_options.backend = engine == "grounded"
+                                       ? DatalogBackend::kGrounded
+                                       : DatalogBackend::kSemiNaive;
   server::Server session(options);
   std::istringstream requests(load_line + "\nQUERY repl " +
                               FlattenPayload(program_text) + "\nQUIT\n");

@@ -11,8 +11,7 @@
 //
 // Deliberately minimal: no destructors run (T must be trivially copyable and
 // trivially destructible), no shrink, no erase. Not thread-safe — same
-// contract as the Arena itself; the parallel fixpoint only reads frozen
-// structures built through this type.
+// contract as the Arena itself.
 #ifndef TREEDL_COMMON_ARENA_VEC_HPP_
 #define TREEDL_COMMON_ARENA_VEC_HPP_
 

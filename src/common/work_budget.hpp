@@ -2,8 +2,8 @@
 //
 // The paper's cost model makes work predictable — DP cost is ~3^|bag| per
 // node, fixpoint cost is round-bounded — so a request limit can be expressed
-// in *logical work units* (DP nodes processed per pass, fixpoint rule tasks
-// per round) instead of wall-clock. Logical units are the point: the total
+// in *logical work units* (DP nodes processed per pass, fixpoint rule plans
+// per round, rules grounded) instead of wall-clock. Logical units are the point: the total
 // number of units a computation attempts is a pure function of the input,
 // never of the thread count or schedule, so "abort after N units" yields the
 // SAME abort decision — and therefore the same protocol reply — in a

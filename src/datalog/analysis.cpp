@@ -98,10 +98,10 @@ StatusOr<ProgramInfo> AnalyzeProgram(const Program& program) {
         }
         if (!lit.positive && !all_bound) continue;  // negatives wait
         // Prefer fully bound negatives early (cheap filters), then positive
-        // intensional literals (the semi-naive delta literal must sit at
-        // plan position 0 for delta batching to split it into range tasks),
-        // then the positive literal with the most bound arguments. Arity is
-        // capped well below the tier gaps, so the tiers never mix.
+        // intensional literals (a semi-naive delta plan then starts from
+        // the delta instead of scanning a guard relation), then the positive
+        // literal with the most bound arguments. Arity is capped well below
+        // the tier gaps, so the tiers never mix.
         size_t score = bound_args + (lit.positive ? 0 : 1000);
         if (lit.positive &&
             info.intensional[static_cast<size_t>(lit.atom.predicate)]) {

@@ -17,9 +17,9 @@ struct ProgramInfo {
   /// the 0-ary decision predicates of §4's discussion.
   bool is_monadic = false;
   /// Per rule: body literal indices in evaluation order. Positive
-  /// intensional literals schedule first (so the semi-naive engine's delta
-  /// literal lands at plan position 0, where delta batching applies), then
-  /// positives greedily by bound-argument count; negatives once fully bound.
+  /// intensional literals schedule first (so a rule with one of them has its
+  /// semi-naive delta plan start from the delta), then positives greedily by
+  /// bound-argument count; negatives once fully bound.
   std::vector<std::vector<size_t>> plans;
 };
 

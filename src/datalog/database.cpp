@@ -1,7 +1,5 @@
 #include "datalog/database.hpp"
 
-#include <algorithm>
-
 #include "common/hash.hpp"
 #include "common/logging.hpp"
 
@@ -266,12 +264,6 @@ Tuple GroundArgs(const ResolvedAtom& atom, const Binding& binding) {
   return out;
 }
 
-size_t MatchAtom(FactStore* store, const ResolvedAtom& atom, Binding* binding,
-                 const std::function<bool(void)>& yield) {
-  return MatchAtomInRange(store, atom, binding, 0,
-                          std::numeric_limits<size_t>::max(), yield);
-}
-
 int ProbePosition(const ResolvedAtom& atom,
                   const std::function<bool(VariableId)>& is_bound) {
   for (size_t i = 0; i < atom.const_args.size(); ++i) {
@@ -282,9 +274,8 @@ int ProbePosition(const ResolvedAtom& atom,
   return -1;
 }
 
-size_t MatchAtomInRange(FactStore* store, const ResolvedAtom& atom,
-                        Binding* binding, size_t begin, size_t end,
-                        const std::function<bool(void)>& yield) {
+size_t MatchAtom(FactStore* store, const ResolvedAtom& atom, Binding* binding,
+                 const std::function<bool(void)>& yield) {
   // Pick a bound column for index access, if any. This per-tuple runtime
   // decision is the interpreted path the compiled executors
   // (datalog/executor.hpp) are differentially tested against.
@@ -295,12 +286,11 @@ size_t MatchAtomInRange(FactStore* store, const ResolvedAtom& atom,
   const size_t num_rows = store->NumTuples(atom.predicate);
   const int arity = store->Arity(atom.predicate);
 
-  // Candidate rows: the single-column index chain, or the [begin, end)
-  // slice of the relation. Both enumerate in row-insertion order.
+  // Candidate rows: the single-column index chain, or the whole relation.
+  // Both enumerate in row-insertion order.
   uint32_t chain_row = FactStore::kNoRow;
   uint32_t probe_mask = 0;
   size_t scan_row = 0;
-  size_t scan_end = 0;
   if (index_pos >= 0) {
     ElementId index_value = atom.const_args[static_cast<size_t>(index_pos)];
     if (atom.vars[static_cast<size_t>(index_pos)] >= 0) {
@@ -309,9 +299,6 @@ size_t MatchAtomInRange(FactStore* store, const ResolvedAtom& atom,
     }
     probe_mask = 1u << index_pos;
     chain_row = store->Probe(atom.predicate, probe_mask, &index_value);
-  } else {
-    scan_row = std::min(begin, num_rows);
-    scan_end = std::min(end, num_rows);
   }
 
   size_t matches = 0;
@@ -322,10 +309,9 @@ size_t MatchAtomInRange(FactStore* store, const ResolvedAtom& atom,
       idx = chain_row;
       chain_row = store->NextRow(atom.predicate, probe_mask, chain_row);
     } else {
-      if (scan_row >= scan_end) break;
+      if (scan_row >= num_rows) break;
       idx = scan_row++;
     }
-    if (idx < begin || idx >= end) continue;
     // Attempt unification, remembering which variables this row binds.
     std::vector<VariableId> newly_bound;
     bool ok = true;

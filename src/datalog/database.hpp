@@ -12,15 +12,10 @@
 // Index buckets chain matching rows in insertion order (head/tail plus a
 // per-row `next` link), so every enumeration — indexed or full scan — yields
 // rows in exactly the relation's insertion order. That property is what
-// keeps the compiled executors bit-identical to the interpreted oracle and
-// to themselves at any thread count: a stronger index only skips
-// non-matching rows, it never reorders the matches.
-//
-// Freeze protocol (unchanged from the single-column predecessor): the
-// parallel fixpoint pre-builds, via EnsureIndex, every (predicate, pattern)
-// index its compiled plans can probe before a round starts, so Probe is a
-// pure read while tasks share the store across threads; Add maintains all
-// built indexes between rounds.
+// keeps the compiled executors bit-identical to the interpreted oracle: a
+// stronger index only skips non-matching rows, it never reorders the
+// matches. Indexes are built lazily on first probe, and Add maintains every
+// built index.
 #ifndef TREEDL_DATALOG_DATABASE_HPP_
 #define TREEDL_DATALOG_DATABASE_HPP_
 
@@ -82,15 +77,13 @@ class FactStore {
   /// Materializes one row (used when a caller needs an owning Tuple).
   Tuple Row(PredicateId p, uint32_t row) const;
 
-  /// Row id of the (unique) tuple equal to `t`, or kNoRow. The ranged
-  /// containment primitive of fully-bound delta steps.
+  /// Row id of the (unique) tuple equal to `t`, or kNoRow.
   uint32_t FindRow(PredicateId p, const Tuple& t) const;
 
   /// Builds the (p, mask) bound-pattern index now if absent. `mask` bit i
   /// set = argument position i is part of the probe key. mask 0 (full scan)
-  /// and fully-bound masks need no index and are ignored. The parallel
-  /// fixpoint pre-builds every index its compiled plans could probe, so
-  /// Probe is a pure read while rounds share the store across threads.
+  /// and fully-bound masks need no index and are ignored. Probe calls this
+  /// on first use of a pattern.
   void EnsureIndex(PredicateId p, uint32_t mask);
 
   /// First row whose mask-positions equal `key` (the bound values in
@@ -170,14 +163,6 @@ ResolvedAtom ResolveAtom(const Atom& atom, Structure* domain);
 /// (datalog/executor.hpp) are differentially tested against.
 size_t MatchAtom(FactStore* store, const ResolvedAtom& atom, Binding* binding,
                  const std::function<bool(void)>& yield);
-
-/// MatchAtom restricted to tuples whose row in relation `atom.predicate`
-/// lies in [begin, end) — the delta-batch primitive: batches over contiguous
-/// slices of the delta relation concatenate to exactly the unrestricted
-/// enumeration order.
-size_t MatchAtomInRange(FactStore* store, const ResolvedAtom& atom,
-                        Binding* binding, size_t begin, size_t end,
-                        const std::function<bool(void)>& yield);
 
 /// The argument position the interpreted MatchAtom probes an index on: the
 /// first position that is a constant or whose variable satisfies `is_bound`;

@@ -10,7 +10,6 @@
 #define TREEDL_DATALOG_EVAL_HPP_
 
 #include "common/status.hpp"
-#include "common/thread_pool.hpp"
 #include "common/work_budget.hpp"
 #include "datalog/ast.hpp"
 #include "engine/run_stats.hpp"
@@ -18,35 +17,14 @@
 
 namespace treedl::datalog {
 
-/// Execution context for the semi-naive engine. Default-constructed (or with
-/// a null/single-thread pool) the fixpoint runs sequentially, exactly as
-/// before. With a pool, each round's rule-evaluation units run as tasks on
-/// it; results are merged in unit order, so the derived model — and every
-/// fact-insertion sequence behind it — is bit-identical to the sequential
-/// run at any thread count.
+/// Execution context for the budgeted engines (semi-naive and grounded).
 struct EvalExec {
-  ThreadPool* pool = nullptr;
-  /// Delta facts per batch the engine aims for when it splits a wide
-  /// (rule, delta position) unit; the batch count is a pure function of the
-  /// delta size, never of the thread count, keeping work counters
-  /// deterministic across configurations.
-  size_t delta_batch_grain = 256;
-  /// Optional deadline/memory budget. The fixpoint charges one work unit per
-  /// rule task at each round boundary — the task decomposition is a pure
-  /// function of the data, so a deadline trips at the same round on every
-  /// thread count — and returns Status::DeadlineExceeded on a trip.
+  /// Optional deadline/memory budget. The semi-naive fixpoint charges one
+  /// work unit per rule plan at each round boundary, the grounded pipeline
+  /// one per rule grounded; both are pure functions of program and data, so
+  /// a deadline trips at the same unit on every run. A trip returns the
+  /// budget's AbortStatus().
   WorkBudget* budget = nullptr;
-
-  bool Parallel() const { return pool != nullptr && pool->NumThreads() > 1; }
-};
-
-/// Deprecated: retained for out-of-tree callers. New code receives the same
-/// numbers through the unified RunStats (eval_iterations / derived_facts /
-/// rule_applications); the EvalStats overloads below forward into RunStats.
-struct EvalStats {
-  size_t iterations = 0;
-  size_t derived_facts = 0;     // IDB facts derived (beyond the EDB)
-  size_t rule_applications = 0; // body matches attempted (work measure)
 };
 
 /// Evaluates `program` over the extensional database `edb`. The result
@@ -61,20 +39,11 @@ StatusOr<Structure> SemiNaiveEvaluate(const Program& program,
                                       const Structure& edb,
                                       RunStats* stats = nullptr);
 
-/// Semi-naive evaluation with an execution context: rule-level (and, for
-/// wide rules, delta-batch) parallelism within each fixpoint round on
-/// exec.pool. RunStats::fixpoint_rounds / fixpoint_rule_tasks report the
-/// round/task decomposition.
+/// Semi-naive evaluation under exec.budget. RunStats::fixpoint_rounds /
+/// fixpoint_rule_tasks report the rounds and the rule plans they ran.
 StatusOr<Structure> SemiNaiveEvaluate(const Program& program,
                                       const Structure& edb,
                                       const EvalExec& exec, RunStats* stats);
-
-/// Deprecated shims: forward into the RunStats forms and copy the fixpoint
-/// slice back into the legacy struct.
-StatusOr<Structure> NaiveEvaluate(const Program& program, const Structure& edb,
-                                  EvalStats* stats);
-StatusOr<Structure> SemiNaiveEvaluate(const Program& program,
-                                      const Structure& edb, EvalStats* stats);
 
 }  // namespace treedl::datalog
 

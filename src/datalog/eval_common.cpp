@@ -107,8 +107,7 @@ StatusOr<PreparedProgram> Prepare(const Program& program,
 
 namespace {
 
-size_t ApplyFrom(const PreparedRule& rule, FactStore* store, FactStore* delta,
-                 int delta_position, DeltaRange delta_range, size_t position,
+size_t ApplyFrom(const PreparedRule& rule, FactStore* store, size_t position,
                  Binding* binding,
                  const std::function<void(const Tuple&)>& derive) {
   if (position == rule.body.size()) {
@@ -121,18 +120,12 @@ size_t ApplyFrom(const PreparedRule& rule, FactStore* store, FactStore* delta,
     // Negative literals are fully bound at this point (plan ordering).
     TREEDL_DCHECK(FullyBound(atom, *binding));
     if (!store->Contains(atom.predicate, GroundArgs(atom, *binding))) {
-      work += ApplyFrom(rule, store, delta, delta_position, delta_range,
-                        position + 1, binding, derive);
+      work += ApplyFrom(rule, store, position + 1, binding, derive);
     }
     return work;
   }
-  bool at_delta = static_cast<int>(position) == delta_position;
-  FactStore* source = at_delta ? delta : store;
-  size_t begin = at_delta ? delta_range.begin : 0;
-  size_t end = at_delta ? delta_range.end : static_cast<size_t>(-1);
-  MatchAtomInRange(source, atom, binding, begin, end, [&]() {
-    work += ApplyFrom(rule, store, delta, delta_position, delta_range,
-                      position + 1, binding, derive);
+  MatchAtom(store, atom, binding, [&]() {
+    work += ApplyFrom(rule, store, position + 1, binding, derive);
     return true;
   });
   return work;
@@ -140,13 +133,11 @@ size_t ApplyFrom(const PreparedRule& rule, FactStore* store, FactStore* delta,
 
 }  // namespace
 
-size_t ApplyRule(const PreparedRule& rule, FactStore* store, FactStore* delta,
-                 int delta_position, size_t num_variables,
-                 const std::function<void(const Tuple&)>& derive,
-                 DeltaRange delta_range) {
+size_t ApplyRule(const PreparedRule& rule, FactStore* store,
+                 size_t num_variables,
+                 const std::function<void(const Tuple&)>& derive) {
   Binding binding(num_variables, kUnbound);
-  return ApplyFrom(rule, store, delta, delta_position, delta_range, 0,
-                   &binding, derive);
+  return ApplyFrom(rule, store, 0, &binding, derive);
 }
 
 }  // namespace treedl::datalog::internal

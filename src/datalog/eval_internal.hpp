@@ -45,27 +45,16 @@ struct PreparedProgram {
 /// ground program facts).
 StatusOr<PreparedProgram> Prepare(const Program& program, const Structure& edb);
 
-/// Restriction of the delta literal to a contiguous slice of its relation —
-/// how the parallel semi-naive engine splits one wide (rule, delta position)
-/// unit into batches. The default covers the whole relation.
-struct DeltaRange {
-  size_t begin = 0;
-  size_t end = static_cast<size_t>(-1);
-};
-
-/// Evaluates one rule against `store` (with an optional delta store replacing
-/// `store` for the body literal at plan position `delta_position`, optionally
-/// restricted to `delta_range`); derived head tuples are passed to `derive`.
-/// Returns the number of body matches attempted (work measure).
+/// Evaluates one rule against `store`; derived head tuples are passed to
+/// `derive`. Returns the number of body matches attempted (work measure).
 ///
 /// This is the tuple-at-a-time *interpreted* evaluation the compiled
 /// executors replaced in the semi-naive engine. The naive evaluator keeps it
 /// as the reference oracle; the differential harness pins the two engines'
 /// models and work counters against each other.
-size_t ApplyRule(const PreparedRule& rule, FactStore* store, FactStore* delta,
-                 int delta_position, size_t num_variables,
-                 const std::function<void(const Tuple&)>& derive,
-                 DeltaRange delta_range = {});
+size_t ApplyRule(const PreparedRule& rule, FactStore* store,
+                 size_t num_variables,
+                 const std::function<void(const Tuple&)>& derive);
 
 }  // namespace treedl::datalog::internal
 

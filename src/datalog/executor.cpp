@@ -1,7 +1,5 @@
 #include "datalog/executor.hpp"
 
-#include <algorithm>
-
 #include "common/logging.hpp"
 
 namespace treedl::datalog {
@@ -62,7 +60,7 @@ template <int kStaticArity>
 class NegCheckExec final : public StepExecutor {
  public:
   void Execute(const JoinStep& step, FactStore* store, FactStore* /*delta*/,
-               size_t /*begin*/, size_t /*end*/, Binding* binding,
+               Binding* binding,
                const std::function<void()>& next) const override {
     Tuple key(step.actions.size());
     GroundKey<kStaticArity>(step, *binding, &key);
@@ -74,15 +72,12 @@ template <int kStaticArity>
 class BoundCheckExec final : public StepExecutor {
  public:
   void Execute(const JoinStep& step, FactStore* store, FactStore* delta,
-               size_t begin, size_t end, Binding* binding,
+               Binding* binding,
                const std::function<void()>& next) const override {
     FactStore* src = step.is_delta ? delta : store;
     Tuple key(step.actions.size());
     GroundKey<kStaticArity>(step, *binding, &key);
-    uint32_t row = src->FindRow(step.predicate, key);
-    if (row == FactStore::kNoRow) return;
-    if (step.is_delta && (row < begin || row >= end)) return;
-    next();
+    if (src->FindRow(step.predicate, key) != FactStore::kNoRow) next();
   }
 };
 
@@ -90,7 +85,7 @@ template <int kStaticArity>
 class IndexProbeExec final : public StepExecutor {
  public:
   void Execute(const JoinStep& step, FactStore* store, FactStore* delta,
-               size_t begin, size_t end, Binding* binding,
+               Binding* binding,
                const std::function<void()>& next) const override {
     FactStore* src = step.is_delta ? delta : store;
     const int arity = kStaticArity >= 0
@@ -106,15 +101,12 @@ class IndexProbeExec final : public StepExecutor {
         key[k++] = (*binding)[static_cast<size_t>(step.vars[pos])];
       }
     }
-    // Chain rows arrive in relation insertion order; the delta range is a
-    // filter over that same order, so batches concatenate deterministically.
+    // Chain rows arrive in relation insertion order.
     uint32_t row = src->Probe(step.predicate, step.probe_mask, key);
     while (row != FactStore::kNoRow) {
       uint32_t current = row;
       row = src->NextRow(step.predicate, step.probe_mask, row);
-      if (!step.is_delta || (current >= begin && current < end)) {
-        VisitRow<kStaticArity>(step, src, current, binding, next);
-      }
+      VisitRow<kStaticArity>(step, src, current, binding, next);
     }
   }
 };
@@ -123,13 +115,11 @@ template <int kStaticArity>
 class FullScanExec final : public StepExecutor {
  public:
   void Execute(const JoinStep& step, FactStore* store, FactStore* delta,
-               size_t begin, size_t end, Binding* binding,
+               Binding* binding,
                const std::function<void()>& next) const override {
     FactStore* src = step.is_delta ? delta : store;
     size_t num_rows = src->NumTuples(step.predicate);
-    size_t lo = step.is_delta ? std::min(begin, num_rows) : 0;
-    size_t hi = step.is_delta ? std::min(end, num_rows) : num_rows;
-    for (size_t row = lo; row < hi; ++row) {
+    for (size_t row = 0; row < num_rows; ++row) {
       VisitRow<kStaticArity>(step, src, static_cast<uint32_t>(row), binding,
                              next);
     }
@@ -274,8 +264,7 @@ void PendingSet::Add(const ResolvedAtom& head, const Binding& binding) {
 }
 
 void ExecutePlan(const JoinPlan& plan, FactStore* store, FactStore* delta,
-                 size_t begin, size_t end, PendingSet* out,
-                 ExecCounters* counters) {
+                 PendingSet* out, ExecCounters* counters) {
   TREEDL_DCHECK(!plan.steps.empty());
   Binding binding(plan.num_variables, kUnbound);
   const size_t num_steps = plan.steps.size();
@@ -288,7 +277,7 @@ void ExecutePlan(const JoinPlan& plan, FactStore* store, FactStore* delta,
       ++counters->work;
       ++counters->dispatches;
       const CompiledStep& step = plan.steps[i];
-      step.executor->Execute(step.spec, store, delta, begin, end, &binding,
+      step.executor->Execute(step.spec, store, delta, &binding,
                              continuations[i + 1]);
     };
   }

@@ -16,9 +16,9 @@
 // bound-pattern index; the step kind picks the executor:
 //
 //   kNegCheck    negative literal, fully bound — absence check
-//   kBoundCheck  positive literal, fully bound — presence (+ delta range)
+//   kBoundCheck  positive literal, fully bound — presence check
 //   kIndexProbe  some positions bound — index probe + chain walk
-//   kFullScan    nothing bound — row scan (the delta range directly)
+//   kFullScan    nothing bound — row scan
 //
 // Executors are stateless singletons resolved from the ExecutorRegistry by
 // (kind, arity) — small objects with arity-specialized inner loops
@@ -27,11 +27,10 @@
 // time is one virtual call counted by RunStats::executor_dispatches.
 //
 // Determinism contract: a probed chain enumerates rows in relation
-// insertion order (FactStore invariant), a stronger multi-column probe only
-// skips non-matching rows, and a delta range filters the same order — so a
-// compiled plan yields exactly the match sequence of the interpreted
-// MatchAtom kernel, and model, round, task, and work counters are
-// bit-identical at any thread count.
+// insertion order (FactStore invariant) and a stronger multi-column probe
+// only skips non-matching rows — so a compiled plan yields exactly the match
+// sequence of the interpreted MatchAtom kernel, and model, round, task, and
+// work counters are a pure function of program and data.
 #ifndef TREEDL_DATALOG_EXECUTOR_HPP_
 #define TREEDL_DATALOG_EXECUTOR_HPP_
 
@@ -57,8 +56,7 @@ enum class StepKind : uint8_t {
 /// One body literal, compiled: the probe pattern plus per-position actions.
 struct JoinStep {
   PredicateId predicate = 0;
-  /// True on the plan's delta position: read the delta store, restricted to
-  /// the task's row range.
+  /// True on the plan's delta position: read the delta store.
   bool is_delta = false;
   uint32_t probe_mask = 0;  // kConst|kBound positions, bit i = position i
   std::vector<ArgAction> actions;     // one per argument position
@@ -81,8 +79,7 @@ class StepExecutor {
  public:
   virtual ~StepExecutor() = default;
   virtual void Execute(const JoinStep& step, FactStore* store,
-                       FactStore* delta, size_t begin, size_t end,
-                       Binding* binding,
+                       FactStore* delta, Binding* binding,
                        const std::function<void()>& next) const = 0;
 };
 
@@ -132,9 +129,9 @@ CompiledRule CompileRule(const ResolvedAtom& head,
                          const std::vector<bool>& body_intensional,
                          size_t num_variables);
 
-/// Derived head tuples of one rule task, flat in a task-local arena (one
-/// bump allocation stream instead of one heap Tuple per derivation; the
-/// whole set frees with the task).
+/// Derived head tuples of one fixpoint round, flat in a round-local arena
+/// (one bump allocation stream instead of one heap Tuple per derivation;
+/// the whole set frees with the round).
 class PendingSet {
  public:
   PendingSet() = default;
@@ -164,11 +161,10 @@ class PendingSet {
 };
 
 /// Runs `plan` to completion: every derived head tuple is appended to
-/// `out`, work/dispatch counters accumulate into `counters`. `delta` and
-/// [begin, end) apply to the plan's delta step (ignored for full plans).
+/// `out`, work/dispatch counters accumulate into `counters`. `delta` is read
+/// by the plan's delta step (null for full plans).
 void ExecutePlan(const JoinPlan& plan, FactStore* store, FactStore* delta,
-                 size_t begin, size_t end, PendingSet* out,
-                 ExecCounters* counters);
+                 PendingSet* out, ExecCounters* counters);
 
 }  // namespace treedl::datalog
 

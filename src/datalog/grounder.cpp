@@ -40,7 +40,8 @@ class AtomInterner {
 }  // namespace
 
 StatusOr<Structure> GroundedEvaluate(const Program& program,
-                                     const Structure& edb, RunStats* stats) {
+                                     const Structure& edb,
+                                     const EvalExec& exec, RunStats* stats) {
   if (stats != nullptr) *stats = RunStats{};
   TREEDL_ASSIGN_OR_RETURN(std::vector<size_t> guards,
                           FindQuasiGuards(program));
@@ -53,7 +54,7 @@ StatusOr<Structure> GroundedEvaluate(const Program& program,
 
   AtomInterner interner;
   std::vector<HornClause> clauses;
-  GroundingStats local;
+  size_t guard_instantiations = 0;
 
   // Ground program facts were already inserted into prep.store/prep.result by
   // Prepare; they must also seed the Horn program if their predicate is
@@ -71,6 +72,9 @@ StatusOr<Structure> GroundedEvaluate(const Program& program,
   for (size_t r = 0; r < program.rules().size(); ++r) {
     const Rule& rule = program.rules()[r];
     if (rule.body.empty()) continue;
+    if (exec.budget != nullptr && !exec.budget->ConsumeUnit()) {
+      return exec.budget->AbortStatus();
+    }
 
     // Partition and order the body for grounding.
     std::vector<ResolvedAtom> positives;  // extensional, enumeration order
@@ -143,7 +147,7 @@ StatusOr<Structure> GroundedEvaluate(const Program& program,
     std::function<void(size_t)> enumerate = [&](size_t pos) {
       if (pos < positives.size()) {
         MatchAtom(&prep.store, positives[pos], &binding, [&]() {
-          if (pos == 0) ++local.guard_instantiations;
+          if (pos == 0) ++guard_instantiations;
           enumerate(pos + 1);
           return true;
         });
@@ -173,9 +177,6 @@ StatusOr<Structure> GroundedEvaluate(const Program& program,
     enumerate(0);
   }
 
-  local.ground_clauses = clauses.size();
-  local.ground_atoms = interner.size();
-
   std::vector<bool> truth =
       LturSolve(static_cast<int>(interner.size()), clauses);
   for (size_t id = 0; id < truth.size(); ++id) {
@@ -185,24 +186,16 @@ StatusOr<Structure> GroundedEvaluate(const Program& program,
     TREEDL_CHECK(st.ok()) << st.ToString();
   }
   if (stats != nullptr) {
-    stats->ground_clauses += local.ground_clauses;
-    stats->ground_atoms += local.ground_atoms;
-    stats->guard_instantiations += local.guard_instantiations;
+    stats->ground_clauses += clauses.size();
+    stats->ground_atoms += interner.size();
+    stats->guard_instantiations += guard_instantiations;
   }
   return std::move(prep.result);
 }
 
 StatusOr<Structure> GroundedEvaluate(const Program& program,
-                                     const Structure& edb,
-                                     GroundingStats* stats) {
-  RunStats run;
-  auto result = GroundedEvaluate(program, edb, &run);
-  if (stats != nullptr) {
-    stats->ground_clauses = run.ground_clauses;
-    stats->ground_atoms = run.ground_atoms;
-    stats->guard_instantiations = run.guard_instantiations;
-  }
-  return result;
+                                     const Structure& edb, RunStats* stats) {
+  return GroundedEvaluate(program, edb, EvalExec{}, stats);
 }
 
 }  // namespace treedl::datalog

@@ -15,19 +15,12 @@
 
 #include "common/status.hpp"
 #include "datalog/ast.hpp"
+#include "datalog/eval.hpp"
 #include "datalog/ltur.hpp"
 #include "engine/run_stats.hpp"
 #include "structure/structure.hpp"
 
 namespace treedl::datalog {
-
-/// Deprecated: retained for out-of-tree callers; the same numbers live in
-/// RunStats (ground_clauses / ground_atoms / guard_instantiations).
-struct GroundingStats {
-  size_t ground_clauses = 0;
-  size_t ground_atoms = 0;
-  size_t guard_instantiations = 0;
-};
 
 /// Semantics identical to SemiNaiveEvaluate, restricted to quasi-guarded
 /// programs (fails with InvalidArgument otherwise).
@@ -35,10 +28,12 @@ StatusOr<Structure> GroundedEvaluate(const Program& program,
                                      const Structure& edb,
                                      RunStats* stats = nullptr);
 
-/// Deprecated shim: forwards into the RunStats form.
+/// Grounded evaluation under exec.budget: one work unit per rule grounded,
+/// charged before the rule's grounding; a trip returns the budget's
+/// AbortStatus().
 StatusOr<Structure> GroundedEvaluate(const Program& program,
                                      const Structure& edb,
-                                     GroundingStats* stats);
+                                     const EvalExec& exec, RunStats* stats);
 
 }  // namespace treedl::datalog
 

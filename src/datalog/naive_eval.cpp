@@ -15,48 +15,37 @@ StatusOr<Structure> NaiveEvaluate(const Program& program, const Structure& edb,
   if (stats != nullptr) *stats = RunStats{};
   TREEDL_ASSIGN_OR_RETURN(internal::PreparedProgram prep,
                           internal::Prepare(program, edb));
-  EvalStats local;
+  size_t iterations = 0;
+  size_t derived_facts = 0;
+  size_t rule_applications = 0;
   bool changed = true;
   while (changed) {
     changed = false;
-    ++local.iterations;
+    ++iterations;
     // Collect derivations per round, then insert (jacobi-style; insertion
     // order does not affect the least fixpoint).
     std::vector<std::pair<PredicateId, Tuple>> pending;
     for (const internal::PreparedRule& rule : prep.rules) {
-      local.rule_applications += internal::ApplyRule(
-          rule, &prep.store, /*delta=*/nullptr, /*delta_position=*/-1,
-          prep.num_variables, [&](const Tuple& tuple) {
+      rule_applications += internal::ApplyRule(
+          rule, &prep.store, prep.num_variables, [&](const Tuple& tuple) {
             pending.emplace_back(rule.head.predicate, tuple);
           });
     }
     for (auto& [pred, tuple] : pending) {
       if (prep.store.Add(pred, tuple)) {
         changed = true;
-        ++local.derived_facts;
+        ++derived_facts;
         Status st = prep.result.AddFact(pred, tuple);
         TREEDL_CHECK(st.ok()) << st.ToString();
       }
     }
   }
   if (stats != nullptr) {
-    stats->eval_iterations += local.iterations;
-    stats->derived_facts += local.derived_facts;
-    stats->rule_applications += local.rule_applications;
+    stats->eval_iterations += iterations;
+    stats->derived_facts += derived_facts;
+    stats->rule_applications += rule_applications;
   }
   return std::move(prep.result);
-}
-
-StatusOr<Structure> NaiveEvaluate(const Program& program, const Structure& edb,
-                                  EvalStats* stats) {
-  RunStats run;
-  auto result = NaiveEvaluate(program, edb, &run);
-  if (stats != nullptr) {
-    stats->iterations = run.eval_iterations;
-    stats->derived_facts = run.derived_facts;
-    stats->rule_applications = run.rule_applications;
-  }
-  return result;
 }
 
 }  // namespace treedl::datalog

@@ -27,24 +27,17 @@ namespace {
 
 StatusOr<Structure> RunBackend(const datalog::Program& program,
                                const Structure& edb, DatalogBackend backend,
-                               const datalog::EvalExec& exec, RunStats* stats) {
+                               WorkBudget* budget, RunStats* stats) {
   // Evaluate into a local record and fold it in: the public evaluate
   // functions reset their stats argument at entry, which must not wipe the
-  // counters the engine already recorded for this query. Only the semi-naive
-  // engine is parallel; naive stays the sequential reference oracle and the
-  // grounded pipeline is dominated by its grounding phase.
+  // counters the engine already recorded for this query.
   RunStats eval_run;
-  StatusOr<Structure> result = [&]() -> StatusOr<Structure> {
-    switch (backend) {
-      case DatalogBackend::kNaive:
-        return datalog::NaiveEvaluate(program, edb, &eval_run);
-      case DatalogBackend::kSemiNaive:
-        return datalog::SemiNaiveEvaluate(program, edb, exec, &eval_run);
-      case DatalogBackend::kGrounded:
-        return datalog::GroundedEvaluate(program, edb, &eval_run);
-    }
-    return Status::Internal("unknown datalog backend");
-  }();
+  datalog::EvalExec exec;
+  exec.budget = budget;
+  StatusOr<Structure> result =
+      backend == DatalogBackend::kGrounded
+          ? datalog::GroundedEvaluate(program, edb, exec, &eval_run)
+          : datalog::SemiNaiveEvaluate(program, edb, exec, &eval_run);
   stats->Accumulate(eval_run);
   return result;
 }
@@ -97,7 +90,6 @@ constexpr size_t kShardsPerThread = 4;
 
 const char* DatalogBackendName(DatalogBackend backend) {
   switch (backend) {
-    case DatalogBackend::kNaive: return "naive";
     case DatalogBackend::kSemiNaive: return "seminaive";
     case DatalogBackend::kGrounded: return "grounded";
   }
@@ -197,9 +189,7 @@ StatusOr<const TreeDecomposition*> Engine::EnsureTd(RunStats* stats) {
     return Decompose(*gaifman, options_.heuristic);
   }();
   TREEDL_RETURN_IF_ERROR(td.status());
-  if (options_.validate) {
-    TREEDL_RETURN_IF_ERROR(ValidateForStructure(*structure, *td));
-  }
+  TREEDL_RETURN_IF_ERROR(ValidateForStructure(*structure, *td));
   td_ = std::move(td).value();
   ++stats->td_builds;
   ++GlobalEngineCounters().td_builds;
@@ -436,23 +426,18 @@ StatusOr<Structure> Engine::EvaluateDatalog(const datalog::Program& program,
                                             WorkBudget* budget) {
   return RunQuery(stats, [&](RunStats* s) -> StatusOr<Structure> {
     const Structure* edb = nullptr;
-    datalog::EvalExec exec;
     {
       std::lock_guard<std::mutex> lock(sync_->cache_mu);
       TREEDL_ASSIGN_OR_RETURN(edb, EnsureStructure(s));
-      // Only the semi-naive backend consumes the pool — don't spin up
-      // workers for the sequential naive/grounded backends.
-      if (backend == DatalogBackend::kSemiNaive) exec.pool = EnsurePool();
-      exec.budget = budget != nullptr ? budget : options_.work_budget;
     }
-    return RunBackend(program, *edb, backend, exec, s);
+    return RunBackend(program, *edb, backend,
+                      budget != nullptr ? budget : options_.work_budget, s);
   });
 }
 
 // --- MSO ----------------------------------------------------------------------
 
 StatusOr<bool> Engine::UseDirectMso(RunStats* stats) {
-  if (options_.mso_strategy == MsoStrategy::kDirect) return true;
   TREEDL_ASSIGN_OR_RETURN(const TreeDecomposition* td, EnsureTd(stats));
   return td->Width() < 1;  // Thm 4.5 needs width >= 1
 }
@@ -464,7 +449,6 @@ StatusOr<bool> Engine::EvaluateMso(const mso::FormulaPtr& sentence,
     bool direct = false;
     const datalog::Program* program = nullptr;
     const Structure* tau_edb = nullptr;
-    datalog::EvalExec exec;
     {
       std::lock_guard<std::mutex> lock(sync_->cache_mu);
       TREEDL_ASSIGN_OR_RETURN(a, EnsureStructure(s));
@@ -476,20 +460,13 @@ StatusOr<bool> Engine::EvaluateMso(const mso::FormulaPtr& sentence,
         TREEDL_ASSIGN_OR_RETURN(const datalog::TauTdEncoding* atd,
                                 EnsureTauTd(s));
         tau_edb = &atd->structure;
-        if (options_.backend == DatalogBackend::kSemiNaive) {
-          exec.pool = EnsurePool();
-        }
       }
-      exec.budget = budget != nullptr ? budget : options_.work_budget;
     }
-    if (direct) {
-      mso::EvalOptions eopts;
-      eopts.work_budget = options_.mso_direct_work_budget;
-      return mso::EvaluateSentence(*a, *sentence, eopts);
-    }
+    if (direct) return mso::EvaluateSentence(*a, *sentence);
     TREEDL_ASSIGN_OR_RETURN(
         Structure derived,
-        RunBackend(*program, *tau_edb, options_.backend, exec, s));
+        RunBackend(*program, *tau_edb, options_.backend,
+                   budget != nullptr ? budget : options_.work_budget, s));
     TREEDL_ASSIGN_OR_RETURN(PredicateId phi,
                             derived.signature().PredicateIdOf("phi"));
     return derived.HasFact(phi, {});
@@ -504,7 +481,6 @@ StatusOr<std::vector<bool>> Engine::EvaluateMsoUnary(
     bool direct = false;
     const datalog::Program* program = nullptr;
     const Structure* tau_edb = nullptr;
-    datalog::EvalExec exec;
     {
       std::lock_guard<std::mutex> lock(sync_->cache_mu);
       TREEDL_ASSIGN_OR_RETURN(a, EnsureStructure(s));
@@ -516,26 +492,21 @@ StatusOr<std::vector<bool>> Engine::EvaluateMsoUnary(
         TREEDL_ASSIGN_OR_RETURN(const datalog::TauTdEncoding* atd,
                                 EnsureTauTd(s));
         tau_edb = &atd->structure;
-        if (options_.backend == DatalogBackend::kSemiNaive) {
-          exec.pool = EnsurePool();
-        }
       }
-      exec.budget = budget != nullptr ? budget : options_.work_budget;
     }
     std::vector<bool> selected(a->NumElements(), false);
     if (direct) {
-      mso::EvalOptions eopts;
-      eopts.work_budget = options_.mso_direct_work_budget;
       for (ElementId e = 0; e < a->NumElements(); ++e) {
-        TREEDL_ASSIGN_OR_RETURN(
-            bool holds, mso::EvaluateUnary(*a, *phi, free_var, e, eopts));
+        TREEDL_ASSIGN_OR_RETURN(bool holds,
+                                mso::EvaluateUnary(*a, *phi, free_var, e));
         selected[e] = holds;
       }
       return selected;
     }
     TREEDL_ASSIGN_OR_RETURN(
         Structure derived,
-        RunBackend(*program, *tau_edb, options_.backend, exec, s));
+        RunBackend(*program, *tau_edb, options_.backend,
+                   budget != nullptr ? budget : options_.work_budget, s));
     TREEDL_ASSIGN_OR_RETURN(PredicateId phi_pred,
                             derived.signature().PredicateIdOf("phi"));
     for (ElementId e = 0; e < a->NumElements(); ++e) {
@@ -654,9 +625,7 @@ StatusOr<Engine::ImproveResult> Engine::ImproveDecomposition(
     out.improved = outcome.improved;
     s->improve_rounds += outcome.rounds;
     if (!outcome.improved) return out;
-    if (options_.validate) {
-      TREEDL_RETURN_IF_ERROR(ValidateForStructure(*structure, outcome.td));
-    }
+    TREEDL_RETURN_IF_ERROR(ValidateForStructure(*structure, outcome.td));
     // Swap in the better decomposition and invalidate everything derived
     // from the old one; the next query lazily re-normalizes and re-shards.
     // The memoized primes survive (answers are decomposition-independent),
@@ -828,7 +797,7 @@ Status Engine::LoadSession(const std::string& path, RunStats* stats) {
             check_bag((*ntd)->Bag(static_cast<TdNodeId>(i))));
       }
     }
-    if (artifacts.td.has_value() && !td_.has_value() && options_.validate) {
+    if (artifacts.td.has_value() && !td_.has_value()) {
       TREEDL_RETURN_IF_ERROR(ValidateForStructure(*structure, *artifacts.td));
     }
     // Phase 2 — commit; nothing below can fail.

@@ -12,7 +12,7 @@
 //   engine.IsPrime(a);                       // §5.2 decision
 //   engine.AllPrimes();                      // §5.3 enumeration (memoized)
 //   engine.EvaluateMso(sentence);            // Thm 4.5 route or direct
-//   engine.EvaluateDatalog(program);         // naive/seminaive/grounded
+//   engine.EvaluateDatalog(program);         // seminaive or grounded
 //   engine.Solve(Engine::Problem::kThreeColor);  // §5.1 and friends
 //   engine.SolveAll();                       // all five problems, one walk each
 //   engine.SaveSession("warm.tdls");         // persist the cached artifacts
@@ -23,13 +23,12 @@
 // trigger exactly one encoding/decomposition/normalization build; the heavy
 // per-query work (tree DPs, datalog fixpoints, direct MSO evaluation) runs
 // outside the lock against the immutable cached artifacts. With
-// EngineOptions::num_threads > 1 the per-query engines themselves are
-// parallel on one shared work-stealing pool: the Solve/SolveAll tree DP runs
-// bag-sharded (core::RunDp), the AllPrimes enumeration runs both
-// of its passes shard-scheduled on the same pool (bottom-up, then the
-// inverted top-down schedule), and the semi-naive datalog fixpoint evaluates
-// each round's rules (and wide delta batches) as pool tasks with a
-// deterministic merge — every answer is bit-identical to num_threads = 1.
+// EngineOptions::num_threads > 1 the tree DPs themselves are parallel on one
+// shared work-stealing pool: the Solve/SolveAll tree DP runs bag-sharded
+// (core::RunDp), and the AllPrimes enumeration runs both of its passes
+// shard-scheduled on the same pool (bottom-up, then the inverted top-down
+// schedule) — every answer is bit-identical to num_threads = 1. Datalog
+// fixpoints run sequentially on the calling thread.
 // Pointers returned by the artifact accessors stay valid for the Engine's
 // lifetime; moving an Engine while another thread uses it is undefined.
 //
@@ -137,9 +136,9 @@ class Engine {
 
   // --- MSO -----------------------------------------------------------------
 
-  /// Evaluates an MSO sentence on the session structure. Route per
-  /// EngineOptions::mso_strategy: compile through Thm 4.5 into the selected
-  /// datalog backend over the cached τ_td structure, or evaluate directly.
+  /// Evaluates an MSO sentence on the session structure: compiled through
+  /// Thm 4.5 into the selected datalog backend over the cached τ_td
+  /// structure, or evaluated directly when the session width is < 1.
   /// Compiled programs are cached per formula — repeated evaluation of the
   /// same sentence skips the Thm 4.5 construction.
   StatusOr<bool> EvaluateMso(const mso::FormulaPtr& sentence,
@@ -322,8 +321,7 @@ class Engine {
   /// EngineOptions::num_threads with 0 resolved to hardware concurrency.
   size_t ResolvedNumThreads() const;
   /// True when the MSO query must be answered by direct quantifier
-  /// expansion: the kDirect strategy, or a session width < 1 (Thm 4.5 needs
-  /// width >= 1).
+  /// expansion: a session width < 1 (Thm 4.5 needs width >= 1).
   StatusOr<bool> UseDirectMso(RunStats* stats);
   void Record(const RunStats& stats);
   /// The frame of every public query: resets `*stats` (or uses a local

@@ -1,10 +1,9 @@
 // RunStats: the single per-query statistics record of the Engine API.
 //
-// Supersedes the scattered per-subsystem out-params (core::DpStats,
-// datalog::EvalStats, datalog::GroundingStats): one struct carries build/cache
-// counters of the session cache, DP table sizes, datalog fixpoint work, and
-// the query's wall-clock total. core::DpStats remains as the tree-DP walk's own
-// record; core::FoldDpStats (core/tree_dp.hpp) folds it into a RunStats.
+// One struct carries build/cache counters of the session cache, DP table
+// sizes, datalog fixpoint and grounding work, and the query's wall-clock
+// total. core::DpStats remains as the tree-DP walk's own record;
+// core::FoldDpStats (core/tree_dp.hpp) folds it into a RunStats.
 //
 // Header-only on purpose: core/ and datalog/ include this file to fill in
 // their slices without linking against the engine library.
@@ -63,32 +62,28 @@ struct RunStats {
   /// table but the root's of each walk that does not retain its tables.
   size_t dp_tables_evicted = 0;
 
-  // --- Datalog fixpoint work (datalog::EvalStats slice) -------------------
+  // --- Datalog fixpoint work ----------------------------------------------
   size_t eval_iterations = 0;
   size_t derived_facts = 0;
   size_t rule_applications = 0;
   /// Fixpoint rounds run by the semi-naive engine (round 0 + delta rounds).
-  /// Unlike eval_iterations — which every backend bumps, naive included —
-  /// this counts only the parallel-capable engine's rounds, so a query can
-  /// attribute its eval_iterations across backends.
+  /// Unlike eval_iterations — which the naive oracle bumps too — this counts
+  /// only the semi-naive engine's rounds.
   size_t fixpoint_rounds = 0;
-  /// Rule-evaluation task units the semi-naive engine decomposed its rounds
-  /// into (one per rule in round 0; one per rule x intensional delta
-  /// position x delta batch afterwards). The decomposition depends only on
-  /// the program and the data, never on the thread count, so the counter is
-  /// identical at num_threads = 1 and 8 — with a pool the units run
-  /// concurrently, without one they run in the same order inline.
+  /// Rule plans the semi-naive engine ran: one full plan per rule in round
+  /// 0, then one delta variant per rule x positive intensional body
+  /// position in every delta round. A pure function of the program and the
+  /// round count; the engine charges its WorkBudget one unit per plan.
   size_t fixpoint_rule_tasks = 0;
   /// Join plans compiled by Prepare: one full plan per rule plus one delta
   /// variant per positive intensional body position. A pure function of the
-  /// program — identical across backends, thread counts, and repeats.
+  /// program — identical across backends and repeats.
   size_t plan_compiles = 0;
   /// StepExecutor::Execute invocations by the compiled semi-naive engine —
   /// one per join-plan step entered per prefix binding. When evaluation is
   /// fully compiled this equals the engine's rule_applications contribution
   /// (the interpreted oracle's work measure), and like every fixpoint
-  /// counter it is a deterministic function of program + data, never of the
-  /// thread count.
+  /// counter it is a deterministic function of program + data.
   size_t executor_dispatches = 0;
 
   // --- Anytime decomposition improvement -----------------------------------
@@ -101,7 +96,7 @@ struct RunStats {
   /// solve↓) of the §5.3 enumeration (0 when the walks ran sequentially).
   size_t primality_shards = 0;
 
-  // --- Grounded-LTUR work (datalog::GroundingStats slice) -----------------
+  // --- Grounded-LTUR work -------------------------------------------------
   size_t ground_clauses = 0;
   size_t ground_atoms = 0;
   size_t guard_instantiations = 0;

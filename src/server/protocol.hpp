@@ -106,7 +106,7 @@ struct StatsRequest {
 
 /// DEADLINE <units> arms a per-request work-unit budget for every subsequent
 /// compute request on this connection; DEADLINE OFF disarms it. Units are
-/// deterministic logical work (DP nodes processed, fixpoint rule tasks), so
+/// deterministic logical work (DP nodes processed, fixpoint rule plans), so
 /// "DEADLINE 100" sheds the same requests — with byte-identical E_DEADLINE
 /// replies — at every thread count.
 struct DeadlineRequest {

@@ -169,10 +169,10 @@ TEST(HashTest, HashRangeDistinguishesLengths) {
 }
 
 // The waiter owns the group and ends its lifetime the moment Wait returns, as
-// the sharded DP walk and the parallel fixpoint round do with a WaitGroup on
-// their stack. Scribbling over the dead group's storage stands in for the
-// frame being reused: a Done that still touches the group after Wait could
-// observe zero finds a garbage mutex and aborts, crashes or hangs.
+// the sharded DP walk does with a WaitGroup on its stack. Scribbling over the
+// dead group's storage stands in for the frame being reused: a Done that
+// still touches the group after Wait could observe zero finds a garbage
+// mutex and aborts, crashes or hangs.
 TEST(WaitGroupTest, WaiterMayEndTheGroupAsSoonAsWaitReturns) {
   ThreadPool pool(8);
   alignas(WaitGroup) unsigned char storage[sizeof(WaitGroup)];

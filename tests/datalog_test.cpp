@@ -194,7 +194,7 @@ TEST(EvalTest, SemiNaiveMatchesNaive) {
   for (int trial = 0; trial < 10; ++trial) {
     Graph g = RandomGnp(8, 0.3, &rng);
     Structure edb = GraphToStructure(g);
-    EvalStats naive_stats, semi_stats;
+    RunStats naive_stats, semi_stats;
     auto naive = NaiveEvaluate(*program, edb, &naive_stats);
     auto semi = SemiNaiveEvaluate(*program, edb, &semi_stats);
     ASSERT_TRUE(naive.ok() && semi.ok());
@@ -208,7 +208,7 @@ TEST(EvalTest, SemiNaiveDoesLessWorkThanNaive) {
       "path(X, Y) :- e(X, Y).\n"
       "path(X, Y) :- e(X, Z), path(Z, Y).\n");
   Structure edb = PathEdb(30);
-  EvalStats naive_stats, semi_stats;
+  RunStats naive_stats, semi_stats;
   ASSERT_TRUE(NaiveEvaluate(*program, edb, &naive_stats).ok());
   ASSERT_TRUE(SemiNaiveEvaluate(*program, edb, &semi_stats).ok());
   EXPECT_LT(semi_stats.rule_applications, naive_stats.rule_applications);
@@ -323,7 +323,7 @@ TEST(GroundedTest, MatchesSemiNaiveOnTauTdProgram) {
   ASSERT_TRUE(atd.ok()) << atd.status();
 
   auto semi = SemiNaiveEvaluate(*program, atd->structure);
-  GroundingStats stats;
+  RunStats stats;
   auto grounded = GroundedEvaluate(*program, atd->structure, &stats);
   ASSERT_TRUE(semi.ok()) << semi.status();
   ASSERT_TRUE(grounded.ok()) << grounded.status();
@@ -354,7 +354,7 @@ TEST(GroundedTest, GroundProgramSizeLinearInData) {
     ASSERT_TRUE(tuple_td.ok());
     auto atd = BuildTauTd(a, *tuple_td);
     ASSERT_TRUE(atd.ok());
-    GroundingStats stats;
+    RunStats stats;
     ASSERT_TRUE(GroundedEvaluate(*program, atd->structure, &stats).ok());
     // Clause count grows with n but stays well below quadratic.
     EXPECT_LT(stats.ground_clauses, 20 * n);

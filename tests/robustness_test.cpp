@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <string>
 
+#include "common/work_budget.hpp"
 #include "datalog/eval.hpp"
 #include "datalog/grounder.hpp"
 #include "datalog/parser.hpp"
@@ -126,6 +127,37 @@ TEST(DatalogRobustnessTest, WidePredicatesAreTypedErrorsInEveryBackend) {
     ASSERT_TRUE(widest.ok()) << widest.status();
     EXPECT_EQ(widest->NumFacts(), 2u);
   }
+}
+
+// A grounded EvaluateDatalog is bounded by its WorkBudget like the
+// semi-naive one: one unit per rule grounded, DeadlineExceeded on a trip.
+TEST(DatalogRobustnessTest, GroundedEvaluationHonoursItsWorkBudget) {
+  Structure edb(Signature::GraphSignature());
+  for (int i = 0; i < 3; ++i) edb.AddElement("n" + std::to_string(i));
+  ASSERT_TRUE(edb.AddFactNamed("e", {"n0", "n1"}).ok());
+  ASSERT_TRUE(edb.AddFactNamed("e", {"n1", "n0"}).ok());
+  ASSERT_TRUE(edb.AddFactNamed("e", {"n1", "n2"}).ok());
+  auto program = datalog::ParseProgram(R"(
+    touched(X) :- e(X, Y).
+    mutual(X, Y) :- e(X, Y), e(Y, X).
+  )");
+  ASSERT_TRUE(program.ok()) << program.status();
+  Engine engine(edb);
+
+  WorkBudget one_unit;
+  one_unit.SetDeadline(1);
+  auto tripped = engine.EvaluateDatalog(*program, DatalogBackend::kGrounded,
+                                        nullptr, &one_unit);
+  ASSERT_FALSE(tripped.ok());
+  EXPECT_EQ(tripped.status().code(), StatusCode::kDeadlineExceeded)
+      << tripped.status();
+
+  WorkBudget two_units;
+  two_units.SetDeadline(2);
+  auto fits = engine.EvaluateDatalog(*program, DatalogBackend::kGrounded,
+                                     nullptr, &two_units);
+  ASSERT_TRUE(fits.ok()) << fits.status();
+  EXPECT_TRUE(*fits == *datalog::NaiveEvaluate(*program, edb));
 }
 
 // --- Decompositions: degenerate and deep shapes --------------------------------
