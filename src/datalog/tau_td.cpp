@@ -1,7 +1,6 @@
 #include "datalog/tau_td.hpp"
 
 #include "common/logging.hpp"
-#include "structure/structure_io.hpp"
 
 namespace treedl::datalog {
 
@@ -62,25 +61,6 @@ StatusOr<TauTdEncoding> BuildTauTd(const Structure& a,
     add(bag_p, std::move(bag));
   }
   return TauTdEncoding{std::move(out), std::move(node_element)};
-}
-
-void SerializeTauTd(const TauTdEncoding& encoding, BinaryWriter* writer) {
-  SerializeStructure(encoding.structure, writer);
-  writer->Vec32(encoding.node_element);
-}
-
-StatusOr<TauTdEncoding> DeserializeTauTd(BinaryReader* reader) {
-  TREEDL_ASSIGN_OR_RETURN(Structure structure,
-                          DeserializeStructure(reader));
-  std::vector<ElementId> node_element;
-  TREEDL_RETURN_IF_ERROR(reader->Vec32(&node_element));
-  for (ElementId e : node_element) {
-    if (e >= structure.NumElements()) {
-      return Status::ParseError("tau_td: node element id " +
-                                std::to_string(e) + " outside the domain");
-    }
-  }
-  return TauTdEncoding{std::move(structure), std::move(node_element)};
 }
 
 }  // namespace treedl::datalog

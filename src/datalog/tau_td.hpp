@@ -13,7 +13,6 @@
 
 #include <vector>
 
-#include "common/binary_io.hpp"
 #include "common/status.hpp"
 #include "structure/structure.hpp"
 #include "td/normalize.hpp"
@@ -30,15 +29,6 @@ struct TauTdEncoding {
 /// base signature already uses one of the τ_td predicate names.
 StatusOr<TauTdEncoding> BuildTauTd(const Structure& a,
                                    const TupleNormalizedTd& td);
-
-/// Appends the binary encoding of an already-built A_td to `writer` — the
-/// engine serializes it so a restored session skips the tuple-normalization
-/// and τ_td construction entirely (docs/SESSION_FORMAT.md).
-void SerializeTauTd(const TauTdEncoding& encoding, BinaryWriter* writer);
-
-/// Inverse of SerializeTauTd; node-element references are validated against
-/// the embedded structure's domain.
-StatusOr<TauTdEncoding> DeserializeTauTd(BinaryReader* reader);
 
 }  // namespace treedl::datalog
 

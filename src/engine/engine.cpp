@@ -219,13 +219,6 @@ StatusOr<const TreeDecomposition*> Engine::EnsureClosedTd(RunStats* stats) {
   return &*closed_td_;
 }
 
-std::optional<BagSharding> Engine::ShardingFor(
-    const NormalizedTreeDecomposition& ntd) const {
-  size_t threads = ResolvedNumThreads();
-  if (threads <= 1) return std::nullopt;
-  return ComputeBagShardingByCost(ntd, threads * kShardsPerThread);
-}
-
 Status Engine::BuildNormalForm(const TreeDecomposition& td,
                                const NormalizeOptions& options,
                                std::optional<NormalizedTreeDecomposition>* ntd,
@@ -233,7 +226,10 @@ Status Engine::BuildNormalForm(const TreeDecomposition& td,
                                RunStats* stats) {
   TREEDL_ASSIGN_OR_RETURN(NormalizedTreeDecomposition built,
                           Normalize(td, options));
-  *sharding = ShardingFor(built);
+  size_t threads = ResolvedNumThreads();
+  if (threads > 1) {
+    *sharding = ComputeBagShardingByCost(built, threads * kShardsPerThread);
+  }
   *ntd = std::move(built);
   ++stats->normalize_builds;
   ++GlobalEngineCounters().normalize_builds;
@@ -462,11 +458,15 @@ StatusOr<bool> Engine::EvaluateMso(const mso::FormulaPtr& sentence,
         tau_edb = &atd->structure;
       }
     }
-    if (direct) return mso::EvaluateSentence(*a, *sentence);
+    WorkBudget* effective = budget != nullptr ? budget : options_.work_budget;
+    if (direct) {
+      mso::EvalOptions eval;
+      eval.budget = effective;
+      return mso::EvaluateSentence(*a, *sentence, eval);
+    }
     TREEDL_ASSIGN_OR_RETURN(
         Structure derived,
-        RunBackend(*program, *tau_edb, options_.backend,
-                   budget != nullptr ? budget : options_.work_budget, s));
+        RunBackend(*program, *tau_edb, options_.backend, effective, s));
     TREEDL_ASSIGN_OR_RETURN(PredicateId phi,
                             derived.signature().PredicateIdOf("phi"));
     return derived.HasFact(phi, {});
@@ -494,19 +494,21 @@ StatusOr<std::vector<bool>> Engine::EvaluateMsoUnary(
         tau_edb = &atd->structure;
       }
     }
+    WorkBudget* effective = budget != nullptr ? budget : options_.work_budget;
     std::vector<bool> selected(a->NumElements(), false);
     if (direct) {
+      mso::EvalOptions eval;
+      eval.budget = effective;
       for (ElementId e = 0; e < a->NumElements(); ++e) {
-        TREEDL_ASSIGN_OR_RETURN(bool holds,
-                                mso::EvaluateUnary(*a, *phi, free_var, e));
+        TREEDL_ASSIGN_OR_RETURN(
+            bool holds, mso::EvaluateUnary(*a, *phi, free_var, e, eval));
         selected[e] = holds;
       }
       return selected;
     }
     TREEDL_ASSIGN_OR_RETURN(
         Structure derived,
-        RunBackend(*program, *tau_edb, options_.backend,
-                   budget != nullptr ? budget : options_.work_budget, s));
+        RunBackend(*program, *tau_edb, options_.backend, effective, s));
     TREEDL_ASSIGN_OR_RETURN(PredicateId phi_pred,
                             derived.signature().PredicateIdOf("phi"));
     for (ElementId e = 0; e < a->NumElements(); ++e) {
@@ -735,11 +737,6 @@ Status Engine::SaveSession(const std::string& path, RunStats* stats) {
       // outside the lock with no copies and no stalled queries.
       std::lock_guard<std::mutex> lock(sync_->cache_mu);
       if (td_.has_value()) artifacts.td = &*td_;
-      if (closed_td_.has_value()) artifacts.closed_td = &*closed_td_;
-      if (plain_ntd_.has_value()) artifacts.plain_ntd = &*plain_ntd_;
-      if (enum_ntd_.has_value()) artifacts.enum_ntd = &*enum_ntd_;
-      if (tau_td_.has_value()) artifacts.tau_td = &*tau_td_;
-      if (encoding_ != nullptr) artifacts.encoding = encoding_.get();
       if (primes_.has_value()) artifacts.primes = &*primes_;
     }
     s->artifact_saves += artifacts.Count();
@@ -753,89 +750,34 @@ Status Engine::LoadSession(const std::string& path, RunStats* stats) {
         engine::SessionArtifacts artifacts,
         engine::ReadSessionFile(path, SessionFingerprint()));
     std::lock_guard<std::mutex> lock(sync_->cache_mu);
-    // Phase 1 — validate everything, mutate nothing: a file that fails any
-    // check below must leave the session exactly as it was.
-    const Structure* structure = nullptr;
-    if (artifacts.td.has_value() || artifacts.closed_td.has_value() ||
-        artifacts.plain_ntd.has_value() || artifacts.enum_ntd.has_value()) {
-      if (schema_ != nullptr && encoding_ == nullptr &&
-          artifacts.encoding.has_value()) {
-        // Cold schema session with the encoding in the file: validate the
-        // decompositions against the file's own structure (it is the one
-        // they were built from) instead of paying an encode build here.
-        structure = &artifacts.encoding->structure;
-      } else {
-        TREEDL_ASSIGN_OR_RETURN(structure, EnsureStructure(s));
-      }
-    }
-    // Every restored bag must stay inside the session domain — the DPs
-    // index bag elements into domain-sized arrays, so an out-of-range id
-    // from a damaged file must be rejected here, not crash a query later.
-    // (ValidateNormalized constrains internal bags relative to each other
-    // but leaves leaf bags free.)
-    size_t domain = structure != nullptr ? structure->NumElements() : 0;
-    auto check_bag = [&](const std::vector<ElementId>& bag) -> Status {
-      for (ElementId e : bag) {
-        if (e >= domain) {
-          return Status::ParseError(
-              "session: bag element " + std::to_string(e) +
-              " outside the session domain of " + std::to_string(domain));
-        }
-      }
-      return Status::OK();
-    };
-    for (const auto* td : {&artifacts.td, &artifacts.closed_td}) {
-      if (!td->has_value()) continue;
-      for (size_t i = 0; i < (*td)->NumNodes(); ++i) {
-        TREEDL_RETURN_IF_ERROR(check_bag((*td)->Bag(static_cast<TdNodeId>(i))));
-      }
-    }
-    for (const auto* ntd : {&artifacts.plain_ntd, &artifacts.enum_ntd}) {
-      if (!ntd->has_value()) continue;
-      for (size_t i = 0; i < (*ntd)->NumNodes(); ++i) {
-        TREEDL_RETURN_IF_ERROR(
-            check_bag((*ntd)->Bag(static_cast<TdNodeId>(i))));
-      }
-    }
-    if (artifacts.td.has_value() && !td_.has_value()) {
+    // Phase 1 — validate everything, adopt nothing: a file that fails any
+    // check below leaves the decomposition and the memo as they were. The
+    // decomposition is checked against the session structure (a schema
+    // session pays its encode build here), so whatever a damaged file still
+    // decodes to is either a valid decomposition or rejected.
+    bool adopt_td = artifacts.td.has_value() && !td_.has_value();
+    bool adopt_primes = artifacts.primes.has_value() && !primes_.has_value() &&
+                        schema_ != nullptr;
+    if (adopt_td) {
+      TREEDL_ASSIGN_OR_RETURN(const Structure* structure, EnsureStructure(s));
       TREEDL_RETURN_IF_ERROR(ValidateForStructure(*structure, *artifacts.td));
     }
-    // Phase 2 — commit; nothing below can fail.
-    if (artifacts.encoding.has_value() && schema_ != nullptr &&
-        encoding_ == nullptr) {
-      encoding_ =
-          std::make_unique<SchemaEncoding>(*std::move(artifacts.encoding));
-      ++s->artifact_loads;
+    if (adopt_primes &&
+        artifacts.primes->size() !=
+            static_cast<size_t>(schema_->NumAttributes())) {
+      return Status::ParseError(
+          "session: primes memo has " +
+          std::to_string(artifacts.primes->size()) +
+          " entries for a schema of " +
+          std::to_string(schema_->NumAttributes()) + " attributes");
     }
-    if (artifacts.td.has_value() && !td_.has_value()) {
+    // Phase 2 — commit; nothing below can fail. Everything derived from the
+    // decomposition is rebuilt lazily on first use.
+    if (adopt_td) {
       td_ = *std::move(artifacts.td);
       ++s->artifact_loads;
     }
-    if (artifacts.closed_td.has_value() && !closed_td_.has_value()) {
-      closed_td_ = *std::move(artifacts.closed_td);
-      ++s->artifact_loads;
-    }
-    if (artifacts.plain_ntd.has_value() && !plain_ntd_.has_value()) {
-      plain_ntd_ = *std::move(artifacts.plain_ntd);
-      ++s->artifact_loads;
-      // The sharding is thread-count dependent and cheap; recompute it
-      // rather than persisting it (EnsurePlainNtd will now short-circuit and
-      // never shard).
-      sharding_ = ShardingFor(*plain_ntd_);
-    }
-    if (artifacts.enum_ntd.has_value() && !enum_ntd_.has_value()) {
-      enum_ntd_ = *std::move(artifacts.enum_ntd);
-      ++s->artifact_loads;
-      // Like the plain-NTD sharding above: thread-count dependent and cheap,
-      // so recompute instead of persisting.
-      enum_sharding_ = ShardingFor(*enum_ntd_);
-    }
-    if (artifacts.tau_td.has_value() && !tau_td_.has_value()) {
-      tau_td_ = *std::move(artifacts.tau_td);
-      ++s->artifact_loads;
-    }
-    if (artifacts.primes.has_value() && !primes_.has_value() &&
-        schema_ != nullptr) {
+    if (adopt_primes) {
       primes_ = *std::move(artifacts.primes);
       ++s->artifact_loads;
     }

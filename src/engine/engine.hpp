@@ -15,8 +15,8 @@
 //   engine.EvaluateDatalog(program);         // seminaive or grounded
 //   engine.Solve(Engine::Problem::kThreeColor);  // §5.1 and friends
 //   engine.SolveAll();                       // all five problems, one walk each
-//   engine.SaveSession("warm.tdls");         // persist the cached artifacts
-//   engine.LoadSession("warm.tdls");         // ... and restore them on restart
+//   engine.SaveSession("warm.tdls");         // persist the decomposition
+//   engine.LoadSession("warm.tdls");         // ... and restore it on restart
 //
 // Concurrency: one Engine may be shared by any number of threads. The lazy
 // caches are guarded by a session mutex, so N concurrent first queries still
@@ -230,20 +230,26 @@ class Engine {
 
   // --- Persistent sessions -------------------------------------------------
 
-  /// Writes every currently cached decomposition artifact (raw/closed
-  /// decompositions, normal forms, τ_td, schema encoding, memoized primes)
-  /// to `path` in the versioned format of docs/SESSION_FORMAT.md. Builds
-  /// nothing: warm the cache with the queries you intend to serve, then
-  /// save. The file is stamped with a fingerprint of the session input, so
-  /// it can only be loaded into an Engine over the same schema/structure.
+  /// Writes the cached tree decomposition and memoized primes (whichever
+  /// exist) to `path` in the versioned format of docs/SESSION_FORMAT.md.
+  /// Builds nothing: warm the cache with the queries you intend to serve,
+  /// then save. The derived artifacts (closed decomposition, normal forms,
+  /// τ_td, schema encoding) are not written; a restored session rebuilds
+  /// them from the decomposition on first use. The file is stamped with a
+  /// fingerprint of the session input, so it can only be loaded into an
+  /// Engine over the same schema/structure.
   Status SaveSession(const std::string& path, RunStats* stats = nullptr);
 
-  /// Restores artifacts from `path` into this session's cache (slots that
-  /// are already built keep the in-memory artifact). Subsequent queries hit
-  /// the cache instead of rebuilding: after a load into a cold engine,
-  /// RunStats shows zero encode/td/normalize builds. Corrupted,
-  /// wrong-fingerprint, or newer-versioned files fail with a clean error
-  /// Status and leave the session unchanged.
+  /// Restores the decomposition and primes memo from `path` into this
+  /// session's cache (slots that are already built keep the in-memory
+  /// artifact). The decomposition is adopted only after it validates
+  /// against the session structure — a schema session pays its one encode
+  /// build here — and the memo only if it has one entry per attribute.
+  /// After a load into a cold engine, queries show zero td builds and one
+  /// normalize build per normal form on first use. Sections of derived
+  /// artifacts written by earlier builds are skipped. Corrupted,
+  /// wrong-fingerprint, newer-versioned or non-validating files fail with a
+  /// clean error Status and leave the decomposition and memo unchanged.
   Status LoadSession(const std::string& path, RunStats* stats = nullptr);
 
   // --- Identity and accounting ---------------------------------------------
@@ -329,12 +335,9 @@ class Engine {
   /// total_millis and folds the record into the cumulative stats.
   template <typename Body>
   auto RunQuery(RunStats* stats, Body&& body);
-  /// The bag sharding of `ntd` for a parallel session (threads x
-  /// kShardsPerThread shards); nullopt when the session is sequential.
-  std::optional<BagSharding> ShardingFor(
-      const NormalizedTreeDecomposition& ntd) const;
   /// Normalizes `td` under `options` into the cache slot `*ntd`, shards it
-  /// into `*sharding` (ShardingFor), and counts one normalize build.
+  /// into `*sharding` for a parallel session (threads x kShardsPerThread
+  /// shards; nullopt when sequential), and counts one normalize build.
   Status BuildNormalForm(const TreeDecomposition& td,
                          const NormalizeOptions& options,
                          std::optional<NormalizedTreeDecomposition>* ntd,

@@ -13,7 +13,6 @@
 
 #include "common/binary_io.hpp"
 #include "common/fault_injection.hpp"
-#include "structure/structure_io.hpp"
 #include "td/td_io.hpp"
 
 namespace treedl::engine {
@@ -33,26 +32,6 @@ void AppendSection(SessionSection tag, BinaryWriter&& payload,
                    BinaryWriter* out) {
   out->U32(static_cast<uint32_t>(tag));
   out->Str(payload.buffer());
-}
-
-void EncodeSchemaEncoding(const SchemaEncoding& encoding, BinaryWriter* w) {
-  SerializeStructure(encoding.structure, w);
-  w->I32(encoding.num_attributes);
-  w->I32(encoding.num_fds);
-}
-
-StatusOr<SchemaEncoding> DecodeSchemaEncoding(BinaryReader* r) {
-  SchemaEncoding encoding{Structure(Signature()), 0, 0};
-  TREEDL_ASSIGN_OR_RETURN(encoding.structure, DeserializeStructure(r));
-  TREEDL_RETURN_IF_ERROR(r->I32(&encoding.num_attributes));
-  TREEDL_RETURN_IF_ERROR(r->I32(&encoding.num_fds));
-  if (encoding.num_attributes < 0 || encoding.num_fds < 0 ||
-      static_cast<size_t>(encoding.num_attributes) +
-          static_cast<size_t>(encoding.num_fds) >
-          encoding.structure.NumElements()) {
-    return Status::ParseError("session: schema encoding counts exceed domain");
-  }
-  return encoding;
 }
 
 void EncodePrimes(const std::vector<bool>& primes, BinaryWriter* w) {
@@ -76,17 +55,11 @@ StatusOr<std::vector<bool>> DecodePrimes(BinaryReader* r) {
 }  // namespace
 
 size_t SessionArtifacts::Count() const {
-  return (td.has_value() ? 1u : 0u) + (closed_td.has_value() ? 1u : 0u) +
-         (plain_ntd.has_value() ? 1u : 0u) + (enum_ntd.has_value() ? 1u : 0u) +
-         (tau_td.has_value() ? 1u : 0u) + (encoding.has_value() ? 1u : 0u) +
-         (primes.has_value() ? 1u : 0u);
+  return (td.has_value() ? 1u : 0u) + (primes.has_value() ? 1u : 0u);
 }
 
 size_t SessionArtifactRefs::Count() const {
-  return (td != nullptr ? 1u : 0u) + (closed_td != nullptr ? 1u : 0u) +
-         (plain_ntd != nullptr ? 1u : 0u) + (enum_ntd != nullptr ? 1u : 0u) +
-         (tau_td != nullptr ? 1u : 0u) + (encoding != nullptr ? 1u : 0u) +
-         (primes != nullptr ? 1u : 0u);
+  return (td != nullptr ? 1u : 0u) + (primes != nullptr ? 1u : 0u);
 }
 
 std::string EncodeSessionFile(uint64_t fingerprint,
@@ -100,32 +73,6 @@ std::string EncodeSessionFile(uint64_t fingerprint,
     BinaryWriter payload;
     SerializeTreeDecomposition(*artifacts.td, &payload);
     AppendSection(SessionSection::kTreeDecomposition, std::move(payload), &out);
-  }
-  if (artifacts.closed_td != nullptr) {
-    BinaryWriter payload;
-    SerializeTreeDecomposition(*artifacts.closed_td, &payload);
-    AppendSection(SessionSection::kClosedTreeDecomposition, std::move(payload),
-                  &out);
-  }
-  if (artifacts.plain_ntd != nullptr) {
-    BinaryWriter payload;
-    SerializeNormalizedTd(*artifacts.plain_ntd, &payload);
-    AppendSection(SessionSection::kPlainNormalizedTd, std::move(payload), &out);
-  }
-  if (artifacts.enum_ntd != nullptr) {
-    BinaryWriter payload;
-    SerializeNormalizedTd(*artifacts.enum_ntd, &payload);
-    AppendSection(SessionSection::kEnumNormalizedTd, std::move(payload), &out);
-  }
-  if (artifacts.tau_td != nullptr) {
-    BinaryWriter payload;
-    datalog::SerializeTauTd(*artifacts.tau_td, &payload);
-    AppendSection(SessionSection::kTauTd, std::move(payload), &out);
-  }
-  if (artifacts.encoding != nullptr) {
-    BinaryWriter payload;
-    EncodeSchemaEncoding(*artifacts.encoding, &payload);
-    AppendSection(SessionSection::kSchemaEncoding, std::move(payload), &out);
   }
   if (artifacts.primes != nullptr) {
     BinaryWriter payload;
@@ -176,42 +123,18 @@ StatusOr<SessionArtifacts> DecodeSessionFile(std::string_view data,
                                 DeserializeTreeDecomposition(&section));
         break;
       }
-      case SessionSection::kClosedTreeDecomposition: {
-        TREEDL_ASSIGN_OR_RETURN(artifacts.closed_td,
-                                DeserializeTreeDecomposition(&section));
-        break;
-      }
-      case SessionSection::kPlainNormalizedTd: {
-        TREEDL_ASSIGN_OR_RETURN(artifacts.plain_ntd,
-                                DeserializeNormalizedTd(&section));
-        break;
-      }
-      case SessionSection::kEnumNormalizedTd: {
-        TREEDL_ASSIGN_OR_RETURN(artifacts.enum_ntd,
-                                DeserializeNormalizedTd(&section));
-        break;
-      }
-      case SessionSection::kTauTd: {
-        TREEDL_ASSIGN_OR_RETURN(artifacts.tau_td,
-                                datalog::DeserializeTauTd(&section));
-        break;
-      }
-      case SessionSection::kSchemaEncoding: {
-        TREEDL_ASSIGN_OR_RETURN(artifacts.encoding,
-                                DecodeSchemaEncoding(&section));
-        break;
-      }
       case SessionSection::kPrimes: {
         TREEDL_ASSIGN_OR_RETURN(artifacts.primes, DecodePrimes(&section));
         break;
       }
       default:
-        // Unknown tag: a same-version writer with artifacts this reader does
-        // not know. Skipping keeps the rest of the file usable.
-        break;
+        // Unknown tag (a same-version writer with artifacts this reader does
+        // not know) or retired tag (a derived artifact an earlier build
+        // wrote, rebuilt on first use here). Skipping keeps the rest of the
+        // file usable.
+        continue;
     }
-    if (!section.AtEnd() && tag >= 1 &&
-        tag <= static_cast<uint32_t>(SessionSection::kPrimes)) {
+    if (!section.AtEnd()) {
       return Status::ParseError("session: trailing bytes in section " +
                                 std::to_string(tag));
     }

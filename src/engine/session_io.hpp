@@ -1,14 +1,15 @@
 // Persistent Engine sessions: the versioned binary file format that lets a
-// warm artifact cache survive process restarts.
+// warm session survive process restarts.
 //
 // A session file is a fingerprinted container of independently decodable
-// sections, one per cached artifact (raw/closed decompositions, modified
-// normal forms, the τ_td structure, the schema encoding, the memoized primes
-// vector). The byte layout is specified in docs/SESSION_FORMAT.md; the
-// per-artifact encodings live with their owning layers
-// (structure/structure_io, td/td_io, datalog/tau_td) — this file only frames
-// them. Engine::SaveSession / Engine::LoadSession are the public entry
-// points.
+// sections. It persists the one artifact that is expensive to rebuild and
+// can be checked against the session input — the raw tree decomposition —
+// plus the memoized primes vector. Everything else the DPs read (the
+// rhs-closed decomposition, the normal forms, τ_td, the schema encoding) is
+// a linear-time function of those and is rebuilt on first use. The byte
+// layout is specified in docs/SESSION_FORMAT.md; the decomposition encoding
+// lives with its owning layer (td/td_io) — this file only frames it.
+// Engine::SaveSession / Engine::LoadSession are the public entry points.
 #ifndef TREEDL_ENGINE_SESSION_IO_HPP_
 #define TREEDL_ENGINE_SESSION_IO_HPP_
 
@@ -19,9 +20,6 @@
 #include <vector>
 
 #include "common/status.hpp"
-#include "datalog/tau_td.hpp"
-#include "schema/encode.hpp"
-#include "td/normalize.hpp"
 #include "td/tree_decomposition.hpp"
 
 namespace treedl::engine {
@@ -32,27 +30,24 @@ inline constexpr uint32_t kSessionMagic = 0x534C4454u;
 inline constexpr uint32_t kSessionVersion = 1;
 
 /// Section tags (docs/SESSION_FORMAT.md). Values are part of the format —
-/// append new tags, never renumber.
+/// append new tags, never renumber. The retired tags were written by
+/// earlier builds for derived artifacts; readers skip them and their
+/// numbers stay reserved.
 enum class SessionSection : uint32_t {
   kTreeDecomposition = 1,
-  kClosedTreeDecomposition = 2,
-  kPlainNormalizedTd = 3,
-  kEnumNormalizedTd = 4,
-  kTauTd = 5,
-  kSchemaEncoding = 6,
+  kRetiredClosedTreeDecomposition = 2,
+  kRetiredPlainNormalizedTd = 3,
+  kRetiredEnumNormalizedTd = 4,
+  kRetiredTauTd = 5,
+  kRetiredSchemaEncoding = 6,
   kPrimes = 7,
 };
 
-/// The serializable slice of an Engine's lazy cache (owned values — what
-/// DecodeSessionFile returns). Every field mirrors one cache slot; absent
-/// fields simply were not cached when the file was saved.
+/// The persisted slice of an Engine's lazy cache (owned values — what
+/// DecodeSessionFile returns). Absent fields simply were not cached when
+/// the file was saved.
 struct SessionArtifacts {
   std::optional<TreeDecomposition> td;
-  std::optional<TreeDecomposition> closed_td;
-  std::optional<NormalizedTreeDecomposition> plain_ntd;
-  std::optional<NormalizedTreeDecomposition> enum_ntd;
-  std::optional<datalog::TauTdEncoding> tau_td;
-  std::optional<SchemaEncoding> encoding;
   std::optional<std::vector<bool>> primes;
 
   /// Number of present artifacts.
@@ -65,11 +60,6 @@ struct SessionArtifacts {
 /// queries blocked behind an O(cache size) copy.
 struct SessionArtifactRefs {
   const TreeDecomposition* td = nullptr;
-  const TreeDecomposition* closed_td = nullptr;
-  const NormalizedTreeDecomposition* plain_ntd = nullptr;
-  const NormalizedTreeDecomposition* enum_ntd = nullptr;
-  const datalog::TauTdEncoding* tau_td = nullptr;
-  const SchemaEncoding* encoding = nullptr;
   const std::vector<bool>* primes = nullptr;
 
   /// Number of present artifacts.
@@ -85,8 +75,8 @@ std::string EncodeSessionFile(uint64_t fingerprint,
 /// Parses a session byte string. Returns a clean error Status on bad magic,
 /// a version newer than kSessionVersion, a fingerprint that does not match
 /// `expected_fingerprint`, or any corrupted section — never crashes.
-/// Sections with unknown tags are skipped (a same-version reader stays
-/// compatible with files that carry artifacts it does not know).
+/// Sections with unknown or retired tags are skipped (a same-version reader
+/// stays compatible with files that carry artifacts it does not decode).
 StatusOr<SessionArtifacts> DecodeSessionFile(std::string_view data,
                                              uint64_t expected_fingerprint);
 

@@ -16,6 +16,9 @@ class Evaluator {
           "MSO evaluation exceeded its work budget of " +
           std::to_string(options_.work_budget));
     }
+    if (options_.budget != nullptr && !options_.budget->ConsumeUnit()) {
+      return options_.budget->AbortStatus();
+    }
     switch (f.kind) {
       case FormulaKind::kAtom: {
         TREEDL_ASSIGN_OR_RETURN(

@@ -15,6 +15,7 @@
 
 #include "common/small_bitset.hpp"
 #include "common/status.hpp"
+#include "common/work_budget.hpp"
 #include "mso/ast.hpp"
 #include "structure/structure.hpp"
 
@@ -28,6 +29,9 @@ struct Assignment {
 struct EvalOptions {
   /// Abstract work units (one per formula-node visit). 0 = unlimited.
   uint64_t work_budget = 0;
+  /// Optional shared budget: each formula-node visit claims one unit, and a
+  /// tripped budget ends the evaluation with its AbortStatus().
+  WorkBudget* budget = nullptr;
 };
 
 struct EvalUsage {
@@ -36,8 +40,9 @@ struct EvalUsage {
 
 /// Evaluates `f` on `structure` under `assignment` (which must cover all free
 /// variables). Fails with InvalidArgument on unbound variables/bad atoms, with
-/// OutOfRange if the domain exceeds 64 elements, and with ResourceExhausted
-/// when the work budget runs out.
+/// OutOfRange if the domain exceeds 64 elements, with ResourceExhausted when
+/// the work budget runs out, and with `options.budget`'s AbortStatus() when
+/// that budget trips.
 StatusOr<bool> Evaluate(const Structure& structure, const Formula& f,
                         const Assignment& assignment,
                         const EvalOptions& options = {},

@@ -16,7 +16,8 @@
 //
 //   Warm start — on a miss, if `session_dir` holds a session file for the
 //   fingerprint, it is loaded into the fresh Engine before the lease is
-//   returned (zero encode/TD/normalize builds on the first query).
+//   returned (zero TD builds on the first query; the normal form is derived
+//   from the restored decomposition once).
 //
 // Concurrency: all methods are thread-safe, and the slow work of a miss —
 // Engine construction plus the warm-start disk read — runs OUTSIDE the pool

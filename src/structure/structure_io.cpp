@@ -114,70 +114,4 @@ std::string FormatStructure(const Structure& structure) {
   return out;
 }
 
-void SerializeStructure(const Structure& structure, BinaryWriter* writer) {
-  const Signature& sig = structure.signature();
-  writer->U64(static_cast<uint64_t>(sig.size()));
-  for (PredicateId p = 0; p < sig.size(); ++p) {
-    writer->Str(sig.name(p));
-    writer->I32(sig.arity(p));
-  }
-  writer->U64(structure.NumElements());
-  for (ElementId e = 0; e < structure.NumElements(); ++e) {
-    writer->Str(structure.ElementName(e));
-  }
-  for (PredicateId p = 0; p < sig.size(); ++p) {
-    const auto& tuples = structure.Relation(p);
-    writer->U64(tuples.size());
-    for (const Tuple& t : tuples) {
-      for (ElementId e : t) writer->U32(e);
-    }
-  }
-}
-
-StatusOr<Structure> DeserializeStructure(BinaryReader* reader) {
-  size_t num_predicates = 0;
-  TREEDL_RETURN_IF_ERROR(reader->Length(&num_predicates, 8 + 4));
-  std::vector<std::pair<std::string, int>> predicates;
-  predicates.reserve(num_predicates);
-  for (size_t p = 0; p < num_predicates; ++p) {
-    std::string name;
-    int32_t arity = 0;
-    TREEDL_RETURN_IF_ERROR(reader->Str(&name));
-    TREEDL_RETURN_IF_ERROR(reader->I32(&arity));
-    if (arity < 0) {
-      return Status::ParseError("structure: negative predicate arity");
-    }
-    predicates.emplace_back(std::move(name), arity);
-  }
-  TREEDL_ASSIGN_OR_RETURN(Signature signature,
-                          Signature::Make(std::move(predicates)));
-
-  Structure structure(signature);
-  size_t num_elements = 0;
-  TREEDL_RETURN_IF_ERROR(reader->Length(&num_elements, 8));
-  for (size_t e = 0; e < num_elements; ++e) {
-    std::string name;
-    TREEDL_RETURN_IF_ERROR(reader->Str(&name));
-    // Names were written in id order; re-interning must reproduce dense ids
-    // (a duplicate name would silently shift every later id).
-    if (structure.AddElement(name) != static_cast<ElementId>(e)) {
-      return Status::ParseError("structure: duplicate element name '" + name +
-                                "'");
-    }
-  }
-  for (PredicateId p = 0; p < signature.size(); ++p) {
-    size_t arity = static_cast<size_t>(signature.arity(p));
-    size_t num_tuples = 0;
-    TREEDL_RETURN_IF_ERROR(reader->Length(&num_tuples, arity * 4));
-    for (size_t t = 0; t < num_tuples; ++t) {
-      Tuple args(arity);
-      for (size_t i = 0; i < arity; ++i) {
-        TREEDL_RETURN_IF_ERROR(reader->U32(&args[i]));
-      }
-      TREEDL_RETURN_IF_ERROR(structure.AddFact(p, std::move(args)));
-    }
-  }
-  return structure;
-}
-
 }  // namespace treedl

@@ -1,6 +1,5 @@
 #include "td/td_io.hpp"
 
-#include <algorithm>
 #include <sstream>
 
 namespace treedl {
@@ -171,85 +170,6 @@ StatusOr<TreeDecomposition> DeserializeTreeDecomposition(BinaryReader* reader) {
     td.AddNode(std::move(bag), i == 0 ? kNoTdNode : parent);
   }
   return td;
-}
-
-void SerializeNormalizedTd(const NormalizedTreeDecomposition& ntd,
-                           BinaryWriter* writer) {
-  std::vector<TdNodeId> order = ntd.PostOrder();
-  std::vector<int32_t> new_id(ntd.NumNodes(), -1);
-  for (size_t i = 0; i < order.size(); ++i) {
-    new_id[static_cast<size_t>(order[i])] = static_cast<int32_t>(i);
-  }
-  writer->U64(order.size());
-  for (TdNodeId id : order) {
-    const NormNode& node = ntd.node(id);
-    writer->U8(static_cast<uint8_t>(node.kind));
-    writer->U32(static_cast<uint32_t>(node.element));
-    writer->Vec32(node.bag);
-    std::vector<int32_t> children;
-    children.reserve(node.children.size());
-    for (TdNodeId c : node.children) {
-      children.push_back(new_id[static_cast<size_t>(c)]);
-    }
-    writer->Vec32(children);
-  }
-}
-
-StatusOr<NormalizedTreeDecomposition> DeserializeNormalizedTd(
-    BinaryReader* reader) {
-  size_t num_nodes = 0;
-  TREEDL_RETURN_IF_ERROR(reader->Length(&num_nodes, 1 + 4 + 8 + 8));
-  NormalizedTreeDecomposition ntd;
-  std::vector<bool> has_parent(num_nodes, false);
-  for (size_t i = 0; i < num_nodes; ++i) {
-    uint8_t kind = 0;
-    NormNode node;
-    TREEDL_RETURN_IF_ERROR(reader->U8(&kind));
-    if (kind > static_cast<uint8_t>(NormNodeKind::kCopy)) {
-      return Status::ParseError("normalized td: unknown node kind " +
-                                std::to_string(kind));
-    }
-    node.kind = static_cast<NormNodeKind>(kind);
-    uint32_t element = 0;
-    TREEDL_RETURN_IF_ERROR(reader->U32(&element));
-    node.element = static_cast<ElementId>(element);
-    TREEDL_RETURN_IF_ERROR(reader->Vec32(&node.bag));
-    // Bags are sorted sets; the DP transitions binary-search them.
-    if (!std::is_sorted(node.bag.begin(), node.bag.end()) ||
-        std::adjacent_find(node.bag.begin(), node.bag.end()) !=
-            node.bag.end()) {
-      return Status::ParseError("normalized td: bag of node " +
-                                std::to_string(i) + " is not a sorted set");
-    }
-    std::vector<int32_t> children;
-    TREEDL_RETURN_IF_ERROR(reader->Vec32(&children));
-    node.children.reserve(children.size());
-    for (int32_t c : children) {
-      // Post-order: children precede their parent, each claimed once.
-      if (c < 0 || static_cast<size_t>(c) >= i || has_parent[static_cast<size_t>(c)]) {
-        return Status::ParseError("normalized td: invalid child id " +
-                                  std::to_string(c) + " at node " +
-                                  std::to_string(i));
-      }
-      has_parent[static_cast<size_t>(c)] = true;
-      node.children.push_back(static_cast<TdNodeId>(c));
-    }
-    ntd.AddNode(std::move(node));
-  }
-  // Every node but the last must have been claimed as a child — otherwise
-  // the stream encodes a forest, which PreOrder/ValidateNormalized CHECK
-  // against rather than reporting.
-  for (size_t i = 0; i + 1 < num_nodes; ++i) {
-    if (!has_parent[i]) {
-      return Status::ParseError("normalized td: node " + std::to_string(i) +
-                                " is disconnected from the root");
-    }
-  }
-  if (num_nodes > 0) {
-    ntd.SetRoot(static_cast<TdNodeId>(num_nodes - 1));
-  }
-  TREEDL_RETURN_IF_ERROR(ValidateNormalized(ntd));
-  return ntd;
 }
 
 }  // namespace treedl

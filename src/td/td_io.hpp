@@ -1,7 +1,7 @@
 // Rendering of tree decompositions (raw and normalized) as ASCII trees and
 // Graphviz DOT — used by examples/paper_figures to reproduce Figures 1, 2,
-// 4 — plus their binary serialization for the engine's persistent sessions
-// (docs/SESSION_FORMAT.md).
+// 4 — plus the binary serialization of raw decompositions for the engine's
+// persistent sessions (docs/SESSION_FORMAT.md).
 #ifndef TREEDL_TD_TD_IO_HPP_
 #define TREEDL_TD_TD_IO_HPP_
 
@@ -36,11 +36,10 @@ std::string ToDot(const TreeDecomposition& td,
 
 // --- Binary serialization (session persistence) ----------------------------
 //
-// Nodes are written in traversal order (pre-order for the raw form, the
-// bottom-up construction order for the modified normal form) with remapped
-// ids, so deserialization replays the public AddNode construction path. The
-// tree shape, bags, and node kinds — everything the DP answers depend on —
-// survive the round trip exactly; raw node ids may be renumbered.
+// Nodes are written in pre-order with remapped ids, so deserialization
+// replays the public AddNode construction path. The tree shape and bags —
+// everything the answers depend on — survive the round trip exactly; node
+// ids may be renumbered.
 
 /// Appends the binary encoding of `td` to `writer`.
 void SerializeTreeDecomposition(const TreeDecomposition& td,
@@ -49,15 +48,6 @@ void SerializeTreeDecomposition(const TreeDecomposition& td,
 /// Inverse of SerializeTreeDecomposition; corrupted input yields an error
 /// Status (every parent reference and length is validated before use).
 StatusOr<TreeDecomposition> DeserializeTreeDecomposition(BinaryReader* reader);
-
-/// Appends the binary encoding of the modified-normal-form `ntd`.
-void SerializeNormalizedTd(const NormalizedTreeDecomposition& ntd,
-                           BinaryWriter* writer);
-
-/// Inverse of SerializeNormalizedTd; the result additionally passes
-/// ValidateNormalized before it is returned.
-StatusOr<NormalizedTreeDecomposition> DeserializeNormalizedTd(
-    BinaryReader* reader);
 
 }  // namespace treedl
 

@@ -13,6 +13,7 @@
 #include "engine/engine.hpp"
 #include "graph/gaifman.hpp"
 #include "graph/generators.hpp"
+#include "mso/parser.hpp"
 #include "schema/closure.hpp"
 #include "schema/primality_bruteforce.hpp"
 #include "server/server.hpp"
@@ -158,6 +159,60 @@ TEST(DatalogRobustnessTest, GroundedEvaluationHonoursItsWorkBudget) {
                                      nullptr, &two_units);
   ASSERT_TRUE(fits.ok()) << fits.status();
   EXPECT_TRUE(*fits == *datalog::NaiveEvaluate(*program, edb));
+}
+
+// The direct MSO route (session width 0, e.g. a unary structure) expands
+// quantifiers over the domain: exponential, so it must honour the per-call
+// and the session WorkBudget like every compiled route, one unit per
+// formula-node visit.
+TEST(MsoRobustnessTest, DirectEvaluationHonoursItsWorkBudget) {
+  Signature unary = Signature::Make({{"p", 1}}).value();
+  Structure a(unary);
+  for (int i = 0; i < 12; ++i) a.AddElement("u" + std::to_string(i));
+  ASSERT_TRUE(a.AddFactNamed("p", {"u3"}).ok());
+  auto sentence = mso::ParseFormula("ex2 X: all1 y: (y in X <-> p(y))");
+  ASSERT_TRUE(sentence.ok()) << sentence.status();
+  auto query = mso::ParseFormula("ex2 X: (x in X & all1 y: (y in X -> p(y)))");
+  ASSERT_TRUE(query.ok()) << query.status();
+
+  Engine engine{Structure(a)};
+  ASSERT_EQ(*engine.Width(), 0);  // the direct route
+  WorkBudget per_call;
+  per_call.SetDeadline(0);
+  auto holds = engine.EvaluateMso(*sentence, nullptr, &per_call);
+  ASSERT_FALSE(holds.ok());
+  EXPECT_EQ(holds.status().code(), StatusCode::kDeadlineExceeded)
+      << holds.status();
+  WorkBudget per_call_unary;
+  per_call_unary.SetDeadline(0);
+  auto selected =
+      engine.EvaluateMsoUnary(*query, "x", nullptr, &per_call_unary);
+  ASSERT_FALSE(selected.ok());
+  EXPECT_EQ(selected.status().code(), StatusCode::kDeadlineExceeded)
+      << selected.status();
+
+  // Without a budget the same session still answers.
+  auto free_holds = engine.EvaluateMso(*sentence);
+  ASSERT_TRUE(free_holds.ok()) << free_holds.status();
+  EXPECT_TRUE(*free_holds);
+  auto free_selected = engine.EvaluateMsoUnary(*query, "x");
+  ASSERT_TRUE(free_selected.ok()) << free_selected.status();
+  std::vector<bool> expected(12, false);
+  expected[3] = true;
+  EXPECT_EQ(*free_selected, expected);
+
+  // The session budget applies when no per-call budget is given.
+  for (bool unary_query : {false, true}) {
+    WorkBudget session;
+    session.SetDeadline(0);
+    EngineOptions options;
+    options.work_budget = &session;
+    Engine bounded{Structure(a), options};
+    Status status = unary_query
+                        ? bounded.EvaluateMsoUnary(*query, "x").status()
+                        : bounded.EvaluateMso(*sentence).status();
+    EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded) << status;
+  }
 }
 
 // --- Decompositions: degenerate and deep shapes --------------------------------
