@@ -41,7 +41,7 @@ StatusOr<Structure> NaiveEvaluate(const Program& program, const Structure& edb,
     }
   }
   if (stats != nullptr) {
-    stats->eval_iterations += iterations;
+    stats->fixpoint_rounds += iterations;
     stats->derived_facts += derived_facts;
     stats->rule_applications += rule_applications;
   }

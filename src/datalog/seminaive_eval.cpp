@@ -88,7 +88,6 @@ StatusOr<Structure> SemiNaiveEvaluate(const Program& program,
   }
 
   if (stats != nullptr) {
-    stats->eval_iterations += rounds;
     stats->derived_facts += derived_facts;
     stats->rule_applications += counters.work;
     stats->fixpoint_rounds += rounds;

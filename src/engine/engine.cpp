@@ -16,7 +16,6 @@
 #include "mso/evaluator.hpp"
 #include "mso2dl/mso_to_datalog.hpp"
 #include "structure/structure_io.hpp"
-#include "td/elimination_order.hpp"
 #include "td/heuristics.hpp"
 #include "td/improve.hpp"
 #include "td/validate.hpp"
@@ -126,7 +125,6 @@ void Engine::ResetCumulativeStats() {
 }
 
 size_t Engine::ResolvedNumThreads() const {
-  if (options_.shared_pool != nullptr) return options_.shared_pool->NumThreads();
   return options_.num_threads == 0 ? ThreadPool::DefaultNumThreads()
                                    : options_.num_threads;
 }
@@ -183,9 +181,6 @@ StatusOr<const TreeDecomposition*> Engine::EnsureTd(RunStats* stats) {
   StatusOr<TreeDecomposition> td = [&]() -> StatusOr<TreeDecomposition> {
     if (options_.decomposition.has_value()) return *options_.decomposition;
     TREEDL_ASSIGN_OR_RETURN(const Graph* gaifman, EnsureGaifman(stats));
-    if (options_.elimination_order.has_value()) {
-      return DecompositionFromOrder(*gaifman, *options_.elimination_order);
-    }
     return Decompose(*gaifman, options_.heuristic);
   }();
   TREEDL_RETURN_IF_ERROR(td.status());
@@ -295,7 +290,7 @@ StatusOr<const mso2dl::Mso2DlResult*> Engine::EnsureMsoProgram(
     ++stats->cache_hits;
     return &it->second;
   }
-  mso2dl::Mso2DlOptions mopts = options_.mso_options;
+  mso2dl::Mso2DlOptions mopts;
   mopts.width = td->Width();
   StatusOr<mso2dl::Mso2DlResult> compiled =
       free_var != nullptr
@@ -311,14 +306,14 @@ StatusOr<const mso2dl::Mso2DlResult*> Engine::EnsureMsoProgram(
 ThreadPool* Engine::EnsurePool() {
   size_t threads = ResolvedNumThreads();
   if (threads <= 1) return nullptr;
-  if (options_.shared_pool != nullptr) return options_.shared_pool;
   if (pool_ == nullptr) pool_ = std::make_unique<ThreadPool>(threads);
   return pool_.get();
 }
 
 // --- Primality ---------------------------------------------------------------
 
-StatusOr<bool> Engine::IsPrime(AttributeId a, RunStats* stats) {
+StatusOr<bool> Engine::IsPrime(AttributeId a, RunStats* stats,
+                               WorkBudget* budget) {
   return RunQuery(stats, [&](RunStats* s) -> StatusOr<bool> {
     if (schema_ == nullptr) {
       return Status::InvalidArgument("IsPrime requires a schema session");
@@ -340,7 +335,7 @@ StatusOr<bool> Engine::IsPrime(AttributeId a, RunStats* stats) {
       TREEDL_ASSIGN_OR_RETURN(closed, EnsureClosedTd(s));
       TREEDL_ASSIGN_OR_RETURN(context, EnsurePrimality(s));
       encoding = encoding_.get();
-      exec.budget = options_.work_budget;
+      exec.budget = budget;
     }
     // Per-query work on the immutable artifacts, outside the lock: re-root
     // a copy of the closed decomposition at a bag holding a, then normalize.
@@ -389,7 +384,7 @@ StatusOr<std::vector<bool>> Engine::AllPrimes(RunStats* stats,
       encoding = encoding_.get();
       exec.pool = EnsurePool();
       exec.sharding = enum_sharding_.has_value() ? &*enum_sharding_ : nullptr;
-      exec.budget = budget != nullptr ? budget : options_.work_budget;
+      exec.budget = budget;
     }
     TREEDL_RETURN_IF_ERROR(context->CheckBags(*ntd, /*for_enumeration=*/true));
     // The two-pass enumeration runs outside the lock (sharded on the pool
@@ -426,8 +421,7 @@ StatusOr<Structure> Engine::EvaluateDatalog(const datalog::Program& program,
       std::lock_guard<std::mutex> lock(sync_->cache_mu);
       TREEDL_ASSIGN_OR_RETURN(edb, EnsureStructure(s));
     }
-    return RunBackend(program, *edb, backend,
-                      budget != nullptr ? budget : options_.work_budget, s);
+    return RunBackend(program, *edb, backend, budget, s);
   });
 }
 
@@ -458,15 +452,14 @@ StatusOr<bool> Engine::EvaluateMso(const mso::FormulaPtr& sentence,
         tau_edb = &atd->structure;
       }
     }
-    WorkBudget* effective = budget != nullptr ? budget : options_.work_budget;
     if (direct) {
       mso::EvalOptions eval;
-      eval.budget = effective;
+      eval.budget = budget;
       return mso::EvaluateSentence(*a, *sentence, eval);
     }
     TREEDL_ASSIGN_OR_RETURN(
         Structure derived,
-        RunBackend(*program, *tau_edb, options_.backend, effective, s));
+        RunBackend(*program, *tau_edb, options_.backend, budget, s));
     TREEDL_ASSIGN_OR_RETURN(PredicateId phi,
                             derived.signature().PredicateIdOf("phi"));
     return derived.HasFact(phi, {});
@@ -494,11 +487,10 @@ StatusOr<std::vector<bool>> Engine::EvaluateMsoUnary(
         tau_edb = &atd->structure;
       }
     }
-    WorkBudget* effective = budget != nullptr ? budget : options_.work_budget;
     std::vector<bool> selected(a->NumElements(), false);
     if (direct) {
       mso::EvalOptions eval;
-      eval.budget = effective;
+      eval.budget = budget;
       for (ElementId e = 0; e < a->NumElements(); ++e) {
         TREEDL_ASSIGN_OR_RETURN(
             bool holds, mso::EvaluateUnary(*a, *phi, free_var, e, eval));
@@ -508,7 +500,7 @@ StatusOr<std::vector<bool>> Engine::EvaluateMsoUnary(
     }
     TREEDL_ASSIGN_OR_RETURN(
         Structure derived,
-        RunBackend(*program, *tau_edb, options_.backend, effective, s));
+        RunBackend(*program, *tau_edb, options_.backend, budget, s));
     TREEDL_ASSIGN_OR_RETURN(PredicateId phi_pred,
                             derived.signature().PredicateIdOf("phi"));
     for (ElementId e = 0; e < a->NumElements(); ++e) {
@@ -575,7 +567,7 @@ StatusOr<Engine::SolveAllResult> Engine::SolveProblems(
       TREEDL_ASSIGN_OR_RETURN(ntd, EnsurePlainNtd(s));
       exec.pool = EnsurePool();
       exec.sharding = sharding_.has_value() ? &*sharding_ : nullptr;
-      exec.budget = budget != nullptr ? budget : options_.work_budget;
+      exec.budget = budget;
     }
     if (ntd->Width() + 1 > core::kMaxDpBagSize) {
       return Status::ResourceExhausted(
@@ -614,8 +606,6 @@ StatusOr<Engine::ImproveResult> Engine::ImproveDecomposition(
     TREEDL_ASSIGN_OR_RETURN(const Graph* gaifman, EnsureGaifman(s));
     ImproveOptions iopts;
     iopts.seed = SessionFingerprint();
-    // No fallback to options_.work_budget here: a tripped session budget is
-    // sticky and would poison every query after the reopt.
     TREEDL_ASSIGN_OR_RETURN(ImproveOutcome outcome,
                             ImproveTd(*gaifman, *td, iopts, budget));
     ImproveResult out;

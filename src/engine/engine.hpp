@@ -23,8 +23,8 @@
 // trigger exactly one encoding/decomposition/normalization build; the heavy
 // per-query work (tree DPs, datalog fixpoints, direct MSO evaluation) runs
 // outside the lock against the immutable cached artifacts. With
-// EngineOptions::num_threads > 1 the tree DPs themselves are parallel on one
-// shared work-stealing pool: the Solve/SolveAll tree DP runs bag-sharded
+// EngineOptions::num_threads > 1 the tree DPs themselves are parallel on the
+// session's own work-stealing pool: the Solve/SolveAll tree DP runs bag-sharded
 // (core::RunDp), and the AllPrimes enumeration runs both of its passes
 // shard-scheduled on the same pool (bottom-up, then the inverted top-down
 // schedule) — every answer is bit-identical to num_threads = 1. Datalog
@@ -66,6 +66,8 @@
 #include "td/tree_decomposition.hpp"
 
 namespace treedl {
+
+class WorkBudget;
 
 class Engine {
  public:
@@ -121,16 +123,16 @@ class Engine {
 
   /// §5.2 decision: is attribute `a` prime? Reuses the cached encoding and
   /// decomposition; re-roots and normalizes per query (linear). After
-  /// AllPrimes() has run, answers O(1) from the memoized enumeration. The DP
-  /// runs under EngineOptions::work_budget; a tripped budget returns its
+  /// AllPrimes() has run, answers O(1) from the memoized enumeration. A
+  /// tripped `budget` aborts the DP and returns its
   /// DeadlineExceeded/ResourceExhausted status.
-  StatusOr<bool> IsPrime(AttributeId a, RunStats* stats = nullptr);
+  StatusOr<bool> IsPrime(AttributeId a, RunStats* stats = nullptr,
+                         WorkBudget* budget = nullptr);
 
   /// §5.3 enumeration: all prime attributes in one two-pass run. The result
-  /// is memoized; subsequent calls are cache hits. A tripped `budget`
-  /// (per-call, overriding EngineOptions::work_budget) aborts the run with
-  /// DeadlineExceeded/ResourceExhausted and leaves the memo unwritten, so
-  /// the next call recomputes cleanly.
+  /// is memoized; subsequent calls are cache hits. A tripped `budget` aborts
+  /// the run with DeadlineExceeded/ResourceExhausted and leaves the memo
+  /// unwritten, so the next call recomputes cleanly.
   StatusOr<std::vector<bool>> AllPrimes(RunStats* stats = nullptr,
                                         WorkBudget* budget = nullptr);
 
@@ -167,8 +169,7 @@ class Engine {
   // --- Graph DPs -----------------------------------------------------------
 
   /// One problem: one core::RunDp walk of the cached normal form, answering
-  /// Result(problem). A tripped `budget` (per-call,
-  /// overriding EngineOptions::work_budget) aborts the traversal and returns
+  /// Result(problem). A tripped `budget` aborts the traversal and returns
   /// its DeadlineExceeded / ResourceExhausted status; no partial result
   /// escapes and the session's cached artifacts are untouched, so the next
   /// query answers normally. A normal form with a bag of more than 63
@@ -214,10 +215,8 @@ class Engine {
   /// one (closed/normalized forms, shardings, τ_td, compiled MSO programs) is
   /// invalidated for lazy rebuild; the memoized primes survive (answers are
   /// decomposition-independent). `budget` bounds the search at one unit per
-  /// round and exhaustion is a graceful stop, never an error; it deliberately
-  /// does NOT fall back to EngineOptions::work_budget — a tripped session
-  /// budget is sticky and would poison every query after the reopt. With no
-  /// budget the search caps at a fixed round count.
+  /// round and exhaustion is a graceful stop, never an error. With no budget
+  /// the search caps at a fixed round count.
   ///
   /// EXCEPTION to the immutable-artifact contract above the Ensure* methods:
   /// this is the one operation that replaces cached artifacts, so it requires

@@ -63,12 +63,10 @@ struct RunStats {
   size_t dp_tables_evicted = 0;
 
   // --- Datalog fixpoint work ----------------------------------------------
-  size_t eval_iterations = 0;
   size_t derived_facts = 0;
   size_t rule_applications = 0;
-  /// Fixpoint rounds run by the semi-naive engine (round 0 + delta rounds).
-  /// Unlike eval_iterations — which the naive oracle bumps too — this counts
-  /// only the semi-naive engine's rounds.
+  /// Fixpoint rounds: round 0 + delta rounds for the semi-naive engine, one
+  /// per jacobi iteration for the naive oracle.
   size_t fixpoint_rounds = 0;
   /// Rule plans the semi-naive engine ran: one full plan per rule in round
   /// 0, then one delta variant per rule x positive intensional body
@@ -132,7 +130,6 @@ struct RunStats {
                               ? dp_peak_table_bytes
                               : other.dp_peak_table_bytes;
     dp_tables_evicted += other.dp_tables_evicted;
-    eval_iterations += other.eval_iterations;
     derived_facts += other.derived_facts;
     rule_applications += other.rule_applications;
     fixpoint_rounds += other.fixpoint_rounds;

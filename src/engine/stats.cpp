@@ -41,12 +41,11 @@ std::string RunStats::ToString() const {
     }
     out << "}";
   }
-  if (eval_iterations > 0) {
-    out << " eval{iters=" << eval_iterations << " derived=" << derived_facts
+  if (fixpoint_rounds > 0) {
+    out << " eval{rounds=" << fixpoint_rounds << " derived=" << derived_facts
         << " rule_apps=" << rule_applications;
-    if (fixpoint_rounds > 0) {
-      out << " rounds=" << fixpoint_rounds
-          << " rule_tasks=" << fixpoint_rule_tasks;
+    if (fixpoint_rule_tasks > 0) {
+      out << " rule_tasks=" << fixpoint_rule_tasks;
     }
     if (plan_compiles > 0) {
       out << " plans=" << plan_compiles

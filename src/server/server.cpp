@@ -32,20 +32,14 @@ const char* PoolLabel(const SessionPool::Lease& lease) {
 }  // namespace
 
 Server::Server(ServerOptions options) : options_(std::move(options)) {
-  size_t threads = options_.num_threads == 0 ? ThreadPool::DefaultNumThreads()
-                                             : options_.num_threads;
-  EngineOptions engine_options = options_.engine_options;
-  if (threads > 1) {
-    shared_pool_ = std::make_unique<ThreadPool>(threads);
-    engine_options.shared_pool = shared_pool_.get();
-  } else {
-    engine_options.num_threads = 1;
-  }
   SessionPoolOptions pool_options;
   pool_options.max_sessions = options_.max_sessions;
   pool_options.table_memory_budget = options_.table_memory_budget;
   pool_options.session_dir = options_.session_dir;
-  pool_options.engine_options = engine_options;
+  pool_options.engine_options = options_.engine_options;
+  // Requests are the unit of parallelism (the front-end's workers); each
+  // pooled engine runs its request sequentially, with no pool of its own.
+  pool_options.engine_options.num_threads = 1;
   pool_ = std::make_unique<SessionPool>(std::move(pool_options));
 }
 

@@ -14,9 +14,10 @@
 //
 // Two tenants whose structures are equal share one pooled Engine: the pool
 // is keyed by structure fingerprint, not tenant name, so N clients loading
-// the same graph pay for one decomposition. With `num_threads` > 1 every
-// pooled session runs its parallel work on the server's single
-// work-stealing pool (EngineOptions::shared_pool).
+// the same graph pay for one decomposition. Requests are the unit of
+// parallelism: every pooled engine runs sequentially (its num_threads is
+// forced to 1), and concurrency comes from the front-end's workers serving
+// independent sessions side by side.
 //
 // Serve/HandleLine remain the single-threaded driver — one request at a
 // time, deterministic by construction. The concurrent front-end
@@ -40,7 +41,6 @@
 #include <string>
 #include <string_view>
 
-#include "common/thread_pool.hpp"
 #include "datalog/ast.hpp"
 #include "mso/ast.hpp"
 #include "server/protocol.hpp"
@@ -57,17 +57,13 @@ struct ServerOptions {
   size_t table_memory_budget = 0;
   /// Directory for SAVE/OPEN session files; empty disables persistence.
   std::string session_dir;
-  /// Worker threads of the server's shared ENGINE pool — intra-request
-  /// parallelism (0 = hardware concurrency, 1 = sequential: no pool is
-  /// created and sessions run inline). Inter-request parallelism is the
-  /// front-end's num_threads (server/frontend.hpp); the two compose.
-  size_t num_threads = 1;
   /// Echo per-request RunStats counters (encode/td/normalize/cache_hits) in
   /// OK replies. Off for byte-stable transcripts that must not depend on
   /// cache state.
   bool echo_stats = true;
   /// Template for pooled engines. Witness extraction defaults off: the
-  /// serving layer prefers evictable tables over coloring witnesses.
+  /// serving layer prefers evictable tables over coloring witnesses. The
+  /// server overrides num_threads to 1: pooled engines run sequentially.
   EngineOptions engine_options = [] {
     EngineOptions options;
     options.extract_witness = false;
@@ -202,7 +198,6 @@ class Server {
   void EmitStatus(const Status& status, std::string* out);
 
   ServerOptions options_;
-  std::unique_ptr<ThreadPool> shared_pool_;  // null when sequential
   std::unique_ptr<SessionPool> pool_;
   std::map<std::string, Tenant> tenants_;  // ordered: deterministic STATS
   /// Armed DEADLINE for subsequent compute requests (nullopt = off). Only

@@ -64,7 +64,7 @@ struct SessionPoolOptions {
   /// Directory of session files ("<16-hex-fingerprint>.tdls"). Empty
   /// disables warm start and Save.
   std::string session_dir;
-  /// Template for pooled engines (the server fills shared_pool).
+  /// Template for pooled engines (the server makes them sequential).
   EngineOptions engine_options;
 };
 

@@ -13,6 +13,7 @@
 #include "mso/formulas.hpp"
 #include "mso/parser.hpp"
 #include "schema/primality_bruteforce.hpp"
+#include "td/elimination_order.hpp"
 #include "test_util.hpp"
 
 namespace treedl {
@@ -252,6 +253,16 @@ TEST(EngineTest, DatalogBackendsAgree) {
   EXPECT_EQ(naive_stats.derived_facts, semi_stats.derived_facts);
   // Semi-naive attempts no more rule applications than naive.
   EXPECT_LE(semi_stats.rule_applications, naive_stats.rule_applications);
+  // One round counter: the oracle's iterations and the semi-naive rounds
+  // both land in fixpoint_rounds, printed once inside eval{...}.
+  for (const RunStats* run : {&naive_stats, &semi_stats}) {
+    EXPECT_GT(run->fixpoint_rounds, 0u);
+    std::string text = run->ToString();
+    size_t at = text.find(" eval{rounds=" +
+                          std::to_string(run->fixpoint_rounds) + " ");
+    EXPECT_NE(at, std::string::npos) << text;
+    EXPECT_EQ(text.find("rounds=", at + 8), std::string::npos) << text;
+  }
 }
 
 // --- MSO routing and backend equivalence on quasi-guarded programs ------------
@@ -376,11 +387,14 @@ TEST(EngineTest, CustomEliminationOrderIsUsed) {
   for (size_t i = 0; i < order.size(); ++i) {
     order[i] = static_cast<VertexId>(i);
   }
+  auto td = DecompositionFromOrder(gaifman, order);
+  ASSERT_TRUE(td.ok()) << td.status();
   EngineOptions options;
-  options.elimination_order = order;
+  options.decomposition = *td;
   Engine engine(schema, options);
   auto width = engine.Width();
   ASSERT_TRUE(width.ok()) << width.status();
+  EXPECT_EQ(*width, td->Width());
   EXPECT_GE(*width, 2);  // the paper's example has treewidth 2
 
   std::vector<bool> expected = AllPrimesBruteForce(schema);
@@ -430,7 +444,7 @@ TEST(EngineTest, HeuristicOptionChoosesTheSessionDecomposition) {
   EXPECT_TRUE(heuristics_differ);
 }
 
-// --- IsPrime: full DP accounting and session budgets --------------------------
+// --- IsPrime: full DP accounting and per-call budgets -------------------------
 
 TEST(EngineTest, IsPrimeReportsTheFullDpRecord) {
   // IsPrime runs one walk, like Solve: the traversal and table-byte
@@ -470,16 +484,19 @@ TEST(EngineTest, IsPrimeReportsTheFullDpRecord) {
   }
 }
 
-TEST(EngineTest, IsPrimeHonorsTheSessionWorkBudget) {
+TEST(EngineTest, IsPrimeHonorsItsWorkBudget) {
+  Schema schema = Schema::PaperExampleSchema();
   WorkBudget budget;
   budget.SetDeadline(1);
-  EngineOptions options;
-  options.work_budget = &budget;
-  Engine engine(Schema::PaperExampleSchema(), options);
-  auto result = engine.IsPrime(0);
+  Engine engine(schema);
+  auto result = engine.IsPrime(0, nullptr, &budget);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded)
       << result.status();
+  // The budget belongs to the call: the next unbudgeted query answers.
+  auto unbudgeted = engine.IsPrime(0);
+  ASSERT_TRUE(unbudgeted.ok()) << unbudgeted.status();
+  EXPECT_EQ(*unbudgeted, AllPrimesBruteForce(schema)[0]);
 }
 
 }  // namespace

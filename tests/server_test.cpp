@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "server/frontend.hpp"
 #include "server/protocol.hpp"
 #include "test_util.hpp"
 
@@ -30,6 +31,24 @@ ServerOptions QuietOptions() {
   ServerOptions options;
   options.echo_stats = false;
   return options;
+}
+
+/// The facts of an n x n grid graph (n <= 10), vertices named v<row><col>.
+std::string GridFacts(int n) {
+  std::string facts;
+  for (int r = 0; r < n; ++r) {
+    for (int c = 0; c < n; ++c) {
+      if (c + 1 < n) {
+        facts += "e(v" + std::to_string(r) + std::to_string(c) + ", v" +
+                 std::to_string(r) + std::to_string(c + 1) + "). ";
+      }
+      if (r + 1 < n) {
+        facts += "e(v" + std::to_string(r) + std::to_string(c) + ", v" +
+                 std::to_string(r + 1) + std::to_string(c) + "). ";
+      }
+    }
+  }
+  return facts;
 }
 
 TEST(ProtocolTest, BlankAndCommentLinesParseToNothing) {
@@ -246,19 +265,7 @@ TEST(ProtocolTest, ParsesReoptAndRejectsBadUnits) {
 TEST(ServerTest, ReoptImprovesSessionAndPreservesAnswers) {
   Server server(QuietOptions());
   // A 4x4 grid tenant: enough structure for the local search to have room.
-  std::string facts;
-  for (int r = 0; r < 4; ++r) {
-    for (int c = 0; c < 4; ++c) {
-      if (c + 1 < 4) {
-        facts += "e(v" + std::to_string(r) + std::to_string(c) + ", v" +
-                 std::to_string(r) + std::to_string(c + 1) + "). ";
-      }
-      if (r + 1 < 4) {
-        facts += "e(v" + std::to_string(r) + std::to_string(c) + ", v" +
-                 std::to_string(r + 1) + std::to_string(c) + "). ";
-      }
-    }
-  }
+  std::string facts = GridFacts(4);
   ASSERT_NE(Reply(&server, "LOAD grid SIG e/2 FACTS " + facts).find("OK LOAD"),
             std::string::npos);
   std::string before = Reply(&server, "SOLVEALL grid");
@@ -292,6 +299,34 @@ TEST(ServerTest, ReoptZeroUnitsIsANoOp) {
   EXPECT_EQ(reopt.rfind("OK REOPT tenant=g", 0), 0u) << reopt;
   EXPECT_NE(reopt.find("rounds=0"), std::string::npos) << reopt;
   EXPECT_NE(Reply(&server, "SOLVE g VC").find("optimum=2"), std::string::npos);
+}
+
+// Requests are the server's unit of parallelism: pooled engines run each
+// request sequentially whatever the engine template asks for, so a request
+// never shards its walk across threads the front-end's workers already use.
+TEST(ServerTest, PooledEnginesRunSequentially) {
+  ServerOptions options = QuietOptions();
+  options.engine_options.num_threads = 4;
+  Server server(options);
+  FrontendOptions frontend_options;
+  frontend_options.num_threads = 4;
+  Frontend frontend(&server, frontend_options);
+  std::istringstream in("LOAD grid SIG e/2 FACTS " + GridFacts(6) +
+                        "\nSOLVEALL grid\nSOLVEALL grid\nQUIT\n");
+  std::ostringstream out;
+  frontend.Serve(in, out);
+  EXPECT_EQ(server.stats().replies_error, 0u) << out.str();
+  EXPECT_NE(out.str().find("OK SOLVEALL tenant=grid"), std::string::npos)
+      << out.str();
+
+  std::vector<uint64_t> resident = server.pool().LruFingerprints();
+  ASSERT_EQ(resident.size(), 1u);
+  std::shared_ptr<Engine> engine = server.pool().Peek(resident[0]);
+  ASSERT_NE(engine, nullptr);
+  EXPECT_EQ(engine->options().num_threads, 1u);
+  RunStats session = engine->CumulativeStats();
+  EXPECT_EQ(session.dp_traversals, 10u);  // two SOLVEALLs, five walks each
+  EXPECT_EQ(session.dp_shards, 0u);
 }
 
 }  // namespace
