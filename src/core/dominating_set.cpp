@@ -9,7 +9,7 @@ StatusOr<size_t> MinDominatingSet(const Graph& graph,
                                   const NormalizedTreeDecomposition& ntd,
                                   const DpExec& exec, DpStats* stats) {
   auto table = RunDp(ntd, internal::DominatingProblem(graph), exec, stats,
-                     /*retain_tables=*/false);
+                     TableRetention::kNone);
   if (exec.budget != nullptr && exec.budget->Aborted()) {
     return exec.budget->AbortStatus();
   }

@@ -1,10 +1,10 @@
 // The PRIMALITY decision algorithm of §5.2 (Fig. 6): is attribute a prime
-// (in some key)? One bottom-up solve() walk over a prepared decomposition,
-// then the success test at the root, in time f(w)·|(R, F)|. Engine::IsPrime
-// prepares the decomposition (rhs-closure, re-root at a bag holding a,
-// normalize) and calls DecidePrimePrepared.
+// (in some key)? One bottom-up solve() walk (core::RunDp of
+// PrimalityProblem) over a prepared decomposition, then the success test at
+// the root, in time f(w)·|(R, F)|. Engine::IsPrime prepares the
+// decomposition (rhs-closure, re-root at a bag holding a, normalize) and
+// calls DecidePrimePrepared.
 #include <algorithm>
-#include <vector>
 
 #include "core/primality_internal.hpp"
 
@@ -17,12 +17,8 @@ bool DecidePrimePrepared(const PrimalityContext& context,
                          ElementId a_elem, RunStats* stats,
                          const DpExec& exec) {
   DpStats dp;
-  TableMemoryTracker memory;
-  std::vector<PrimTable> up =
-      SolveBottomUp(context, ntd, exec, /*keep_branch_children=*/false,
-                    &memory, &dp);
-  memory.FoldInto(&dp);
-  dp.traversals = 1;
+  auto up = RunDp(ntd, PrimalityProblem(context), exec, &dp,
+                  TableRetention::kNone);
   if (stats != nullptr) FoldDpStats(dp, stats);
   if (exec.budget != nullptr && exec.budget->Aborted()) return false;
   const auto& bag = ntd.Bag(ntd.root());
@@ -30,7 +26,7 @@ bool DecidePrimePrepared(const PrimalityContext& context,
   int query = std::binary_search(bag.begin(), bag.end(), a_elem)
                   ? static_cast<int>(PositionInBag(bag, a_elem))
                   : -1;
-  for (const auto& [state, value] : up[static_cast<size_t>(ntd.root())]) {
+  for (const auto& [state, value] : up.at(ntd.root())) {
     (void)value;
     if (Accepts(layout, state, query)) return true;
   }

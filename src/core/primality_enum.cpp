@@ -1,5 +1,6 @@
 // The PRIMALITY enumeration algorithm of §5.3: *all* prime attributes in
-// linear time via one bottom-up pass (solve) and one top-down pass (solve↓),
+// linear time via one bottom-up pass (solve, a core::RunDp walk of
+// PrimalityProblem) and one top-down pass (solve↓, on the inverted walk),
 // reading prime(a) off at the leaves. The naive alternative — one §5.2
 // decision per attribute with the decomposition re-rooted each time, i.e.
 // Engine::IsPrime per attribute on a session that never ran AllPrimes — is
@@ -16,7 +17,7 @@ namespace treedl::core {
 
 namespace {
 
-using internal::PrimalityContext;
+using internal::PrimalityProblem;
 using internal::PrimTable;
 using internal::TableMemoryTracker;
 
@@ -24,9 +25,10 @@ using internal::TableMemoryTracker;
 /// characterizes the *envelope* T̄_s. Formulated per node — "compute my own
 /// table from my parent's" — so a parents-first chunk of nodes is a valid
 /// schedule for both the sequential walk and the inverted shard schedule.
-/// Transitions invert the parent's kind; at a branch the sibling's bottom-up
-/// table joins in.
-void TopDownStep(const PrimalityContext& context,
+/// The step is the parent's kind inverted, run through the same
+/// internal::ApplyStep and PrimalityProblem hooks as the bottom-up pass; at
+/// a branch the sibling's bottom-up table joins in.
+void TopDownStep(const PrimalityProblem& problem,
                  const NormalizedTreeDecomposition& ntd, TdNodeId x,
                  const std::vector<PrimTable>& up, std::vector<PrimTable>* down) {
   PrimTable* out = &(*down)[static_cast<size_t>(x)];
@@ -34,39 +36,35 @@ void TopDownStep(const PrimalityContext& context,
   if (x == ntd.root()) {
     // Base: the envelope of the root is the root node alone — the leaf rule
     // applied to the root's bag.
-    internal::LeafStates(context, bag, out);
+    internal::ApplyStep(problem, NormNodeKind::kLeaf,
+                        problem.Context(NormNodeKind::kLeaf, bag, 0), nullptr,
+                        nullptr, out);
     return;
   }
   TdNodeId parent_id = ntd.node(x).parent;
   const NormNode& parent = ntd.node(parent_id);
-  const PrimTable& parent_down = (*down)[static_cast<size_t>(parent_id)];
-  switch (parent.kind) {
-    case NormNodeKind::kLeaf:
-      TREEDL_CHECK(false) << "leaf with children";
-      break;
-    case NormNodeKind::kCopy:
-      internal::CopyStates(parent_down, out);
-      break;
-    case NormNodeKind::kIntroduce:
-      // Parent introduced e going up; going down the envelope forgets it —
-      // e's occurrences all lie inside the envelope of the child.
-      internal::ForgetStates(context, bag, parent.element, parent_down, out);
-      break;
-    case NormNodeKind::kForget:
-      // Parent forgot e going up; going down the envelope introduces it
-      // fresh (e occurs only below the child, so only at the child from the
-      // envelope's perspective).
-      internal::IntroduceStates(context, bag, parent.element, parent_down, out);
-      break;
-    case NormNodeKind::kBranch: {
-      // T̄_child = T̄_parent ∪ T_sibling: join the parent's envelope states
-      // with the sibling's subtree states.
-      TdNodeId sibling = parent.children[parent.children[0] == x ? 1 : 0];
-      internal::JoinStates(context, bag, parent_down,
-                           up[static_cast<size_t>(sibling)], out);
-      break;
-    }
+  TREEDL_CHECK(parent.kind != NormNodeKind::kLeaf) << "leaf with children";
+  // The parent introduced e going up, so going down the envelope forgets it
+  // (e's occurrences all lie inside the envelope of the child); it forgot e
+  // going up, so going down the envelope introduces it fresh (e occurs only
+  // below the child, so only at the child from the envelope's perspective).
+  // A copy stays a copy. At a branch, T̄_child = T̄_parent ∪ T_sibling: the
+  // parent's envelope states join the sibling's subtree states.
+  NormNodeKind kind = parent.kind;
+  if (kind == NormNodeKind::kIntroduce) {
+    kind = NormNodeKind::kForget;
+  } else if (kind == NormNodeKind::kForget) {
+    kind = NormNodeKind::kIntroduce;
   }
+  const PrimTable* sibling_up = nullptr;
+  if (kind == NormNodeKind::kBranch) {
+    TdNodeId sibling = parent.children[parent.children[0] == x ? 1 : 0];
+    sibling_up = &up[static_cast<size_t>(sibling)];
+  }
+  internal::ApplyStep(problem, kind,
+                      problem.Context(kind, bag, parent.element),
+                      &(*down)[static_cast<size_t>(parent_id)], sibling_up,
+                      out);
 }
 
 /// Top-down pass over one parents-first chunk. Eviction: after node x is
@@ -75,7 +73,7 @@ void TopDownStep(const PrimalityContext& context,
 /// each table by its unique reader; (b) once every child of x's parent is
 /// processed (cross-shard atomic countdown), down[parent] is dead — leaves
 /// have no children, so the leaf tables the prime read-off needs survive.
-void TopDownChunk(const PrimalityContext& context,
+void TopDownChunk(const PrimalityProblem& problem,
                   const NormalizedTreeDecomposition& ntd,
                   const std::vector<TdNodeId>& nodes,
                   std::vector<PrimTable>* up, std::vector<PrimTable>* down,
@@ -84,7 +82,7 @@ void TopDownChunk(const PrimalityContext& context,
                   DpStats* stats) {
   for (TdNodeId x : nodes) {
     if (budget != nullptr && !budget->ConsumeUnit()) continue;
-    TopDownStep(context, ntd, x, *up, down);
+    TopDownStep(problem, ntd, x, *up, down);
     internal::RecordTable((*down)[static_cast<size_t>(x)], memory, budget,
                           stats);
     if (x == ntd.root()) {
@@ -116,14 +114,19 @@ std::vector<bool> EnumeratePrimesPrepared(const PrimalityContext& context,
                                           RunStats* stats, const DpExec& exec) {
   DpStats dp;
   size_t num_nodes = ntd.NumNodes();
-  TableMemoryTracker memory;
+  const PrimalityProblem problem(context);
 
   // Pass 1: bottom-up solve() tables, children before their parent; branch
   // children survive eviction for the top-down sibling joins.
   std::vector<PrimTable> up =
-      SolveBottomUp(context, ntd, exec, /*keep_branch_children=*/true,
-                    &memory, &dp);
+      RunDp(ntd, problem, exec, &dp, TableRetention::kBranchChildren).nodes;
   std::vector<PrimTable> down(num_nodes);
+
+  // Pass 2's accounting continues pass 1's: its tracker starts at the bytes
+  // pass 1 left live (the root's and the branch children's tables), so the
+  // peak, the eviction count and the table-bytes cap read as for one walk.
+  TableMemoryTracker memory;
+  for (const PrimTable& table : up) memory.Add(table.MemoryBytes());
 
   // Pass 2: top-down solve↓() tables on the inverted walk — parents before
   // their children (sharded: the root shard first, each shard's nodes in
@@ -136,15 +139,15 @@ std::vector<bool> EnumeratePrimesPrepared(const PrimalityContext& context,
   WalkChunks(
       ntd, exec,
       [&](const std::vector<TdNodeId>& nodes, DpStats* local) {
-        TopDownChunk(context, ntd, nodes, &up, &down, &memory, exec.budget,
+        TopDownChunk(problem, ntd, nodes, &up, &down, &memory, exec.budget,
                      &down_pending, local);
       },
       &dp, WalkDirection::kTopDown);
 
   memory.FoldInto(&dp);
+  ++dp.traversals;
   if (stats != nullptr) {
     // Both walks' shards count as enumeration shards, not Solve DP shards.
-    dp.traversals = 2;
     stats->primality_shards += std::exchange(dp.shards, 0);
     FoldDpStats(dp, stats);
   }

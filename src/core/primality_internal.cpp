@@ -5,37 +5,7 @@
 #include <string>
 #include <unordered_map>
 
-#include "common/logging.hpp"
-
 namespace treedl::core::internal {
-
-namespace {
-
-void Insert(PrimTable* out, const PrimState& s) {
-  out->Emplace(s, std::monostate{},
-               [](const std::monostate& existing, const std::monostate&) {
-                 return existing;
-               });
-}
-
-/// Calls fn(p) for every set bit p of `mask`, lowest first.
-template <typename Fn>
-void ForEachBit(uint64_t mask, Fn&& fn) {
-  for (; mask != 0; mask &= mask - 1) fn(std::countr_zero(mask));
-}
-
-/// Whether FD position f may derive the Co entry at index `rhs_index`:
-/// consistent(FC, Co) — none of f's bag lhs attributes sits at or after its
-/// rhs in the derivation order.
-bool ConsistentAt(const BagLayout& bag, int f, const PrimState& s,
-                  int rhs_index) {
-  for (int i = rhs_index; i < s.co_size; ++i) {
-    if ((bag.lhs[f] >> s.co[i]) & 1) return false;
-  }
-  return true;
-}
-
-}  // namespace
 
 PrimalityContext::PrimalityContext(const Schema& schema,
                                    const SchemaEncoding& encoding)
@@ -125,178 +95,6 @@ uint64_t BagLayout::Outside(uint64_t y) const {
   return out;
 }
 
-namespace {
-
-/// Branch-compatibility key: states join iff (Y, FC, Co) coincide.
-struct PrimJoinKey {
-  uint64_t y = 0;
-  uint64_t fc = 0;
-  uint8_t co[kCoCapacity + 1] = {};  // PrimState::co followed by co_size
-
-  explicit PrimJoinKey(const PrimState& s) : y(s.y), fc(s.fc) {
-    std::memcpy(co, s.co, kCoCapacity);
-    co[kCoCapacity] = s.co_size;
-  }
-  bool operator==(const PrimJoinKey& o) const {
-    return std::memcmp(this, &o, sizeof(PrimJoinKey)) == 0;
-  }
-  size_t hash() const {
-    uint64_t words[5];
-    std::memcpy(words, this, sizeof(words));
-    return HashWords(words, 5);
-  }
-};
-static_assert(sizeof(PrimJoinKey) == 40, "PrimJoinKey must stay 5 words");
-
-// Fig. 6 transitions on one state. `bag` is the layout of the node the
-// output states belong to; positions are in that bag for introduce and in the
-// input bag (which still holds the element) for forget.
-
-void IntroduceAttr(const BagLayout& bag, int b, const PrimState& s,
-                   PrimTable* out) {
-  PrimState base = s;
-  base.Open(b);
-  // Rule 1: b joins Y.
-  {
-    PrimState next = base;
-    next.y |= uint64_t{1} << b;
-    Insert(out, next);
-  }
-  // Rule 2: b is inserted at every Co index up to the first rhs of a used FD
-  // with b in its lhs (consistent(FC, Co ⊎ {b})), and the outside-witnesses
-  // are refreshed (b ∉ Y may witness additional FDs).
-  TREEDL_DCHECK(base.co_size < kCoCapacity);
-  int last = base.co_size;
-  ForEachBit(base.fc, [&](int f) {
-    if ((bag.lhs[f] >> b) & 1) {
-      int rhs_index = base.CoIndex(bag.rhs[f]);
-      TREEDL_DCHECK(rhs_index >= 0);
-      last = std::min(last, rhs_index);
-    }
-  });
-  base.fy |= bag.Outside(base.y);
-  for (int index = 0; index <= last; ++index) {
-    PrimState next = base;
-    next.CoInsert(index, b);
-    Insert(out, next);
-  }
-}
-
-void IntroduceFd(const BagLayout& bag, int f, const PrimState& s,
-                 PrimTable* out) {
-  PrimState base = s;
-  base.Open(f);
-  int rhs = bag.rhs[f];
-  uint64_t rhs_bit = uint64_t{1} << rhs;
-  if (base.y & rhs_bit) {
-    // Rule 1: rhs ∈ Y — nothing to track.
-    Insert(out, base);
-    return;
-  }
-  int rhs_index = base.CoIndex(rhs);
-  TREEDL_DCHECK(rhs_index >= 0);
-  // f is locally witnessed not to contradict closedness when some bag
-  // lhs-attribute lies outside Y.
-  if ((bag.lhs[f] & ~base.y) != 0) base.fy |= uint64_t{1} << f;
-  // Rule 3: f is not used in the derivation.
-  Insert(out, base);
-  // Rule 2: f derives rhs — requires a fresh ΔC slot and order consistency.
-  if (!(base.dc & rhs_bit) && ConsistentAt(bag, f, base, rhs_index)) {
-    base.fc |= uint64_t{1} << f;
-    base.dc |= rhs_bit;
-    Insert(out, base);
-  }
-}
-
-void ForgetAttr(int b, const PrimState& s, PrimTable* out) {
-  uint64_t bit = uint64_t{1} << b;
-  // b ∈ Co must have had its derivation established (b ∈ ΔC).
-  if (!(s.y & bit) && !(s.dc & bit)) return;
-  PrimState next = s;
-  next.Drop(b);
-  Insert(out, next);
-}
-
-void ForgetFd(int f, int rhs, const PrimState& s, PrimTable* out) {
-  uint64_t bit = uint64_t{1} << f;
-  int rhs_in = rhs + (rhs >= f ? 1 : 0);
-  if ((s.y >> rhs_in) & 1) {
-    TREEDL_DCHECK(!(s.fy & bit) && !(s.fc & bit));
-  } else if (!(s.fy & bit)) {
-    // rhs ∈ Co: f must have been witnessed (f ∈ FY) — otherwise it would
-    // contradict the closedness of Y.
-    return;
-  }
-  PrimState next = s;
-  next.Drop(f);  // f leaves FY and FC with its bit
-  Insert(out, next);
-}
-
-void Join(const BagLayout& bag, const PrimState& a, const PrimState& b,
-          PrimTable* out) {
-  TREEDL_DCHECK(PrimJoinKey(a) == PrimJoinKey(b));
-  // unique(ΔC1, ΔC2, FC): an attribute derived in both subtrees must owe its
-  // derivation to a shared (bag) FD.
-  if ((a.dc & b.dc) != bag.RhsOf(a.fc)) return;
-  PrimState next = a;
-  next.fy |= b.fy;
-  next.dc |= b.dc;
-  Insert(out, next);
-}
-
-}  // namespace
-
-void LeafStates(const PrimalityContext& context,
-                const std::vector<ElementId>& bag, PrimTable* out) {
-  BagLayout layout = context.Layout(bag);
-  int na = std::popcount(layout.attrs);
-  TREEDL_CHECK(na <= kMaxLeafAttributes) << "bag too large for leaf enumeration";
-  uint8_t attrs[kMaxLeafAttributes];
-  int k = 0;
-  ForEachBit(layout.attrs, [&](int p) { attrs[k++] = static_cast<uint8_t>(p); });
-  for (uint64_t ymask = 0; ymask < (uint64_t{1} << na); ++ymask) {
-    PrimState s;
-    for (int i = 0; i < na; ++i) {
-      if ((ymask >> i) & 1) {
-        s.y |= uint64_t{1} << attrs[i];
-      } else {
-        s.co[s.co_size++] = attrs[i];
-      }
-    }
-    s.fy = layout.Outside(s.y);
-    // Candidate used-FDs: bag FDs whose rhs lies in Co.
-    int candidates[kMaxPrimBagSize];
-    int nc = 0;
-    ForEachBit(layout.fds, [&](int f) {
-      if (!((s.y >> layout.rhs[f]) & 1)) candidates[nc++] = f;
-    });
-    // All derivation orders of the non-Y attributes, lexicographically.
-    do {
-      for (uint64_t fcmask = 0; fcmask < (uint64_t{1} << nc); ++fcmask) {
-        uint64_t fc = 0;
-        uint64_t dc = 0;
-        bool ok = true;
-        for (int j = 0; j < nc && ok; ++j) {
-          if (!((fcmask >> j) & 1)) continue;
-          int f = candidates[j];
-          uint64_t rhs_bit = uint64_t{1} << layout.rhs[f];
-          // Pairwise distinct rhs (ΔC is a disjoint union of rhs's), and
-          // consistent(FC, Co).
-          ok = !(dc & rhs_bit) &&
-               ConsistentAt(layout, f, s, s.CoIndex(layout.rhs[f]));
-          fc |= uint64_t{1} << f;
-          dc |= rhs_bit;
-        }
-        if (!ok) continue;
-        PrimState next = s;
-        next.dc = dc;
-        next.fc = fc;
-        Insert(out, next);
-      }
-    } while (std::next_permutation(s.co, s.co + s.co_size));
-  }
-}
-
 bool Accepts(const BagLayout& bag, const PrimState& s, int query) {
   if (query < 0 || s.CoIndex(query) < 0) return false;  // in Y or not in bag
   // FY must contain *every* bag FD with rhs outside Y.
@@ -309,117 +107,22 @@ bool Accepts(const BagLayout& bag, const PrimState& s, int query) {
   return s.dc == (s.CoMask() & ~(uint64_t{1} << query));
 }
 
-void IntroduceStates(const PrimalityContext& context,
-                     const std::vector<ElementId>& bag, ElementId e,
-                     const PrimTable& in, PrimTable* out) {
-  BagLayout layout = context.Layout(bag);
-  int p = static_cast<int>(PositionInBag(bag, e));
-  bool attr = context.IsAttr(e);
-  for (const auto& [s, value] : in) {
-    (void)value;
-    if (attr) {
-      IntroduceAttr(layout, p, s, out);
-    } else {
-      IntroduceFd(layout, p, s, out);
-    }
+PrimStep PrimalityProblem::Context(NormNodeKind kind,
+                                   const std::vector<ElementId>& bag,
+                                   ElementId element) const {
+  PrimStep step;
+  if (kind != NormNodeKind::kForget && kind != NormNodeKind::kCopy) {
+    step.layout = context_.Layout(bag);
   }
-}
-
-void ForgetStates(const PrimalityContext& context,
-                  const std::vector<ElementId>& bag, ElementId e,
-                  const PrimTable& in, PrimTable* out) {
-  int p = static_cast<int>(PositionInBag(bag, e));
-  bool attr = context.IsAttr(e);
-  int rhs =
-      attr ? 0 : static_cast<int>(PositionInBag(bag, context.RhsElem(e)));
-  for (const auto& [s, value] : in) {
-    (void)value;
-    if (attr) {
-      ForgetAttr(p, s, out);
-    } else {
-      ForgetFd(p, rhs, s, out);
-    }
+  if (kind == NormNodeKind::kIntroduce || kind == NormNodeKind::kForget) {
+    step.pos = static_cast<int>(PositionInBag(bag, element));
+    step.attr = context_.IsAttr(element);
   }
-}
-
-void JoinStates(const PrimalityContext& context,
-                const std::vector<ElementId>& bag, const PrimTable& left,
-                const PrimTable& right, PrimTable* out) {
-  if (left.empty() || right.empty()) return;
-  BagLayout layout = context.Layout(bag);
-  ForEachJoinPair(
-      left, right, [](const PrimState& s) { return PrimJoinKey(s); },
-      [&](const PrimState& a, std::monostate, const PrimState& b,
-          std::monostate) { Join(layout, a, b, out); });
-}
-
-void CopyStates(const PrimTable& in, PrimTable* out) {
-  for (const auto& [s, value] : in) {
-    (void)value;
-    Insert(out, s);
+  if (kind == NormNodeKind::kForget && !step.attr) {
+    step.rhs =
+        static_cast<int>(PositionInBag(bag, context_.RhsElem(element)));
   }
-}
-
-namespace {
-
-/// One node of the bottom-up solve() pass.
-void BottomUpStep(const PrimalityContext& context,
-                  const NormalizedTreeDecomposition& ntd, TdNodeId id,
-                  std::vector<PrimTable>* up) {
-  const NormNode& node = ntd.node(id);
-  PrimTable* out = &(*up)[static_cast<size_t>(id)];
-  auto child = [&](size_t i) -> const PrimTable& {
-    return (*up)[static_cast<size_t>(node.children[i])];
-  };
-  switch (node.kind) {
-    case NormNodeKind::kLeaf:
-      LeafStates(context, node.bag, out);
-      break;
-    case NormNodeKind::kIntroduce:
-      IntroduceStates(context, node.bag, node.element, child(0), out);
-      break;
-    case NormNodeKind::kForget:
-      ForgetStates(context, node.bag, node.element, child(0), out);
-      break;
-    case NormNodeKind::kCopy:
-      CopyStates(child(0), out);
-      break;
-    case NormNodeKind::kBranch:
-      JoinStates(context, node.bag, child(0), child(1), out);
-      break;
-  }
-}
-
-}  // namespace
-
-std::vector<PrimTable> SolveBottomUp(const PrimalityContext& context,
-                                     const NormalizedTreeDecomposition& ntd,
-                                     const DpExec& exec,
-                                     bool keep_branch_children,
-                                     TableMemoryTracker* memory,
-                                     DpStats* stats) {
-  std::vector<PrimTable> up(ntd.NumNodes());
-  WorkBudget* budget = exec.budget;
-  // A tripped budget skips the per-node work but keeps walking the chunk, so
-  // the shard scheduling epilogue (and the caller's abort check) still run.
-  WalkChunks(
-      ntd, exec,
-      [&](const std::vector<TdNodeId>& nodes, DpStats* local) {
-        for (TdNodeId id : nodes) {
-          if (budget != nullptr && !budget->ConsumeUnit()) continue;
-          BottomUpStep(context, ntd, id, &up);
-          RecordTable(up[static_cast<size_t>(id)], memory, budget, local);
-          const NormNode& node = ntd.node(id);
-          if (keep_branch_children && node.kind == NormNodeKind::kBranch) {
-            continue;
-          }
-          for (TdNodeId child : node.children) {
-            ReleaseTable(&up[static_cast<size_t>(child)], memory);
-          }
-        }
-      },
-      stats);
-  return up;
+  return step;
 }
 
 TreeDecomposition CloseBagsForRhs(const TreeDecomposition& td,

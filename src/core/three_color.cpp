@@ -73,8 +73,9 @@ StatusOr<ThreeColorResult> DecideThreeColor(
     const DpExec& exec, DpStats* stats, bool extract_coloring) {
   // Only the witness walk needs interior tables after the traversal; a pure
   // decision reads the root alone and its tables are evicted.
-  auto table = RunDp(ntd, ColorProblem<false>(graph), exec, stats,
-                     /*retain_tables=*/extract_coloring);
+  auto table = RunDp(
+      ntd, ColorProblem<false>(graph), exec, stats,
+      extract_coloring ? TableRetention::kAll : TableRetention::kNone);
   // An aborted budget leaves partial tables — the witness walk's predecessor
   // checks would fire on them, so surface the abort before reading them.
   if (exec.budget != nullptr && exec.budget->Aborted()) {
@@ -94,7 +95,7 @@ StatusOr<uint64_t> CountThreeColorings(const Graph& graph,
                                        const NormalizedTreeDecomposition& ntd,
                                        const DpExec& exec, DpStats* stats) {
   auto table = RunDp(ntd, ColorProblem<true>(graph), exec, stats,
-                     /*retain_tables=*/false);
+                     TableRetention::kNone);
   if (exec.budget != nullptr && exec.budget->Aborted()) {
     return exec.budget->AbortStatus();
   }

@@ -8,7 +8,7 @@
 //   struct Problem {
 //     using State = ...;   // provides hash() and operator==
 //     using Value = ...;   // e.g. std::monostate (decision), uint64_t (count)
-//     BagContext Context(const NormNode& node);
+//     Ctx Context(const NormNode& node);       // the step's context record
 //     template <typename Emit> void Leaf(ctx, Emit&& emit);
 //     template <typename Emit> void Introduce(ctx, state, value, Emit&& emit);
 //     template <typename Emit> void Forget(ctx, state, value, Emit&& emit);
@@ -19,12 +19,14 @@
 //   };
 //
 // Context is called once per node step, before any transition of that node;
-// every hook of the step then reads the same BagContext `ctx`: the bag size,
-// the position of the introduced/forgotten element, and (for problems over a
-// graph, MakeBagContext) each bag position's bag-neighbour mask. States name
-// bag *positions*, never element ids, so a state is a few words and a
-// transition is a handful of word operations. Nothing of the context
-// outlives the step.
+// every hook of the step then reads the same record `ctx`. Its type is the
+// problem's: the graph DPs read a BagContext (the bag size, the position of
+// the introduced/forgotten element and, from MakeBagContext, each bag
+// position's bag-neighbour mask), the Fig. 6 PRIMALITY problem a PrimStep
+// (core/primality_internal.hpp: the bag's FD layout and the element's
+// position). States name bag *positions*, never element ids, so a state is a
+// few words and a transition is a handful of word operations. Nothing of the
+// context outlives the step.
 //
 // `emit(state, value)` may be called any number of times per transition; it
 // is the node's table insert itself (Emit is the walk's lambda, so the
@@ -48,28 +50,30 @@
 // are the next tables' blocks, so a walk touches the same few cache-hot
 // blocks and never hands memory back to the OS mid-query.
 //
-// RunDp runs every tree DP: one problem, one bottom-up walk, one table per
-// node — the paper's §5 evaluation of one program as one linear-time pass.
-// The walk is a list of node chunks (internal::WalkChunks): a sequential run
-// is one chunk, the post order; a parallel run is the bag-sharded schedule —
+// RunDp runs every bottom-up tree DP — the five graph DPs and both §5
+// PRIMALITY programs: one problem, one walk, one table per node — the
+// paper's §5 evaluation of one program as one linear-time pass. The walk is
+// a list of node chunks (internal::WalkChunks): a sequential run is one
+// chunk, the post order; a parallel run is the bag-sharded schedule —
 // independent subtree shards (td/shard.hpp) execute concurrently on a
 // ThreadPool, a shard becoming runnable when all of its child shards have
 // completed. Problem hooks must be const and stateless (all in-tree problems
 // are); the resulting tables are bit-identical to the sequential ones,
 // because every node still sees fully-built child tables and processes them
-// in the same order. The primality DPs (§5.2 decision, §5.3 enumeration)
-// drive the same walk directly, top-down included.
+// in the same order. The one pass that is not bottom-up, the §5.3 top-down
+// solve↓() walk (core/primality_enum.cpp), runs WalkChunks inverted and
+// steps each node through the same internal::ApplyStep on the inverted
+// kind.
 //
 // Dead-table eviction: a node's table is consumed exactly once — by its
 // parent node (in the same shard, or as the boundary table of a child shard
-// that the parent shard reads). Every walk that does not retain its tables
-// therefore releases each child table right after its parent node is
-// processed: live tables follow the traversal frontier instead of the whole
-// decomposition, and nothing is left to tear down when the walk ends but
-// the root's table, which is never evicted (the caller reads its answer
-// there). Problems that re-read interior tables after the run (witness
-// extraction) opt out with retain_tables and release the tables as a whole.
-// DpStats::peak_table_bytes / tables_evicted report the effect.
+// that the parent shard reads). A walk therefore releases each child table
+// right after its parent node is processed, except the tables its
+// TableRetention keeps: live tables follow the traversal frontier instead of
+// the whole decomposition, and nothing is left to tear down when the walk
+// ends but the root's table, which is never evicted (the caller reads its
+// answer there). DpStats::peak_table_bytes / tables_evicted report the
+// effect.
 #ifndef TREEDL_CORE_TREE_DP_HPP_
 #define TREEDL_CORE_TREE_DP_HPP_
 
@@ -185,8 +189,7 @@ struct DpStats {
   /// several runs folded into one record, the largest single run's peak.
   size_t peak_table_bytes = 0;
   /// Dead tables released before the end of the run: every table but the
-  /// root's in a walk that does not retain its tables, none in one that
-  /// does.
+  /// root's under TableRetention::kNone, none under kAll.
   size_t tables_evicted = 0;
 };
 
@@ -206,6 +209,18 @@ struct DpExec {
   bool Parallel() const {
     return sharding != nullptr && pool != nullptr && sharding->NumShards() > 1;
   }
+};
+
+/// Which tables a walk keeps after their parent node consumed them (dead-table
+/// eviction, header comment); the root's table always survives.
+enum class TableRetention {
+  /// Every table but the root's is evicted as the walk goes.
+  kNone,
+  /// The children of branch nodes survive too: the §5.3 top-down pass joins
+  /// each branch child's envelope with its sibling's bottom-up table.
+  kBranchChildren,
+  /// Nothing is evicted: 3-colouring witness extraction re-reads every table.
+  kAll,
 };
 
 namespace internal {
@@ -311,7 +326,7 @@ struct TableMemoryTracker {
   }
 };
 
-/// Per-node bookkeeping of every walk (RunDp and the primality passes):
+/// Per-node bookkeeping of every walk (RunDp and the §5.3 top-down pass):
 /// counts the finished table `states` into `stats`, charges its bytes to
 /// `memory`, and checks the live bytes against `budget`'s hard cap (`stats`
 /// and `budget` may be null).
@@ -338,47 +353,47 @@ void ReleaseTable(Table* table, TableMemoryTracker* memory) {
   memory->Evict(bytes);
 }
 
-/// Computes one node's state table from its children's completed tables — the
-/// single source of the transition semantics.
 template <typename Problem>
-void DpProcessNode(const NormalizedTreeDecomposition& ntd, TdNodeId id,
-                   const Problem& problem,
-                   DpTable<typename Problem::State,
-                           typename Problem::Value>* table) {
+using TableOf = StateTable<typename Problem::State, typename Problem::Value>;
+
+/// One step of `kind` from its input tables into `out` — the single source
+/// of the transition semantics. `ctx` is the step's Problem::Context record;
+/// `first` is the input of an introduce, forget or copy step and the left
+/// input of a branch, `second` the right one; a leaf reads neither. RunDp
+/// steps each node from its children's tables, the §5.3 top-down pass each
+/// inverted node from its parent's.
+template <typename Problem, typename Ctx>
+void ApplyStep(const Problem& problem, NormNodeKind kind, const Ctx& ctx,
+               const TableOf<Problem>* first, const TableOf<Problem>* second,
+               TableOf<Problem>* out) {
   using State = typename Problem::State;
   using Value = typename Problem::Value;
-  const NormNode& node = ntd.node(id);
-  auto& states = table->nodes[static_cast<size_t>(id)];
-  auto child = [&](size_t i) -> const StateTable<State, Value>& {
-    return table->nodes[static_cast<size_t>(node.children[i])];
-  };
-  const BagContext ctx = problem.Context(node);
   auto emit = [&](const State& state, Value value) {
-    states.Emplace(state, std::move(value),
-                   [&](const Value& existing, const Value& incoming) {
-                     return problem.Merge(existing, incoming);
-                   });
+    out->Emplace(state, std::move(value),
+                 [&](const Value& existing, const Value& incoming) {
+                   return problem.Merge(existing, incoming);
+                 });
   };
-  switch (node.kind) {
+  switch (kind) {
     case NormNodeKind::kLeaf:
       problem.Leaf(ctx, emit);
       break;
     case NormNodeKind::kIntroduce:
-      for (const auto& [state, value] : child(0)) {
+      for (const auto& [state, value] : *first) {
         problem.Introduce(ctx, state, value, emit);
       }
       break;
     case NormNodeKind::kForget:
-      for (const auto& [state, value] : child(0)) {
+      for (const auto& [state, value] : *first) {
         problem.Forget(ctx, state, value, emit);
       }
       break;
     case NormNodeKind::kCopy:
-      for (const auto& [state, value] : child(0)) emit(state, value);
+      for (const auto& [state, value] : *first) emit(state, value);
       break;
     case NormNodeKind::kBranch:
       ForEachJoinPair(
-          child(0), child(1),
+          *first, *second,
           [&](const State& s) -> decltype(auto) { return problem.KeyOf(s); },
           [&](const State& a, const Value& va, const State& b,
               const Value& vb) { problem.Join(ctx, a, va, b, vb, emit); });
@@ -386,20 +401,43 @@ void DpProcessNode(const NormalizedTreeDecomposition& ntd, TdNodeId id,
   }
 }
 
+/// Computes one node's state table from its children's completed tables.
+template <typename Problem>
+void DpProcessNode(const NormalizedTreeDecomposition& ntd, TdNodeId id,
+                   const Problem& problem,
+                   DpTable<typename Problem::State,
+                           typename Problem::Value>* table) {
+  const NormNode& node = ntd.node(id);
+  auto child = [&](size_t i) -> const TableOf<Problem>* {
+    if (i >= node.children.size()) return nullptr;
+    return &table->nodes[static_cast<size_t>(node.children[i])];
+  };
+  const auto ctx = problem.Context(node);
+  ApplyStep(problem, node.kind, ctx, child(0), child(1),
+            &table->nodes[static_cast<size_t>(id)]);
+}
+
 /// Eviction step: after node `id` was processed, its children's tables have
-/// been consumed for the last time — release them. Exactly-once by
-/// construction (every node has one parent); the root is never anyone's
-/// child, so the root table always survives the run.
+/// been consumed for the last time — release those `retention` does not
+/// keep. Exactly-once by construction (every node has one parent); the root
+/// is never anyone's child, so the root table always survives the run.
 template <typename State, typename Value>
 void EvictChildTables(const NormalizedTreeDecomposition& ntd, TdNodeId id,
-                      DpTable<State, Value>* table, TableMemoryTracker* memory) {
-  for (TdNodeId child : ntd.node(id).children) {
+                      TableRetention retention, DpTable<State, Value>* table,
+                      TableMemoryTracker* memory) {
+  const NormNode& node = ntd.node(id);
+  if (retention == TableRetention::kAll ||
+      (retention == TableRetention::kBranchChildren &&
+       node.kind == NormNodeKind::kBranch)) {
+    return;
+  }
+  for (TdNodeId child : node.children) {
     ReleaseTable(&table->nodes[static_cast<size_t>(child)], memory);
   }
 }
 
-/// One node step: transition + stats + memory accounting + optional child
-/// eviction — what RunDp runs per node.
+/// One node step: transition + stats + memory accounting + child eviction
+/// under `retention` — what RunDp runs per node.
 ///
 /// Budgeted runs claim one work unit per step and verify the hard live-byte
 /// cap after the node's table lands. An exhausted budget turns remaining
@@ -411,12 +449,12 @@ void DpStepNode(const NormalizedTreeDecomposition& ntd, TdNodeId id,
                 const Problem& problem,
                 DpTable<typename Problem::State, typename Problem::Value>*
                     table,
-                TableMemoryTracker* memory, bool evict, DpStats* stats,
-                WorkBudget* budget) {
+                TableMemoryTracker* memory, TableRetention retention,
+                DpStats* stats, WorkBudget* budget) {
   if (budget != nullptr && !budget->ConsumeUnit()) return;
   DpProcessNode(ntd, id, problem, table);
   RecordTable(table->nodes[static_cast<size_t>(id)], memory, budget, stats);
-  if (evict) EvictChildTables(ntd, id, table, memory);
+  EvictChildTables(ntd, id, retention, table, memory);
 }
 
 /// Direction of a walk. kBottomUp is the DP default: children before their
@@ -527,16 +565,14 @@ void WalkChunks(const NormalizedTreeDecomposition& ntd, const DpExec& exec,
 /// fills and returns `problem`'s table, indexed by node id. Sequential by
 /// default; bag-sharded on exec.pool when exec.Parallel(), in which case the
 /// problem's hooks run concurrently and must be const and stateless.
-/// Dead interior tables are evicted as the walk goes unless `retain_tables`
-/// is set (callers that re-read interior tables after the run, i.e. witness
-/// extraction, keep it); the root table always survives.
+/// Dead tables are evicted as the walk goes, except those `retention` keeps;
+/// the root table always survives.
 /// After an exec.budget abort the table is partial: the caller surfaces
 /// budget->AbortStatus() instead of reading it.
 template <typename Problem>
 DpTable<typename Problem::State, typename Problem::Value> RunDp(
     const NormalizedTreeDecomposition& ntd, const Problem& problem,
-    const DpExec& exec = {}, DpStats* stats = nullptr,
-    bool retain_tables = true) {
+    const DpExec& exec, DpStats* stats, TableRetention retention) {
   DpTable<typename Problem::State, typename Problem::Value> table;
   table.nodes.resize(ntd.NumNodes());
   internal::TableMemoryTracker memory;
@@ -544,8 +580,8 @@ DpTable<typename Problem::State, typename Problem::Value> RunDp(
       ntd, exec,
       [&](const std::vector<TdNodeId>& nodes, DpStats* local) {
         for (TdNodeId id : nodes) {
-          internal::DpStepNode(ntd, id, problem, &table, &memory,
-                               /*evict=*/!retain_tables, local, exec.budget);
+          internal::DpStepNode(ntd, id, problem, &table, &memory, retention,
+                               local, exec.budget);
         }
       },
       stats);

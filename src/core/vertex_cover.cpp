@@ -11,7 +11,7 @@ StatusOr<size_t> MinVertexCover(const Graph& graph,
                                 const NormalizedTreeDecomposition& ntd,
                                 const DpExec& exec, DpStats* stats) {
   auto table = RunDp(ntd, SubsetProblem<true>(graph), exec, stats,
-                     /*retain_tables=*/false);
+                     TableRetention::kNone);
   if (exec.budget != nullptr && exec.budget->Aborted()) {
     return exec.budget->AbortStatus();
   }
@@ -26,7 +26,7 @@ StatusOr<size_t> MaxIndependentSet(const Graph& graph,
                                    const NormalizedTreeDecomposition& ntd,
                                    const DpExec& exec, DpStats* stats) {
   auto table = RunDp(ntd, SubsetProblem<false>(graph), exec, stats,
-                     /*retain_tables=*/false);
+                     TableRetention::kNone);
   if (exec.budget != nullptr && exec.budget->Aborted()) {
     return exec.budget->AbortStatus();
   }

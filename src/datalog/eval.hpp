@@ -17,16 +17,6 @@
 
 namespace treedl::datalog {
 
-/// Execution context for the budgeted engines (semi-naive and grounded).
-struct EvalExec {
-  /// Optional deadline/memory budget. The semi-naive fixpoint charges one
-  /// work unit per rule plan at each round boundary, the grounded pipeline
-  /// one per rule grounded; both are pure functions of program and data, so
-  /// a deadline trips at the same unit on every run. A trip returns the
-  /// budget's AbortStatus().
-  WorkBudget* budget = nullptr;
-};
-
 /// Evaluates `program` over the extensional database `edb`. The result
 /// structure carries the union signature (EDB predicates first, then new
 /// program predicates) and contains all EDB facts plus the derived IDB
@@ -35,15 +25,16 @@ struct EvalExec {
 StatusOr<Structure> NaiveEvaluate(const Program& program, const Structure& edb,
                                   RunStats* stats = nullptr);
 
+/// Semi-naive evaluation. RunStats::fixpoint_rounds / fixpoint_rule_tasks
+/// report the rounds and the rule plans they ran. Under an optional
+/// `budget` the fixpoint charges one work unit per rule plan at each round
+/// boundary — a pure function of program and data, so a deadline trips at
+/// the same unit on every run — and a trip returns the budget's
+/// AbortStatus().
 StatusOr<Structure> SemiNaiveEvaluate(const Program& program,
                                       const Structure& edb,
-                                      RunStats* stats = nullptr);
-
-/// Semi-naive evaluation under exec.budget. RunStats::fixpoint_rounds /
-/// fixpoint_rule_tasks report the rounds and the rule plans they ran.
-StatusOr<Structure> SemiNaiveEvaluate(const Program& program,
-                                      const Structure& edb,
-                                      const EvalExec& exec, RunStats* stats);
+                                      RunStats* stats = nullptr,
+                                      WorkBudget* budget = nullptr);
 
 }  // namespace treedl::datalog
 

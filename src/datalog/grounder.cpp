@@ -41,7 +41,7 @@ class AtomInterner {
 
 StatusOr<Structure> GroundedEvaluate(const Program& program,
                                      const Structure& edb,
-                                     const EvalExec& exec, RunStats* stats) {
+                                     RunStats* stats, WorkBudget* budget) {
   if (stats != nullptr) *stats = RunStats{};
   TREEDL_ASSIGN_OR_RETURN(std::vector<size_t> guards,
                           FindQuasiGuards(program));
@@ -72,8 +72,8 @@ StatusOr<Structure> GroundedEvaluate(const Program& program,
   for (size_t r = 0; r < program.rules().size(); ++r) {
     const Rule& rule = program.rules()[r];
     if (rule.body.empty()) continue;
-    if (exec.budget != nullptr && !exec.budget->ConsumeUnit()) {
-      return exec.budget->AbortStatus();
+    if (budget != nullptr && !budget->ConsumeUnit()) {
+      return budget->AbortStatus();
     }
 
     // Partition and order the body for grounding.
@@ -191,11 +191,6 @@ StatusOr<Structure> GroundedEvaluate(const Program& program,
     stats->guard_instantiations += guard_instantiations;
   }
   return std::move(prep.result);
-}
-
-StatusOr<Structure> GroundedEvaluate(const Program& program,
-                                     const Structure& edb, RunStats* stats) {
-  return GroundedEvaluate(program, edb, EvalExec{}, stats);
 }
 
 }  // namespace treedl::datalog

@@ -23,17 +23,13 @@
 namespace treedl::datalog {
 
 /// Semantics identical to SemiNaiveEvaluate, restricted to quasi-guarded
-/// programs (fails with InvalidArgument otherwise).
+/// programs (fails with InvalidArgument otherwise). Under an optional
+/// `budget`: one work unit per rule grounded, charged before the rule's
+/// grounding; a trip returns the budget's AbortStatus().
 StatusOr<Structure> GroundedEvaluate(const Program& program,
                                      const Structure& edb,
-                                     RunStats* stats = nullptr);
-
-/// Grounded evaluation under exec.budget: one work unit per rule grounded,
-/// charged before the rule's grounding; a trip returns the budget's
-/// AbortStatus().
-StatusOr<Structure> GroundedEvaluate(const Program& program,
-                                     const Structure& edb,
-                                     const EvalExec& exec, RunStats* stats);
+                                     RunStats* stats = nullptr,
+                                     WorkBudget* budget = nullptr);
 
 }  // namespace treedl::datalog
 

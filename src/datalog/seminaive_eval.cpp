@@ -15,7 +15,7 @@ namespace treedl::datalog {
 
 StatusOr<Structure> SemiNaiveEvaluate(const Program& program,
                                       const Structure& edb,
-                                      const EvalExec& exec, RunStats* stats) {
+                                      RunStats* stats, WorkBudget* budget) {
   if (stats != nullptr) *stats = RunStats{};
   TREEDL_ASSIGN_OR_RETURN(internal::PreparedProgram prep,
                           internal::Prepare(program, edb));
@@ -30,10 +30,10 @@ StatusOr<Structure> SemiNaiveEvaluate(const Program& program,
   auto charge_round = [&](size_t num_plans) -> bool {
     ++rounds;
     rule_tasks += num_plans;
-    if (exec.budget == nullptr) return true;
+    if (budget == nullptr) return true;
     bool ok = true;
     for (size_t i = 0; i < num_plans; ++i) {
-      if (!exec.budget->ConsumeUnit()) ok = false;
+      if (!budget->ConsumeUnit()) ok = false;
     }
     return ok;
   };
@@ -57,7 +57,7 @@ StatusOr<Structure> SemiNaiveEvaluate(const Program& program,
   FactStore delta(prep.result.signature());
   {
     if (!charge_round(prep.compiled.size())) {
-      return exec.budget->AbortStatus();
+      return budget->AbortStatus();
     }
     PendingSet pending;
     for (const CompiledRule& compiled : prep.compiled) {
@@ -75,7 +75,7 @@ StatusOr<Structure> SemiNaiveEvaluate(const Program& program,
     num_variants += compiled.delta_variants.size();
   }
   while (delta.TotalFacts() > 0) {
-    if (!charge_round(num_variants)) return exec.budget->AbortStatus();
+    if (!charge_round(num_variants)) return budget->AbortStatus();
     PendingSet pending;
     for (const CompiledRule& compiled : prep.compiled) {
       for (const JoinPlan& variant : compiled.delta_variants) {
@@ -96,11 +96,6 @@ StatusOr<Structure> SemiNaiveEvaluate(const Program& program,
     stats->executor_dispatches += counters.dispatches;
   }
   return std::move(prep.result);
-}
-
-StatusOr<Structure> SemiNaiveEvaluate(const Program& program,
-                                      const Structure& edb, RunStats* stats) {
-  return SemiNaiveEvaluate(program, edb, EvalExec{}, stats);
 }
 
 }  // namespace treedl::datalog

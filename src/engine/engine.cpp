@@ -31,12 +31,10 @@ StatusOr<Structure> RunBackend(const datalog::Program& program,
   // functions reset their stats argument at entry, which must not wipe the
   // counters the engine already recorded for this query.
   RunStats eval_run;
-  datalog::EvalExec exec;
-  exec.budget = budget;
   StatusOr<Structure> result =
       backend == DatalogBackend::kGrounded
-          ? datalog::GroundedEvaluate(program, edb, exec, &eval_run)
-          : datalog::SemiNaiveEvaluate(program, edb, exec, &eval_run);
+          ? datalog::GroundedEvaluate(program, edb, &eval_run, budget)
+          : datalog::SemiNaiveEvaluate(program, edb, &eval_run, budget);
   stats->Accumulate(eval_run);
   return result;
 }

@@ -12,6 +12,7 @@
 #include "mso/evaluator.hpp"
 #include "mso/formulas.hpp"
 #include "mso/parser.hpp"
+#include "schema/generators.hpp"
 #include "schema/primality_bruteforce.hpp"
 #include "td/elimination_order.hpp"
 #include "test_util.hpp"
@@ -497,6 +498,77 @@ TEST(EngineTest, IsPrimeHonorsItsWorkBudget) {
   auto unbudgeted = engine.IsPrime(0);
   ASSERT_TRUE(unbudgeted.ok()) << unbudgeted.status();
   EXPECT_EQ(*unbudgeted, AllPrimesBruteForce(schema)[0]);
+}
+
+// AllPrimes is bounded by its per-call budget in both passes of the §5.3
+// enumeration: a deadline that trips in the bottom-up pass, one that trips
+// in the top-down pass, and a table-bytes cap each return their typed status
+// and leave the memo unwritten, so the next unbudgeted call recomputes the
+// exact answer — at 1 thread and on the 4-thread sharded walk.
+TEST(EngineTest, AllPrimesHonorsItsWorkBudget) {
+  Schema schema = GenerateBalancedInstance(4).schema;
+  SchemaEncoding encoding = EncodeSchema(schema);
+  core::internal::PrimalityContext context(schema, encoding);
+  const std::vector<bool> expected = AllPrimesBruteForce(schema);
+  struct Trip {
+    const char* name;
+    bool bottom_up;  // whether the trip falls in the bottom-up pass
+    size_t table_bytes_limit;
+    StatusCode code;
+  };
+  const Trip trips[] = {
+      {"bottom-up deadline", true, 0, StatusCode::kDeadlineExceeded},
+      {"top-down deadline", false, 0, StatusCode::kDeadlineExceeded},
+      {"table-bytes cap", true, 1, StatusCode::kResourceExhausted},
+  };
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    for (const Trip& trip : trips) {
+      SCOPED_TRACE(std::string(trip.name) + ", threads " +
+                   std::to_string(threads));
+      EngineOptions options;
+      options.num_threads = threads;
+      Engine engine(schema, options);
+
+      // The enumeration normal form the session walks, and the states of
+      // its complete bottom-up pass (one work unit per node).
+      auto td = engine.Decomposition();
+      ASSERT_TRUE(td.ok()) << td.status();
+      auto ntd = Normalize(
+          core::internal::CloseBagsForRhs(**td, encoding, context),
+          core::internal::PrimalityNormalizeOptions(encoding,
+                                                    /*for_enumeration=*/true));
+      ASSERT_TRUE(ntd.ok()) << ntd.status();
+      core::DpStats bottom_up;
+      core::RunDp(*ntd, core::internal::PrimalityProblem(context), {},
+                  &bottom_up, core::TableRetention::kNone);
+
+      WorkBudget budget;
+      if (trip.table_bytes_limit > 0) {
+        budget.SetTableBytesLimit(trip.table_bytes_limit);
+      } else {
+        budget.SetDeadline(trip.bottom_up ? 1 : ntd->NumNodes() + 3);
+      }
+      RunStats tripped;
+      auto result = engine.AllPrimes(&tripped, &budget);
+      ASSERT_FALSE(result.ok());
+      EXPECT_EQ(result.status().code(), trip.code) << result.status();
+      if (trip.bottom_up) {
+        EXPECT_LT(tripped.dp_states, bottom_up.total_states);
+      } else {
+        EXPECT_GT(tripped.dp_states, bottom_up.total_states);
+      }
+
+      // The memo stays unwritten: the next call runs both passes again.
+      RunStats rerun;
+      auto primes = engine.AllPrimes(&rerun);
+      ASSERT_TRUE(primes.ok()) << primes.status();
+      EXPECT_EQ(*primes, expected);
+      EXPECT_GT(rerun.dp_states, bottom_up.total_states);
+      if (threads > 1) {
+        EXPECT_GT(rerun.primality_shards, 0u);
+      }
+    }
+  }
 }
 
 }  // namespace

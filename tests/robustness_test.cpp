@@ -100,9 +100,14 @@ TEST(DatalogRobustnessTest, WidePredicatesAreTypedErrorsInEveryBackend) {
   ASSERT_TRUE(wide_edb.AddFact(0, std::vector<ElementId>(32, 0)).ok());
   using Backend = StatusOr<Structure> (*)(const datalog::Program&,
                                           const Structure&, RunStats*);
-  const Backend kBackends[] = {&datalog::NaiveEvaluate,
-                               &datalog::SemiNaiveEvaluate,
-                               &datalog::GroundedEvaluate};
+  const Backend kBackends[] = {
+      &datalog::NaiveEvaluate,
+      [](const datalog::Program& p, const Structure& edb, RunStats* stats) {
+        return datalog::SemiNaiveEvaluate(p, edb, stats);
+      },
+      [](const datalog::Program& p, const Structure& edb, RunStats* stats) {
+        return datalog::GroundedEvaluate(p, edb, stats);
+      }};
   auto program = [](const std::string& text) {
     auto parsed = datalog::ParseProgram(text);
     EXPECT_TRUE(parsed.ok()) << parsed.status();

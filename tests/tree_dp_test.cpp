@@ -67,8 +67,7 @@ struct CountProblem {
 std::vector<std::pair<UnitState, size_t>> RunCount(
     const NormalizedTreeDecomposition& ntd, const DpExec& exec,
     DpStats* stats) {
-  auto table = RunDp(ntd, CountProblem{}, exec, stats,
-                     /*retain_tables=*/false);
+  auto table = RunDp(ntd, CountProblem{}, exec, stats, TableRetention::kNone);
   std::vector<std::pair<UnitState, size_t>> root;
   for (const auto& [state, value] : table.at(ntd.root())) {
     root.emplace_back(state, value);
@@ -109,9 +108,10 @@ TEST(TreeDpTest, SingleNodeDecomposition) {
 }
 
 // The sequential walk (one chunk) and the shard schedule on a pool must give
-// the same root table and the same deterministic counters. A walk that does
-// not retain its tables evicts every table but the root's, on either
-// schedule; a retaining walk evicts none.
+// the same root table and the same deterministic counters. On either
+// schedule, a walk that retains no table evicts every table but the root's;
+// one that retains branch children (the §5.3 top-down pass reads them)
+// keeps exactly those and the root's; one that retains all evicts none.
 TEST(TreeDpTest, ShardedWalkMatchesSequentialWalk) {
   Rng rng(TestSeed());
   Graph g = RandomPartialKTree(300, 3, 0.6, &rng);
@@ -143,15 +143,36 @@ TEST(TreeDpTest, ShardedWalkMatchesSequentialWalk) {
   EXPECT_EQ(seq_stats.tables_evicted, ntd->NumNodes() - 1);
   EXPECT_EQ(par_stats.tables_evicted, ntd->NumNodes() - 1);
 
+  std::vector<bool> branch_child(ntd->NumNodes(), false);
+  size_t branch_children = 0;
+  for (size_t id = 0; id < ntd->NumNodes(); ++id) {
+    const NormNode& node = ntd->node(static_cast<TdNodeId>(id));
+    if (node.kind != NormNodeKind::kBranch) continue;
+    for (TdNodeId child : node.children) {
+      branch_child[static_cast<size_t>(child)] = true;
+      ++branch_children;
+    }
+  }
+  ASSERT_GT(branch_children, 0u);
   for (const DpExec& exec : {sequential, parallel}) {
     DpStats retained;
-    auto table = RunDp(*ntd, CountProblem{}, exec, &retained,
-                       /*retain_tables=*/true);
+    auto table =
+        RunDp(*ntd, CountProblem{}, exec, &retained, TableRetention::kAll);
     EXPECT_EQ(retained.tables_evicted, 0u);
     EXPECT_EQ(retained.total_states, seq_stats.total_states);
     for (const auto& node_table : table.nodes) {
       EXPECT_EQ(node_table.size(), 1u);
     }
+
+    DpStats branch;
+    table = RunDp(*ntd, CountProblem{}, exec, &branch,
+                  TableRetention::kBranchChildren);
+    EXPECT_EQ(branch.tables_evicted, ntd->NumNodes() - 1 - branch_children);
+    for (size_t id = 0; id < ntd->NumNodes(); ++id) {
+      bool kept = branch_child[id] || id == static_cast<size_t>(ntd->root());
+      EXPECT_EQ(table.nodes[id].size(), kept ? 1u : 0u) << "node " << id;
+    }
+    EXPECT_EQ(table.at(ntd->root()).begin()->second, g.NumVertices());
   }
 }
 
