@@ -1,23 +1,20 @@
-// Scaling of the bag-sharded parallel tree DP: one partial k-tree instance
-// large enough to shard, the same Solve queries at num_threads = 1/2/4/...,
-// wall-clock and speedup per thread count. Every row runs core::RunDp: at
-// num_threads = 1 its walk is a single chunk (no pool, no sharding pass);
-// every other row walks the shard schedule on a work-stealing pool. Table
-// caches are warmed before timing so the rows compare pure DP traversals,
-// not decomposition builds.
+// A single Solve at num_threads = 1/2/4/8: one partial k-tree instance, the
+// same Solve queries per thread count, wall-clock and ratio to the 1-thread
+// row. Every graph-DP walk is one sequential core::RunDp chunk, and a Solve
+// never starts the session pool, so every row walks the same way: the rows
+// should read ~1x and dp_shards 0 (the counter gate pins the 0). SolveAll's
+// concurrent walks are timed by bench_solve_all. Table caches are warmed
+// before timing so the rows compare pure DP traversals, not decomposition
+// builds.
 //
-// The sharding rows also print the modeled load balance of node-count vs
-// cost-aware sharding (slowest shard cost / mean shard cost) — a
-// deterministic, machine-independent view of why the cost model exists:
-// under node-count sharding the wide-bag root region dominates the critical
-// path even when every shard has the same node count.
+// The bench also prints the modeled load balance (slowest shard cost / mean
+// shard cost) of the cost-aware sharding that the §5.3 enumeration walks,
+// computed on this instance's normal form — a deterministic,
+// machine-independent view of the cost model.
 //
 // Flags: --quick shrinks the instance for CI; --json <path> writes the
-// deterministic counters (shard counts, balance ratios, states, table
+// deterministic counters (shard counts, balance ratio, states, table
 // bytes — no wall-clock, so a 1-CPU runner produces comparable artifacts).
-// The table bytes are the 1-thread walk's peak: a sharded walk evicts dead
-// tables in several shards at once, so its live-table peak depends on which
-// shards overlap in time.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -59,21 +56,16 @@ struct Balance {
   double slowest_over_mean = 0;
 };
 
-/// Modeled cost balance of `sharding`: slowest shard cost / mean shard cost,
-/// with every shard's cost recomputed under EstimateNodeCost so node-count
-/// and cost-aware shardings are compared under the same work model.
-Balance ModeledBalance(const NormalizedTreeDecomposition& ntd,
-                       const BagSharding& sharding) {
+/// Modeled cost balance of `sharding`: slowest shard cost / mean shard cost.
+Balance ModeledBalance(const BagSharding& sharding) {
   Balance out;
   out.shards = sharding.NumShards();
   if (out.shards == 0) return out;
   uint64_t total = 0;
   uint64_t slowest = 0;
   for (const BagShard& shard : sharding.shards) {
-    uint64_t cost = 0;
-    for (TdNodeId id : shard.nodes) cost += EstimateNodeCost(ntd.node(id));
-    total += cost;
-    slowest = std::max(slowest, cost);
+    total += shard.cost;
+    slowest = std::max(slowest, shard.cost);
   }
   double mean = static_cast<double>(total) / static_cast<double>(out.shards);
   out.slowest_over_mean = static_cast<double>(slowest) / mean;
@@ -91,8 +83,7 @@ void RunParallelDpBench(const BenchConfig& config) {
   std::printf("hardware threads: %u\n\n",
               std::thread::hardware_concurrency());
 
-  // Deterministic sharding-balance comparison on the session's normal form.
-  Balance by_nodes;
+  // Deterministic sharding balance on the session's normal form.
   Balance by_cost;
   {
     Engine engine = Engine::FromGraph(graph);
@@ -101,18 +92,14 @@ void RunParallelDpBench(const BenchConfig& config) {
     auto ntd = Normalize(**td);
     TREEDL_CHECK(ntd.ok()) << ntd.status();
     constexpr size_t kTargetShards = 16;  // 4 threads x 4 shards/thread
-    by_nodes = ModeledBalance(*ntd, ComputeBagSharding(*ntd, kTargetShards));
-    by_cost =
-        ModeledBalance(*ntd, ComputeBagShardingByCost(*ntd, kTargetShards));
-    std::printf("sharding balance (slowest/mean modeled cost, target %zu): "
-                "by-node-count %.2fx over %zu shards, cost-aware %.2fx over "
-                "%zu shards\n\n",
-                kTargetShards, by_nodes.slowest_over_mean, by_nodes.shards,
-                by_cost.slowest_over_mean, by_cost.shards);
+    by_cost = ModeledBalance(ComputeBagShardingByCost(*ntd, kTargetShards));
+    std::printf("cost-aware sharding balance (slowest/mean modeled cost, "
+                "target %zu): %.2fx over %zu shards\n\n",
+                kTargetShards, by_cost.slowest_over_mean, by_cost.shards);
   }
 
-  std::printf("%8s %8s %10s %8s %10s %14s\n", "threads", "shards", "time ms",
-              "speedup", "states", "slowest shard");
+  std::printf("%8s %8s %10s %8s %10s\n", "threads", "shards", "time ms",
+              "ratio", "states");
 
   double baseline = 0;
   RunStats sequential_run;
@@ -122,7 +109,7 @@ void RunParallelDpBench(const BenchConfig& config) {
     options.num_threads = threads;
     options.extract_witness = false;
     Engine engine = Engine::FromGraph(graph, options);
-    // Warm the session caches (decomposition, normal form, sharding).
+    // Warm the session caches (decomposition, normal form).
     auto warm = engine.Solve(Engine::Problem::kVertexCover);
     TREEDL_CHECK(warm.ok()) << warm.status();
 
@@ -133,16 +120,9 @@ void RunParallelDpBench(const BenchConfig& config) {
       sequential_run = run;
     }
     if (threads == 4) parallel_run = run;
-    double slowest = 0;
-    for (double shard_ms : run.dp_shard_millis) {
-      slowest = std::max(slowest, shard_ms);
-    }
-    std::printf("%8zu %8zu %10.1f %7.2fx %10zu %12.1fms\n", threads,
-                run.dp_shards, ms, baseline / ms, run.dp_states, slowest);
+    std::printf("%8zu %8zu %10.1f %7.2fx %10zu\n", threads, run.dp_shards, ms,
+                baseline / ms, run.dp_states);
   }
-  std::printf("\n(speedup needs real cores: on a single-hardware-thread "
-              "machine every row\n degenerates to time-sliced execution and "
-              "the ratio stays ~1x)\n");
 
   if (config.json_path != nullptr) {
     FILE* out = std::fopen(config.json_path, "w");
@@ -156,17 +136,14 @@ void RunParallelDpBench(const BenchConfig& config) {
                  "  \"dp_states\": %zu,\n"
                  "  \"dp_shards\": %zu,\n"
                  "  \"peak_table_bytes\": %zu,\n"
-                 "  \"balance_by_node_count\": %.4f,\n"
                  "  \"balance_by_cost\": %.4f,\n"
-                 "  \"shards_by_node_count\": %zu,\n"
                  "  \"shards_by_cost\": %zu\n"
                  "}\n",
                  config.vertices, config.treewidth,
                  static_cast<unsigned long long>(config.seed),
                  parallel_run.dp_states, parallel_run.dp_shards,
                  sequential_run.dp_peak_table_bytes,
-                 by_nodes.slowest_over_mean, by_cost.slowest_over_mean,
-                 by_nodes.shards, by_cost.shards);
+                 by_cost.slowest_over_mean, by_cost.shards);
     std::fclose(out);
     std::printf("  wrote %s\n", config.json_path);
   }

@@ -1,13 +1,15 @@
-// SolveAll over a warm session: the five graph problems, one core::RunDp
-// walk each over the same cached normal form, sequential vs sharded-parallel,
-// with the live-table peak and the tables each walk evicted; the minor page
+// SolveAll over a warm session: the five graph problems, one sequential
+// core::RunDp walk each over the same cached normal form, one after another
+// at 1 thread vs all five at once on a 4-thread session pool, with the
+// live-table peak and the tables the walks evicted; the minor page
 // faults of a warm DS solve (the library recycles its table memory, so a
 // warm solve faults almost nothing in); and the SaveSession/LoadSession cost
 // next to the artifact-build cost it amortizes away.
 //
 // Caches are warmed before timing, so the SolveAll rows time pure traversal
-// work. SolveAll runs exactly the five Solve walks one after another, so a
-// 5 x Solve row would time the same code and is not reported.
+// work. At 1 thread SolveAll runs exactly the five Solve walks one after
+// another, so a 5 x Solve row would time the same code and is not reported.
+// The 4-thread row's dp_shards reads 0: no graph-DP walk is sharded.
 //
 // Flags: --quick shrinks the instance for CI; --json <path> additionally
 // writes the deterministic counters (states, traversals, table bytes,

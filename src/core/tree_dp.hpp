@@ -57,10 +57,12 @@
 // chunk, the post order; a parallel run is the bag-sharded schedule —
 // independent subtree shards (td/shard.hpp) execute concurrently on a
 // ThreadPool, a shard becoming runnable when all of its child shards have
-// completed. Problem hooks must be const and stateless (all in-tree problems
-// are); the resulting tables are bit-identical to the sequential ones,
-// because every node still sees fully-built child tables and processes them
-// in the same order. The one pass that is not bottom-up, the §5.3 top-down
+// completed. The Engine shards only the §5.3 enumeration; its graph-DP
+// walks are sequential (SolveAll runs its five walks concurrently instead).
+// Problem hooks must be const and stateless (all in-tree problems are); the
+// resulting tables are bit-identical to the sequential ones, because every
+// node still sees fully-built child tables and processes them in the same
+// order. The one pass that is not bottom-up, the §5.3 top-down
 // solve↓() walk (core/primality_enum.cpp), runs WalkChunks inverted and
 // steps each node through the same internal::ApplyStep on the inverted
 // kind.

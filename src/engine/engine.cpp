@@ -79,8 +79,8 @@ Status SolveOne(Engine::Problem problem, const Graph& graph,
   return Status::Internal("unknown problem");
 }
 
-/// Shard tasks per worker thread in a parallel session's bag sharding (more
-/// shards = better load balance, more scheduling overhead).
+/// Shard tasks per worker thread in a parallel session's enumeration
+/// sharding (more shards = better load balance, more scheduling overhead).
 constexpr size_t kShardsPerThread = 4;
 
 }  // namespace
@@ -212,23 +212,6 @@ StatusOr<const TreeDecomposition*> Engine::EnsureClosedTd(RunStats* stats) {
   return &*closed_td_;
 }
 
-Status Engine::BuildNormalForm(const TreeDecomposition& td,
-                               const NormalizeOptions& options,
-                               std::optional<NormalizedTreeDecomposition>* ntd,
-                               std::optional<BagSharding>* sharding,
-                               RunStats* stats) {
-  TREEDL_ASSIGN_OR_RETURN(NormalizedTreeDecomposition built,
-                          Normalize(td, options));
-  size_t threads = ResolvedNumThreads();
-  if (threads > 1) {
-    *sharding = ComputeBagShardingByCost(built, threads * kShardsPerThread);
-  }
-  *ntd = std::move(built);
-  ++stats->normalize_builds;
-  ++GlobalEngineCounters().normalize_builds;
-  return Status::OK();
-}
-
 StatusOr<const NormalizedTreeDecomposition*> Engine::EnsureEnumNtd(
     RunStats* stats) {
   if (enum_ntd_.has_value()) {
@@ -237,14 +220,19 @@ StatusOr<const NormalizedTreeDecomposition*> Engine::EnsureEnumNtd(
   }
   TREEDL_ASSIGN_OR_RETURN(const TreeDecomposition* closed,
                           EnsureClosedTd(stats));
-  // Parallel sessions shard the enumeration normal form too, on the same
-  // cost model as the graph-DP sharding (3^|bag| fits the Fig. 6 state
-  // explosion just as well).
-  TREEDL_RETURN_IF_ERROR(BuildNormalForm(
-      *closed,
-      core::internal::PrimalityNormalizeOptions(*encoding_,
-                                                /*for_enumeration=*/true),
-      &enum_ntd_, &enum_sharding_, stats));
+  TREEDL_ASSIGN_OR_RETURN(
+      enum_ntd_,
+      Normalize(*closed, core::internal::PrimalityNormalizeOptions(
+                             *encoding_, /*for_enumeration=*/true)));
+  ++stats->normalize_builds;
+  ++GlobalEngineCounters().normalize_builds;
+  // A parallel session shards the enumeration normal form, the one sharded
+  // walk (3^|bag| fits the Fig. 6 state explosion).
+  size_t threads = ResolvedNumThreads();
+  if (threads > 1) {
+    enum_sharding_ =
+        ComputeBagShardingByCost(*enum_ntd_, threads * kShardsPerThread);
+  }
   return &*enum_ntd_;
 }
 
@@ -255,8 +243,9 @@ StatusOr<const NormalizedTreeDecomposition*> Engine::EnsurePlainNtd(
     return &*plain_ntd_;
   }
   TREEDL_ASSIGN_OR_RETURN(const TreeDecomposition* td, EnsureTd(stats));
-  TREEDL_RETURN_IF_ERROR(
-      BuildNormalForm(*td, NormalizeOptions{}, &plain_ntd_, &sharding_, stats));
+  TREEDL_ASSIGN_OR_RETURN(plain_ntd_, Normalize(*td));
+  ++stats->normalize_builds;
+  ++GlobalEngineCounters().normalize_builds;
   return &*plain_ntd_;
 }
 
@@ -558,14 +547,12 @@ StatusOr<Engine::SolveAllResult> Engine::SolveProblems(
   return RunQuery(stats, [&](RunStats* s) -> StatusOr<SolveAllResult> {
     const Graph* graph = nullptr;
     const NormalizedTreeDecomposition* ntd = nullptr;
-    core::DpExec exec;
+    ThreadPool* pool = nullptr;
     {
       std::lock_guard<std::mutex> lock(sync_->cache_mu);
       TREEDL_ASSIGN_OR_RETURN(graph, EnsureGaifman(s));
       TREEDL_ASSIGN_OR_RETURN(ntd, EnsurePlainNtd(s));
-      exec.pool = EnsurePool();
-      exec.sharding = sharding_.has_value() ? &*sharding_ : nullptr;
-      exec.budget = budget;
+      if (problems.size() > 1) pool = EnsurePool();
     }
     if (ntd->Width() + 1 > core::kMaxDpBagSize) {
       return Status::ResourceExhausted(
@@ -573,19 +560,43 @@ StatusOr<Engine::SolveAllResult> Engine::SolveProblems(
           " elements exceeds the graph-DP limit of " +
           std::to_string(core::kMaxDpBagSize));
     }
-    // Walks outside the lock, so concurrent queries share the pool: one
-    // core::RunDp per problem (sharded when exec.Parallel()), each table
-    // dropped before the next walk starts.
-    core::DpStats dp;
+    // Sequential walks outside the lock (each RunDp tracks its own table
+    // bytes), each with its own result fields, DpStats and Status: one after
+    // another without a pool, else one pool task each while this thread
+    // helps drain the pool. Both fold in Problem order, whichever walk
+    // finished first.
+    const size_t n = problems.size();
+    core::DpExec exec;
+    exec.budget = budget;
     SolveAllResult out;
-    Status status;
-    for (Problem problem : problems) {
-      status = SolveOne(problem, *graph, *ntd, exec, options_.extract_witness,
-                        &dp, &out);
-      if (!status.ok()) break;
+    std::vector<core::DpStats> dp(n);
+    std::vector<Status> status(n);
+    auto walk = [&](size_t i) {
+      status[i] = SolveOne(problems.begin()[i], *graph, *ntd, exec,
+                           options_.extract_witness, &dp[i], &out);
+    };
+    if (pool == nullptr) {
+      for (size_t i = 0; i < n; ++i) {
+        walk(i);
+        if (!status[i].ok()) break;
+      }
+    } else {
+      WaitGroup done;
+      done.Add(n);
+      for (size_t i = 0; i < n; ++i) {
+        pool->Submit([&walk, &done, i] {
+          walk(i);
+          done.Done();
+        });
+      }
+      while (pool->RunOneTask()) {
+      }
+      done.Wait();
     }
-    core::FoldDpStats(dp, s);
-    TREEDL_RETURN_IF_ERROR(status);
+    for (const core::DpStats& walk_stats : dp) core::FoldDpStats(walk_stats, s);
+    for (const Status& walk_status : status) {
+      TREEDL_RETURN_IF_ERROR(walk_status);
+    }
     return out;
   });
 }
@@ -617,14 +628,14 @@ StatusOr<Engine::ImproveResult> Engine::ImproveDecomposition(
     if (!outcome.improved) return out;
     TREEDL_RETURN_IF_ERROR(ValidateForStructure(*structure, outcome.td));
     // Swap in the better decomposition and invalidate everything derived
-    // from the old one; the next query lazily re-normalizes and re-shards.
+    // from the old one; the next query lazily re-normalizes (and, for the
+    // enumeration, re-shards).
     // The memoized primes survive (answers are decomposition-independent),
     // and so do the structure, encoding, and Gaifman graph.
     td_ = std::move(outcome.td);
     closed_td_.reset();
     plain_ntd_.reset();
     enum_ntd_.reset();
-    sharding_.reset();
     enum_sharding_.reset();
     tau_td_.reset();
     // Compiled MSO programs are width-parameterized; the width changed (or

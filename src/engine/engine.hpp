@@ -5,8 +5,8 @@
 // that concrete: constructed from a Schema or a τ-structure plus
 // EngineOptions, it lazily computes and caches the schema encoding, Gaifman
 // graph, tree decomposition, rhs-closed decomposition, normalized forms, the
-// τ_td structure, the bag sharding, and compiled Thm 4.5 MSO programs, then
-// serves batched queries through one surface:
+// τ_td structure, the enumeration sharding, and compiled Thm 4.5 MSO programs,
+// then serves batched queries through one surface:
 //
 //   Engine engine(Schema::PaperExampleSchema());
 //   engine.IsPrime(a);                       // §5.2 decision
@@ -23,12 +23,12 @@
 // trigger exactly one encoding/decomposition/normalization build; the heavy
 // per-query work (tree DPs, datalog fixpoints, direct MSO evaluation) runs
 // outside the lock against the immutable cached artifacts. With
-// EngineOptions::num_threads > 1 the tree DPs themselves are parallel on the
-// session's own work-stealing pool: the Solve/SolveAll tree DP runs bag-sharded
-// (core::RunDp), and the AllPrimes enumeration runs both of its passes
-// shard-scheduled on the same pool (bottom-up, then the inverted top-down
-// schedule) — every answer is bit-identical to num_threads = 1. Datalog
-// fixpoints run sequentially on the calling thread.
+// EngineOptions::num_threads > 1 the session's own work-stealing pool runs
+// SolveAll's five sequential graph-DP walks at once (a Solve never starts
+// it), and the AllPrimes enumeration runs both of its passes shard-scheduled
+// on the same pool (bottom-up, then the inverted top-down schedule) — every
+// answer is bit-identical to num_threads = 1. Datalog fixpoints run
+// sequentially on the calling thread.
 // Pointers returned by the artifact accessors stay valid for the Engine's
 // lifetime; moving an Engine while another thread uses it is undefined.
 //
@@ -181,13 +181,16 @@ class Engine {
   StatusOr<SolveResult> Solve(Problem problem, RunStats* stats = nullptr,
                               WorkBudget* budget = nullptr);
 
-  /// Evaluates all five Problems, one Solve walk each over the same cached
-  /// normal form (bag-sharded when num_threads > 1), in Problem order. Each
-  /// table is dropped before the next walk, so dp_peak_table_bytes is the
-  /// largest single problem's peak; RunStats reports dp_traversals == 5 and
-  /// dp_states equal to the five Solves' sum. A tripped `budget` or an
-  /// OutOfRange 3-coloring count stops at that walk and returns its status,
-  /// exactly as Solve does.
+  /// Evaluates all five Problems, one sequential Solve walk each over the
+  /// same cached normal form: in Problem order at num_threads = 1, all five
+  /// at once on the session pool otherwise. dp_peak_table_bytes is the
+  /// largest single walk's peak (five concurrent walks may hold five
+  /// frontiers); dp_traversals == 5 and dp_states is the five Solves' sum.
+  /// The `budget`'s deadline counts all walks' units, its table-byte cap
+  /// each walk's own live bytes. Returns the first failing problem's status
+  /// in Problem order (a tripped budget, an OutOfRange count), as Solve
+  /// does; at num_threads > 1 with both budget limits set, the abort reason
+  /// is whichever limit tripped first.
   StatusOr<SolveAllResult> SolveAll(RunStats* stats = nullptr,
                                     WorkBudget* budget = nullptr);
 
@@ -212,11 +215,11 @@ class Engine {
   /// ImproveTd, seeded by the session fingerprint so the result is a pure
   /// function of the session input and the budget). On strict improvement the
   /// session decomposition is swapped and every artifact derived from the old
-  /// one (closed/normalized forms, shardings, τ_td, compiled MSO programs) is
-  /// invalidated for lazy rebuild; the memoized primes survive (answers are
-  /// decomposition-independent). `budget` bounds the search at one unit per
-  /// round and exhaustion is a graceful stop, never an error. With no budget
-  /// the search caps at a fixed round count.
+  /// one (closed/normalized forms, the enumeration sharding, τ_td, compiled
+  /// MSO programs) is invalidated for lazy rebuild; the memoized primes
+  /// survive (answers are decomposition-independent). `budget` bounds the
+  /// search at one unit per round and exhaustion is a graceful stop, never
+  /// an error. With no budget the search caps at a fixed round count.
   ///
   /// EXCEPTION to the immutable-artifact contract above the Ensure* methods:
   /// this is the one operation that replaces cached artifacts, so it requires
@@ -317,7 +320,7 @@ class Engine {
   StatusOr<const mso2dl::Mso2DlResult*> EnsureMsoProgram(
       const mso::FormulaPtr& phi, const std::string* free_var,
       RunStats* stats);
-  /// The lazily created DP thread pool, or null when the session is
+  /// The lazily created session thread pool, or null when the session is
   /// configured sequential (resolved num_threads <= 1).
   ThreadPool* EnsurePool();
   /// Stable hash of the session input (schema or structure) used to stamp
@@ -334,17 +337,10 @@ class Engine {
   /// total_millis and folds the record into the cumulative stats.
   template <typename Body>
   auto RunQuery(RunStats* stats, Body&& body);
-  /// Normalizes `td` under `options` into the cache slot `*ntd`, shards it
-  /// into `*sharding` for a parallel session (threads x kShardsPerThread
-  /// shards; nullopt when sequential), and counts one normalize build.
-  Status BuildNormalForm(const TreeDecomposition& td,
-                         const NormalizeOptions& options,
-                         std::optional<NormalizedTreeDecomposition>* ntd,
-                         std::optional<BagSharding>* sharding,
-                         RunStats* stats);
   /// The one graph-DP path behind Solve and SolveAll: takes the cache lock
-  /// once, then runs one core::RunDp walk per problem, in order, stopping at
-  /// the first error (a budget abort's typed status).
+  /// once, then runs one sequential core::RunDp walk per problem (at once on
+  /// the session pool when a parallel session is asked several) and returns
+  /// the first error in Problem order.
   StatusOr<SolveAllResult> SolveProblems(
       std::initializer_list<Problem> problems, RunStats* stats,
       WorkBudget* budget);
@@ -363,7 +359,6 @@ class Engine {
   std::optional<TreeDecomposition> closed_td_;
   std::optional<NormalizedTreeDecomposition> enum_ntd_;
   std::optional<NormalizedTreeDecomposition> plain_ntd_;
-  std::optional<BagSharding> sharding_;
   /// Sharding of enum_ntd_ for the parallel §5.3 enumeration (parallel
   /// schema sessions only).
   std::optional<BagSharding> enum_sharding_;

@@ -32,9 +32,10 @@ struct EngineOptions {
   DatalogBackend backend = DatalogBackend::kSemiNaive;
   /// Extract a witness (e.g. an actual coloring) from Solve when available.
   bool extract_witness = true;
-  /// Worker threads of the session's own work-stealing pool: the
-  /// bag-sharded tree DP behind Solve/SolveAll and the two sharded passes of
-  /// the AllPrimes enumeration. Datalog fixpoints always run sequentially.
+  /// Worker threads of the session's own work-stealing pool: SolveAll's
+  /// five graph-DP walks, run at once (each walk sequential), and the two
+  /// sharded passes of the AllPrimes enumeration. A Solve walks on the
+  /// calling thread and datalog fixpoints always run sequentially.
   /// 0 = hardware concurrency (the default); 1 = the sequential behavior
   /// (no thread pool, no bag sharding). Answers are bit-identical at every
   /// setting.

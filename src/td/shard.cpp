@@ -4,22 +4,29 @@
 
 namespace treedl {
 
-namespace {
+uint64_t EstimateNodeCost(const NormNode& node) {
+  size_t b = std::min<size_t>(node.bag.size(), 20);
+  uint64_t states = 1;
+  for (size_t i = 0; i < b; ++i) states *= 3;
+  return node.kind == NormNodeKind::kBranch ? 2 * states : states;
+}
 
-/// Shared partition kernel: post-order accumulation of per-node weights,
-/// sealing a connected shard whenever the open (unsealed) weight of a
-/// subtree reaches grain = ceil(total / target). The root seals whatever
-/// remains. Weight 1 per node reproduces the node-count sharding.
-BagSharding ComputeWeightedSharding(const NormalizedTreeDecomposition& ntd,
-                                    size_t target_shards,
-                                    const std::vector<uint64_t>& weight) {
+// Post-order accumulation of per-node modeled cost, sealing a connected shard
+// whenever the open (unsealed) weight of a subtree reaches grain =
+// ceil(total / target). The root seals whatever remains.
+BagSharding ComputeBagShardingByCost(const NormalizedTreeDecomposition& ntd,
+                                     size_t target_shards) {
   BagSharding out;
   size_t n = ntd.NumNodes();
   out.shard_of.assign(n, -1);
   if (n == 0) return out;
   if (target_shards == 0) target_shards = 1;
+  std::vector<uint64_t> weight(n, 0);
   uint64_t total = 0;
-  for (uint64_t w : weight) total += w;
+  for (size_t v = 0; v < n; ++v) {
+    weight[v] = EstimateNodeCost(ntd.node(static_cast<TdNodeId>(v)));
+    total += weight[v];
+  }
   uint64_t grain = (total + target_shards - 1) / target_shards;
   if (grain == 0) grain = 1;
 
@@ -83,30 +90,6 @@ BagSharding ComputeWeightedSharding(const NormalizedTreeDecomposition& ntd,
         static_cast<int>(s));
   }
   return out;
-}
-
-}  // namespace
-
-BagSharding ComputeBagSharding(const NormalizedTreeDecomposition& ntd,
-                               size_t target_shards) {
-  std::vector<uint64_t> ones(ntd.NumNodes(), 1);
-  return ComputeWeightedSharding(ntd, target_shards, ones);
-}
-
-uint64_t EstimateNodeCost(const NormNode& node) {
-  size_t b = std::min<size_t>(node.bag.size(), 20);
-  uint64_t states = 1;
-  for (size_t i = 0; i < b; ++i) states *= 3;
-  return node.kind == NormNodeKind::kBranch ? 2 * states : states;
-}
-
-BagSharding ComputeBagShardingByCost(const NormalizedTreeDecomposition& ntd,
-                                     size_t target_shards) {
-  std::vector<uint64_t> cost(ntd.NumNodes(), 0);
-  for (size_t v = 0; v < ntd.NumNodes(); ++v) {
-    cost[v] = EstimateNodeCost(ntd.node(static_cast<TdNodeId>(v)));
-  }
-  return ComputeWeightedSharding(ntd, target_shards, cost);
 }
 
 Status ValidateSharding(const NormalizedTreeDecomposition& ntd,

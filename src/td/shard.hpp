@@ -1,13 +1,14 @@
 // Bag sharding: partitioning a modified-normalized tree decomposition into
-// independent subtrees for the parallel bottom-up DP.
+// independent subtrees for the parallel §5.3 enumeration.
 //
 // The §5 dynamic programs are bottom-up tree traversals, so disjoint subtrees
 // of the decomposition can be processed concurrently — the only ordering
 // constraint is that a node runs after its children. A BagSharding cuts the
-// tree into connected regions ("shards") of roughly balanced size; the shards
-// themselves form a tree, and a shard becomes runnable exactly when all of
-// its child shards have completed. core/tree_dp.hpp executes this schedule on
-// a ThreadPool (see RunDp).
+// tree into connected regions ("shards") of roughly balanced modeled work;
+// the shards themselves form a tree, and a shard becomes runnable exactly
+// when all of its child shards have completed. core/tree_dp.hpp executes this
+// schedule on a ThreadPool (see RunDp). The Engine shards only the
+// enumeration normal form; the graph DPs walk sequentially.
 //
 // The same partition also serves root-to-leaves passes: because every shard
 // is a connected region whose nodes are listed in global post order, running
@@ -40,9 +41,7 @@ struct BagShard {
   int parent = -1;
   /// Indices of the child shards (the shard's dependencies).
   std::vector<int> children;
-  /// Summed weight of the shard's nodes under the weight function the
-  /// sharding was computed with (node count for ComputeBagSharding, the
-  /// EstimateNodeCost model for ComputeBagShardingByCost).
+  /// Summed EstimateNodeCost of the shard's nodes.
   uint64_t cost = 0;
 };
 
@@ -54,13 +53,6 @@ struct BagSharding {
   size_t NumShards() const { return shards.size(); }
 };
 
-/// Partitions `ntd` into at most ~`target_shards` connected subtree regions
-/// of roughly equal node count (post-order accumulation with a grain of
-/// ceil(n / target)). target_shards == 1 (or a tiny decomposition) yields a
-/// single shard covering the whole tree. Deterministic.
-BagSharding ComputeBagSharding(const NormalizedTreeDecomposition& ntd,
-                               size_t target_shards);
-
 /// Estimated DP work of one normalized node — the width-driven state-count
 /// model behind cost-aware sharding. A bag of b elements carries up to 3^b
 /// reachable states in the heaviest in-tree problems (3-coloring's colorings,
@@ -71,12 +63,14 @@ BagSharding ComputeBagSharding(const NormalizedTreeDecomposition& ntd,
 /// model in uint64 for degenerate widths; relative balance is what matters.
 uint64_t EstimateNodeCost(const NormNode& node);
 
-/// Cost-aware variant of ComputeBagSharding: same connected-subtree
-/// partition, but the post-order accumulation balances the shards by summed
-/// EstimateNodeCost instead of node count — shards near the root (few nodes,
+/// Partitions `ntd` into at most ~`target_shards` connected subtree regions
+/// of roughly equal summed EstimateNodeCost (post-order accumulation with a
+/// grain of ceil(total cost / target)): shards near the root (few nodes,
 /// wide bags) shrink, leaf-heavy shards grow, and the slowest shard tracks
 /// the mean instead of the root shard dominating the critical path.
-/// Deterministic; BagShard::cost reports each shard's modeled cost.
+/// target_shards == 1 (or a tiny decomposition) yields a single shard
+/// covering the whole tree. Deterministic; BagShard::cost reports each
+/// shard's modeled cost.
 BagSharding ComputeBagShardingByCost(const NormalizedTreeDecomposition& ntd,
                                      size_t target_shards);
 

@@ -89,16 +89,20 @@ TEST(EngineConcurrencyTest, GraphSolvesAgreeWithSequentialSession) {
   Rng rng(TestSeed());
   Graph graph = RandomPartialKTree(60, 3, 0.6, &rng);
 
-  // Sequential ground truth (num_threads = 1: no pool, no sharding pass).
+  // Sequential ground truth (num_threads = 1: no pool).
   EngineOptions sequential;
   sequential.num_threads = 1;
   Engine oracle = Engine::FromGraph(graph, sequential);
   auto expected_color = oracle.Solve(Engine::Problem::kThreeColor);
   auto expected_count = oracle.Solve(Engine::Problem::kThreeColorCount);
   auto expected_vc = oracle.Solve(Engine::Problem::kVertexCover);
-  ASSERT_TRUE(expected_color.ok() && expected_count.ok() && expected_vc.ok());
+  auto expected_all = oracle.SolveAll();
+  ASSERT_TRUE(expected_color.ok() && expected_count.ok() && expected_vc.ok() &&
+              expected_all.ok());
 
-  // One shared parallel session queried from many threads at once.
+  // One shared parallel session queried from many threads at once: the
+  // Solves walk on their callers' threads, and concurrent SolveAlls submit
+  // their walks to the one 4-thread session pool.
   EngineOptions parallel;
   parallel.num_threads = 4;
   Engine engine = Engine::FromGraph(graph, parallel);
@@ -108,7 +112,7 @@ TEST(EngineConcurrencyTest, GraphSolvesAgreeWithSequentialSession) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (int round = 0; round < kRounds; ++round) {
-        switch ((t + round) % 3) {
+        switch ((t + round) % 4) {
           case 0: {
             auto r = engine.Solve(Engine::Problem::kThreeColor);
             if (!r.ok() || r->feasible != expected_color->feasible) ++failures;
@@ -122,6 +126,17 @@ TEST(EngineConcurrencyTest, GraphSolvesAgreeWithSequentialSession) {
           case 2: {
             auto r = engine.Solve(Engine::Problem::kVertexCover);
             if (!r.ok() || r->optimum != expected_vc->optimum) ++failures;
+            break;
+          }
+          case 3: {
+            auto r = engine.SolveAll();
+            if (!r.ok() || r->coloring != expected_all->coloring ||
+                r->three_colorings != expected_all->three_colorings ||
+                r->min_vertex_cover != expected_all->min_vertex_cover ||
+                r->max_independent_set != expected_all->max_independent_set ||
+                r->min_dominating_set != expected_all->min_dominating_set) {
+              ++failures;
+            }
             break;
           }
         }

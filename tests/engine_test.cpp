@@ -193,37 +193,140 @@ TEST(EngineTest, SolveAllAnswersAllFiveProblems) {
   EXPECT_GT(again.cache_hits, 0u);
 }
 
-// SolveAll runs the five Solve walks one after another, each table dropped
-// before the next walk: its state count is their sum and its table peak is
-// the largest single walk's, not the sum of all five.
+constexpr Engine::Problem kAllProblems[] = {
+    Engine::Problem::kThreeColor,      Engine::Problem::kThreeColorCount,
+    Engine::Problem::kVertexCover,     Engine::Problem::kIndependentSet,
+    Engine::Problem::kDominatingSet,
+};
+
+void ExpectSameAnswers(const Engine::SolveAllResult& got,
+                       const Engine::SolveAllResult& want) {
+  EXPECT_EQ(got.three_colorable, want.three_colorable);
+  EXPECT_EQ(got.coloring, want.coloring);
+  EXPECT_EQ(got.three_colorings, want.three_colorings);
+  EXPECT_EQ(got.min_vertex_cover, want.min_vertex_cover);
+  EXPECT_EQ(got.max_independent_set, want.max_independent_set);
+  EXPECT_EQ(got.min_dominating_set, want.min_dominating_set);
+}
+
+// SolveAll runs five walks that each evict their own tables — one after
+// another at 1 thread, at once on the pool at 4 — so its state count is the
+// five Solves' sum and its reported table peak is the largest single walk's,
+// not the sum of all five.
 TEST(EngineTest, SolveAllPeaksAtTheLargestSingleProblem) {
-  EngineOptions options;
-  options.num_threads = 1;
   Rng rng(TestSeed());
   Graph graph = RandomPartialKTree(60, 3, 0.6, &rng);
-  Engine engine = Engine::FromGraph(graph, options);
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    EngineOptions options;
+    options.num_threads = threads;
+    Engine engine = Engine::FromGraph(graph, options);
 
-  size_t states_sum = 0;
-  size_t peak_max = 0;
-  size_t peak_sum = 0;
-  for (Engine::Problem problem :
-       {Engine::Problem::kThreeColor, Engine::Problem::kThreeColorCount,
-        Engine::Problem::kVertexCover, Engine::Problem::kIndependentSet,
-        Engine::Problem::kDominatingSet}) {
-    RunStats run;
-    ASSERT_TRUE(engine.Solve(problem, &run).ok());
-    EXPECT_EQ(run.dp_traversals, 1u);
-    ASSERT_GT(run.dp_peak_table_bytes, 0u);
-    states_sum += run.dp_states;
-    peak_max = std::max(peak_max, run.dp_peak_table_bytes);
-    peak_sum += run.dp_peak_table_bytes;
+    size_t states_sum = 0;
+    size_t peak_max = 0;
+    size_t peak_sum = 0;
+    for (Engine::Problem problem : kAllProblems) {
+      RunStats run;
+      ASSERT_TRUE(engine.Solve(problem, &run).ok());
+      EXPECT_EQ(run.dp_traversals, 1u);
+      ASSERT_GT(run.dp_peak_table_bytes, 0u);
+      states_sum += run.dp_states;
+      peak_max = std::max(peak_max, run.dp_peak_table_bytes);
+      peak_sum += run.dp_peak_table_bytes;
+    }
+
+    RunStats all;
+    ASSERT_TRUE(engine.SolveAll(&all).ok());
+    EXPECT_EQ(all.dp_traversals, 5u);
+    EXPECT_EQ(all.dp_shards, 0u);
+    EXPECT_EQ(all.dp_states, states_sum);
+    EXPECT_EQ(all.dp_peak_table_bytes, peak_max);
+    EXPECT_LT(all.dp_peak_table_bytes, peak_sum);
   }
+}
 
-  RunStats all;
-  ASSERT_TRUE(engine.SolveAll(&all).ok());
-  EXPECT_EQ(all.dp_states, states_sum);
-  EXPECT_EQ(all.dp_peak_table_bytes, peak_max);
-  EXPECT_LT(all.dp_peak_table_bytes, peak_sum);
+// SolveAll is bounded by its per-call budget at 1 thread and with its five
+// walks running at once on a 4-thread pool: a 1-unit deadline, a deadline
+// that only a later walk reaches (the walks claim one unit per node step,
+// so three complete walks fit), and a 1-byte table cap, checked against each
+// walk's own live tables, each return their typed status. The budget
+// belongs to the call: the next unbudgeted SolveAll answers as a sequential
+// session does.
+TEST(EngineTest, SolveAllHonorsItsWorkBudget) {
+  Rng rng(TestSeed());
+  Graph graph = RandomPartialKTree(60, 3, 0.6, &rng);
+  EngineOptions sequential;
+  sequential.num_threads = 1;
+  Engine oracle = Engine::FromGraph(graph, sequential);
+  RunStats expected_run;
+  auto expected = oracle.SolveAll(&expected_run);
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  auto td = oracle.Decomposition();
+  ASSERT_TRUE(td.ok()) << td.status();
+  auto ntd = Normalize(**td);
+  ASSERT_TRUE(ntd.ok()) << ntd.status();
+  const uint64_t walk_units = ntd->NumNodes();
+
+  struct Trip {
+    const char* name;
+    uint64_t deadline;  // 0: no deadline
+    size_t table_bytes_limit;
+    StatusCode code;
+    size_t sequential_traversals;  // walks the 1-thread run starts
+  };
+  const Trip trips[] = {
+      {"1-unit deadline", 1, 0, StatusCode::kDeadlineExceeded, 1},
+      {"later-walk deadline", 3 * walk_units, 0,
+       StatusCode::kDeadlineExceeded, 4},
+      {"table-bytes cap", 0, 1, StatusCode::kResourceExhausted, 1},
+  };
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    EngineOptions options;
+    options.num_threads = threads;
+    Engine engine = Engine::FromGraph(graph, options);
+    for (const Trip& trip : trips) {
+      SCOPED_TRACE(std::string(trip.name) + ", threads " +
+                   std::to_string(threads));
+      WorkBudget budget;
+      if (trip.deadline > 0) budget.SetDeadline(trip.deadline);
+      budget.SetTableBytesLimit(trip.table_bytes_limit);
+      RunStats tripped;
+      auto result = engine.SolveAll(&tripped, &budget);
+      ASSERT_FALSE(result.ok());
+      EXPECT_EQ(result.status().code(), trip.code) << result.status();
+      EXPECT_LT(tripped.dp_states, expected_run.dp_states);
+      EXPECT_EQ(tripped.dp_traversals,
+                threads == 1 ? trip.sequential_traversals : 5u);
+
+      RunStats rerun;
+      auto again = engine.SolveAll(&rerun);
+      ASSERT_TRUE(again.ok()) << again.status();
+      ExpectSameAnswers(*again, *expected);
+      EXPECT_EQ(rerun.dp_states, expected_run.dp_states);
+      EXPECT_EQ(rerun.dp_peak_table_bytes, expected_run.dp_peak_table_bytes);
+    }
+  }
+}
+
+// A failing walk's status is the answer whichever walk finishes first: on a
+// 65-vertex path only #3COL fails (3 * 2^64 colorings do not fit in 64
+// bits), so SolveAll returns its OutOfRange at 1 and at 4 threads.
+TEST(EngineTest, SolveAllReturnsTheFailingProblemsStatus) {
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    EngineOptions options;
+    options.num_threads = threads;
+    Engine engine = Engine::FromGraph(PathGraph(65), options);
+    RunStats run;
+    auto all = engine.SolveAll(&run);
+    ASSERT_FALSE(all.ok());
+    EXPECT_EQ(all.status().code(), StatusCode::kOutOfRange) << all.status();
+    // Sequentially the walks after #3COL never start.
+    EXPECT_EQ(run.dp_traversals, threads == 1 ? 2u : 5u);
+    auto vc = engine.Solve(Engine::Problem::kVertexCover);
+    ASSERT_TRUE(vc.ok()) << vc.status();
+    EXPECT_EQ(vc->optimum, 32u);
+  }
 }
 
 // --- Datalog backends ---------------------------------------------------------

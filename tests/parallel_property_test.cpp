@@ -1,7 +1,9 @@
 // Property-based cross-checks for the parallel engines: random partial
 // k-trees evaluated with num_threads = 1 and num_threads = 8 must agree on
-// all five Solve problems (and on the sharding invariants), the sharded
-// PRIMALITY enumeration must be bit-identical to its sequential run, and a
+// all five Solve problems and on their DP counters (every graph-DP walk is
+// sequential; SolveAll runs its five walks concurrently), the sharding
+// invariants must hold, the sharded PRIMALITY enumeration must be
+// bit-identical to its sequential run, and a
 // quasi-guarded datalog program must produce identical models under the
 // naive oracle and the seminaive and grounded backends.
 #include <gtest/gtest.h>
@@ -52,7 +54,8 @@ TEST(ParallelPropertyTest, ThreadCountsAgreeOnAllFiveProblems) {
     Engine par_engine = Engine::FromGraph(graph, parallel);
 
     for (Engine::Problem problem : kAllProblems) {
-      auto seq = seq_engine.Solve(problem);
+      RunStats seq_run;
+      auto seq = seq_engine.Solve(problem, &seq_run);
       RunStats par_run;
       auto par = par_engine.Solve(problem, &par_run);
       ASSERT_TRUE(seq.ok()) << seq.status();
@@ -64,16 +67,16 @@ TEST(ParallelPropertyTest, ThreadCountsAgreeOnAllFiveProblems) {
       if (par->witness.has_value()) {
         ExpectProperColoring(graph, *par->witness);
       }
-      if (problem == Engine::Problem::kThreeColor) {
-        // The parallel session really sharded (instances are large enough).
-        EXPECT_GT(par_run.dp_shards, 1u) << "trial " << trial;
-        EXPECT_EQ(par_run.dp_shard_millis.size(), par_run.dp_shards);
-      }
+      // A Solve walks sequentially at every thread count: the same tables,
+      // the same live-table peak and the same evictions, and no shards.
+      EXPECT_EQ(par_run.dp_shards, 0u) << "trial " << trial;
+      EXPECT_TRUE(par_run.dp_shard_millis.empty()) << "trial " << trial;
+      EXPECT_EQ(seq_run.dp_states, par_run.dp_states) << "trial " << trial;
+      EXPECT_EQ(seq_run.dp_peak_table_bytes, par_run.dp_peak_table_bytes)
+          << "trial " << trial;
+      EXPECT_EQ(seq_run.dp_tables_evicted, par_run.dp_tables_evicted)
+          << "trial " << trial;
     }
-    // Identical DP work on both sides: same reachable-state tables.
-    EXPECT_EQ(seq_engine.CumulativeStats().dp_states,
-              par_engine.CumulativeStats().dp_states)
-        << "trial " << trial;
   }
 }
 
@@ -115,15 +118,20 @@ TEST(ParallelPropertyTest, SolveAllEqualsFiveSolvesAcrossThreadCounts) {
       ExpectProperColoring(graph, *par_all->coloring);
     }
 
-    // One walk per problem on both sides; the parallel side sharded each
-    // of the five walks.
+    // One sequential walk per problem on both sides; the parallel side ran
+    // the five walks concurrently, none of them sharded.
     EXPECT_EQ(seq_run.dp_traversals, 5u) << "trial " << trial;
     EXPECT_EQ(par_run.dp_traversals, 5u) << "trial " << trial;
-    EXPECT_GT(par_run.dp_shards, 1u) << "trial " << trial;
-    EXPECT_EQ(par_run.dp_shards % 5, 0u) << "trial " << trial;
-    EXPECT_EQ(par_run.dp_shard_millis.size(), par_run.dp_shards);
+    EXPECT_EQ(par_run.dp_shards, 0u) << "trial " << trial;
+    EXPECT_TRUE(par_run.dp_shard_millis.empty()) << "trial " << trial;
     // Identical reachable-state tables: SolveAll == five independent runs.
+    // Each walk evicts its own tables, so the peak is the largest single
+    // walk's whether the walks ran one after another or at once.
     EXPECT_EQ(seq_run.dp_states, par_run.dp_states) << "trial " << trial;
+    EXPECT_EQ(seq_run.dp_peak_table_bytes, par_run.dp_peak_table_bytes)
+        << "trial " << trial;
+    EXPECT_EQ(seq_run.dp_tables_evicted, par_run.dp_tables_evicted)
+        << "trial " << trial;
     EXPECT_EQ(ref_engine.CumulativeStats().dp_states, seq_run.dp_states)
         << "trial " << trial;
   }
@@ -278,6 +286,8 @@ TEST(ParallelPropertyTest, CostAwareShardingBalancesEstimatedWork) {
   }
 }
 
+// The enumeration's sharding (the one sharded walk) is a valid partition at
+// every target, from one shard to more targets than nodes.
 TEST(ParallelPropertyTest, ShardingInvariantsHoldOnRandomInstances) {
   for (uint64_t trial = 0; trial < 8; ++trial) {
     Rng rng(TestSeed(trial));
@@ -289,7 +299,7 @@ TEST(ParallelPropertyTest, ShardingInvariantsHoldOnRandomInstances) {
     auto ntd = Normalize(**td);
     ASSERT_TRUE(ntd.ok()) << ntd.status();
     for (size_t target : {1u, 2u, 7u, 32u, 1000u}) {
-      BagSharding sharding = ComputeBagSharding(*ntd, target);
+      BagSharding sharding = ComputeBagShardingByCost(*ntd, target);
       EXPECT_GE(sharding.NumShards(), 1u);
       Status valid = ValidateSharding(*ntd, sharding);
       EXPECT_TRUE(valid.ok())

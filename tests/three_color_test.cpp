@@ -156,7 +156,7 @@ TEST(ThreeColorTest, CountPastSixtyFourBitsIsOutOfRange) {
         Engine::FromGraph(PathGraph(n)).Solve(Problem::kThreeColorCount);
     ASSERT_FALSE(count.ok()) << "P" << n;
     EXPECT_EQ(count.status().code(), StatusCode::kOutOfRange) << count.status();
-    // SolveAll stops at the failing walk, as it does for a tripped budget.
+    // SolveAll returns the failing walk's status, as for a tripped budget.
     auto all = Engine::FromGraph(PathGraph(n)).SolveAll();
     ASSERT_FALSE(all.ok()) << "P" << n;
     EXPECT_EQ(all.status().code(), StatusCode::kOutOfRange) << all.status();
