@@ -1,7 +1,7 @@
-// Datalog runner: evaluate a program against a fact base with either
-// Engine backend and print the derived facts.
+// Datalog runner: evaluate a program against a fact base and print the
+// derived facts.
 //
-// Usage: datalog_repl [program.dl facts.txt [seminaive|grounded]]
+// Usage: datalog_repl [program.dl facts.txt]
 // Without arguments, runs a built-in transitive-closure demo.
 //
 // A thin client of the serving layer: the program and facts become LOAD +
@@ -66,14 +66,11 @@ int main(int argc, char** argv) {
 
   std::string program_text = kDemoProgram;
   std::string facts_text = kDemoFacts;
-  std::string engine = argc >= 4 ? argv[3] : "seminaive";
-  if (argc == 2 || argc > 4 ||
-      (engine != "seminaive" && engine != "grounded")) {
-    std::cerr << "usage: datalog_repl [program.dl facts.txt "
-                 "[seminaive|grounded]]\n";
+  if (argc == 2 || argc > 3) {
+    std::cerr << "usage: datalog_repl [program.dl facts.txt]\n";
     return 1;
   }
-  if (argc >= 3) {
+  if (argc == 3) {
     auto program_file = ReadFile(argv[1]);
     if (!program_file.ok()) {
       std::cerr << "datalog_repl: " << program_file.status() << "\n";
@@ -122,16 +119,10 @@ int main(int argc, char** argv) {
             << "):\n"
             << program->ToString() << "\n";
 
-  // The server executes the transcript; the backend is an option, not a
-  // different API.
-  server::ServerOptions options;
-  options.engine_options.backend = engine == "grounded"
-                                       ? DatalogBackend::kGrounded
-                                       : DatalogBackend::kSemiNaive;
-  server::Server session(options);
+  server::Server session(server::ServerOptions{});
   std::istringstream requests(load_line + "\nQUERY repl " +
                               FlattenPayload(program_text) + "\nQUIT\n");
-  std::cout << "Transcript (" << engine << "):\n";
+  std::cout << "Transcript:\n";
   session.Serve(requests, std::cout);
   return session.stats().replies_error == 0 ? 0 : 1;
 }

@@ -54,8 +54,8 @@ int main() {
 
   // 3. Run the same query through an Engine session on a small
   // {p}-structure: the engine compiles via Thm 4.5, builds the τ_td
-  // structure from the session decomposition, and evaluates with the
-  // configured datalog backend.
+  // structure from the session decomposition, and evaluates the program
+  // semi-naively.
   Structure a(unary);
   for (int i = 0; i < 6; ++i) a.AddElement("u" + std::to_string(i));
   (void)a.AddFact(0, {1});

@@ -1,7 +1,10 @@
 #include "datalog/analysis.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <set>
+
+#include "common/logging.hpp"
 
 namespace treedl::datalog {
 
@@ -21,6 +24,56 @@ std::set<VariableId> RuleVars(const Rule& rule) {
     for (VariableId v : AtomVars(lit.atom)) vars.insert(v);
   }
   return vars;
+}
+
+/// Greedy safe order of `rule`'s body into `plan`: fully bound negatives
+/// first (cheap filters), then the positive literal with the most bound
+/// arguments, ties to the earliest in `scan`. The full plan (`delta` < 0)
+/// ranks positive intensional literals between the two tiers; a delta
+/// variant's plan starts from its `delta` literal instead. Returns false
+/// when some negative literal never becomes fully bound.
+bool GreedyOrder(const Rule& rule, const std::vector<bool>& intensional,
+                 int delta, const std::vector<size_t>& scan,
+                 std::vector<size_t>* plan) {
+  std::vector<bool> used(rule.body.size(), false);
+  std::set<VariableId> bound;
+  auto take = [&](size_t i) {
+    used[i] = true;
+    plan->push_back(i);
+    for (VariableId v : AtomVars(rule.body[i].atom)) bound.insert(v);
+  };
+  if (delta >= 0) take(static_cast<size_t>(delta));
+  while (plan->size() < rule.body.size()) {
+    int best = -1;
+    size_t best_score = 0;
+    for (size_t i : scan) {
+      if (used[i]) continue;
+      const Literal& lit = rule.body[i];
+      size_t bound_args = 0;
+      bool all_bound = true;
+      for (const Term& t : lit.atom.args) {
+        if (!t.IsVar() || bound.count(t.variable)) {
+          ++bound_args;
+        } else {
+          all_bound = false;
+        }
+      }
+      if (!lit.positive && !all_bound) continue;  // negatives wait
+      // Arity is capped well below the tier gaps, so the tiers never mix.
+      size_t score = bound_args + (lit.positive ? 0 : 1000);
+      if (delta < 0 && lit.positive &&
+          intensional[static_cast<size_t>(lit.atom.predicate)]) {
+        score += 500;
+      }
+      if (best == -1 || score > best_score) {
+        best = static_cast<int>(i);
+        best_score = score;
+      }
+    }
+    if (best == -1) return false;
+    take(static_cast<size_t>(best));
+  }
+  return true;
 }
 
 }  // namespace
@@ -53,6 +106,7 @@ StatusOr<ProgramInfo> AnalyzeProgram(const Program& program) {
         }
       }
       info.plans.emplace_back();
+      info.delta_plans.emplace_back();
       continue;
     }
     // Negation only on extensional predicates (semipositive datalog).
@@ -77,53 +131,30 @@ StatusOr<ProgramInfo> AnalyzeProgram(const Program& program) {
             " not bound by a positive body literal");
       }
     }
-    // Greedy safe plan.
+    std::vector<size_t> source_order(rule.body.size());
+    std::iota(source_order.begin(), source_order.end(), size_t{0});
     std::vector<size_t> plan;
-    std::vector<bool> used(rule.body.size(), false);
-    std::set<VariableId> bound;
-    while (plan.size() < rule.body.size()) {
-      int best = -1;
-      size_t best_score = 0;
-      for (size_t i = 0; i < rule.body.size(); ++i) {
-        if (used[i]) continue;
-        const Literal& lit = rule.body[i];
-        size_t bound_args = 0;
-        bool all_bound = true;
-        for (const Term& t : lit.atom.args) {
-          if (!t.IsVar() || bound.count(t.variable)) {
-            ++bound_args;
-          } else {
-            all_bound = false;
-          }
-        }
-        if (!lit.positive && !all_bound) continue;  // negatives wait
-        // Prefer fully bound negatives early (cheap filters), then positive
-        // intensional literals (a semi-naive delta plan then starts from
-        // the delta instead of scanning a guard relation), then the positive
-        // literal with the most bound arguments. Arity is capped well below
-        // the tier gaps, so the tiers never mix.
-        size_t score = bound_args + (lit.positive ? 0 : 1000);
-        if (lit.positive &&
-            info.intensional[static_cast<size_t>(lit.atom.predicate)]) {
-          score += 500;
-        }
-        if (best == -1 || score > best_score) {
-          best = static_cast<int>(i);
-          best_score = score;
-        }
+    if (!GreedyOrder(rule, info.intensional, -1, source_order, &plan)) {
+      return Status::InvalidArgument(
+          where + ": no safe evaluation order (negative literal over "
+                  "variables never bound positively)");
+    }
+    // One delta variant per positive intensional literal, in plan order;
+    // a delta-first order is safe whenever the full plan is.
+    std::vector<std::vector<size_t>> delta_plans;
+    for (size_t i : plan) {
+      const Literal& lit = rule.body[i];
+      if (!lit.positive ||
+          !info.intensional[static_cast<size_t>(lit.atom.predicate)]) {
+        continue;
       }
-      if (best == -1) {
-        return Status::InvalidArgument(
-            where + ": no safe evaluation order (negative literal over "
-                    "variables never bound positively)");
-      }
-      used[static_cast<size_t>(best)] = true;
-      plan.push_back(static_cast<size_t>(best));
-      for (VariableId v : AtomVars(rule.body[static_cast<size_t>(best)].atom)) {
-        bound.insert(v);
-      }
+      delta_plans.emplace_back();
+      bool safe = GreedyOrder(rule, info.intensional, static_cast<int>(i),
+                              plan, &delta_plans.back());
+      TREEDL_CHECK(safe);
     }
     info.plans.push_back(std::move(plan));
+    info.delta_plans.push_back(std::move(delta_plans));
   }
   return info;
 }

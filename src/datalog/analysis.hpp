@@ -16,11 +16,15 @@ struct ProgramInfo {
   /// Every intensional predicate is unary (or zero-ary) — Def 4.1 extended by
   /// the 0-ary decision predicates of §4's discussion.
   bool is_monadic = false;
-  /// Per rule: body literal indices in evaluation order. Positive
-  /// intensional literals schedule first (so a rule with one of them has its
-  /// semi-naive delta plan start from the delta), then positives greedily by
-  /// bound-argument count; negatives once fully bound.
+  /// Per rule: body literal indices in the full (round 0) evaluation order.
+  /// Fully bound negatives schedule first, then positive intensional
+  /// literals, then positives greedily by bound-argument count.
   std::vector<std::vector<size_t>> plans;
+  /// Per rule: one order per semi-naive delta variant (positive intensional
+  /// literal, in `plans` order). Each starts with its delta literal, and the
+  /// greedy orders the rest without the intensional preference (ties in
+  /// `plans` order), so a variant joins outward from its delta.
+  std::vector<std::vector<std::vector<size_t>>> delta_plans;
 };
 
 /// Validates safety: ground facts, range-restricted heads, negation applied

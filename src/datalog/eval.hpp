@@ -1,11 +1,13 @@
 // Datalog evaluation: least fixpoint of P ∪ E(A) (§2.4).
 //
-// Three engines with identical semantics on semipositive programs:
+// Three evaluators with identical semantics on semipositive programs:
+//  - SemiNaiveEvaluate: delta-driven evaluation over compiled join plans, one
+//    delta-first plan per delta variant — the engine Engine::EvaluateDatalog
+//    and the compiled MSO route run, linear on quasi-guarded τ_td programs.
 //  - NaiveEvaluate:     re-derives everything each round (reference oracle).
-//  - SemiNaiveEvaluate: standard delta-driven evaluation (the general engine).
 //  - GroundedEvaluate (grounder.hpp): Thm 4.4's two-phase O(|P|·|A|) pipeline
 //    for quasi-guarded programs — ground via the guards, then LTUR unit
-//    propagation.
+//    propagation; a library function and test oracle.
 #ifndef TREEDL_DATALOG_EVAL_HPP_
 #define TREEDL_DATALOG_EVAL_HPP_
 

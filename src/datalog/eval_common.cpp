@@ -45,13 +45,6 @@ StatusOr<PreparedProgram> Prepare(const Program& program,
   prep.result = Structure(combined);
   prep.predicate_map = predicate_map;
   prep.num_variables = program.NumVariables();
-  prep.intensional.assign(static_cast<size_t>(combined.size()), false);
-  for (PredicateId p = 0; p < program.signature().size(); ++p) {
-    if (info.intensional[static_cast<size_t>(p)]) {
-      prep.intensional[static_cast<size_t>(predicate_map[static_cast<size_t>(p)])] =
-          true;
-    }
-  }
 
   // Copy the EDB domain and facts.
   for (ElementId e = 0; e < edb.NumElements(); ++e) {
@@ -83,22 +76,23 @@ StatusOr<PreparedProgram> Prepare(const Program& program,
     }
     PreparedRule prepared;
     prepared.head = std::move(head);
-    for (size_t i : info.plans[r]) {
+    prepared.body.resize(rule.body.size());
+    prepared.positive.resize(rule.body.size());
+    prepared.order = info.plans[r];
+    // Resolve in plan order: that is the order new constants are interned.
+    for (size_t i : prepared.order) {
       const Literal& lit = rule.body[i];
       Atom translated = lit.atom;
       translated.predicate =
           predicate_map[static_cast<size_t>(lit.atom.predicate)];
-      prepared.body.push_back(ResolveAtom(translated, &prep.result));
-      prepared.positive.push_back(lit.positive);
-      prepared.body_intensional.push_back(
-          prep.intensional[static_cast<size_t>(translated.predicate)]);
+      prepared.body[i] = ResolveAtom(translated, &prep.result);
+      prepared.positive[i] = lit.positive;
     }
     // Compile the rule's join plans once, here: the full plan plus one
-    // delta variant per positive intensional body position.
-    prep.compiled.push_back(CompileRule(prepared.head, prepared.body,
-                                        prepared.positive,
-                                        prepared.body_intensional,
-                                        prep.num_variables));
+    // delta-first variant per positive intensional body literal.
+    prep.compiled.push_back(CompileRule(
+        prepared.head, prepared.body, prepared.positive, prepared.order,
+        info.delta_plans[r], prep.num_variables));
     prep.plan_compiles += 1 + prep.compiled.back().delta_variants.size();
     prep.rules.push_back(std::move(prepared));
   }
@@ -110,13 +104,14 @@ namespace {
 size_t ApplyFrom(const PreparedRule& rule, FactStore* store, size_t position,
                  Binding* binding,
                  const std::function<void(const Tuple&)>& derive) {
-  if (position == rule.body.size()) {
+  if (position == rule.order.size()) {
     derive(GroundArgs(rule.head, *binding));
     return 0;
   }
-  const ResolvedAtom& atom = rule.body[position];
+  const size_t literal = rule.order[position];
+  const ResolvedAtom& atom = rule.body[literal];
   size_t work = 1;
-  if (!rule.positive[position]) {
+  if (!rule.positive[literal]) {
     // Negative literals are fully bound at this point (plan ordering).
     TREEDL_DCHECK(FullyBound(atom, *binding));
     if (!store->Contains(atom.predicate, GroundArgs(atom, *binding))) {

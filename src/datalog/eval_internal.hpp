@@ -13,9 +13,9 @@ namespace treedl::datalog::internal {
 
 struct PreparedRule {
   ResolvedAtom head;
-  std::vector<ResolvedAtom> body;      // in plan order
-  std::vector<bool> positive;          // aligned with body
-  std::vector<bool> body_intensional;  // aligned with body
+  std::vector<ResolvedAtom> body;  // in source order
+  std::vector<bool> positive;      // aligned with body
+  std::vector<size_t> order;       // the full plan (ProgramInfo::plans)
 };
 
 struct PreparedProgram {
@@ -25,14 +25,12 @@ struct PreparedProgram {
   std::vector<PredicateId> predicate_map;
   std::vector<PreparedRule> rules;
   /// Compiled join plans, aligned with `rules` — the full (round 0) plan
-  /// plus one variant per positive intensional body position. The
+  /// plus one delta-first variant per positive intensional body literal. The
   /// semi-naive engine runs these; the naive evaluator keeps the
   /// interpreted ApplyRule below as the differential oracle.
   std::vector<CompiledRule> compiled;
   /// Total JoinPlans compiled (full + delta variants over all rules).
   size_t plan_compiles = 0;
-  /// Per result-predicate intensional flag.
-  std::vector<bool> intensional;
   size_t num_variables = 0;
   /// EDB facts plus ground program facts, in result-predicate ids.
   FactStore store;

@@ -165,22 +165,24 @@ const StepExecutor* ExecutorRegistry::Resolve(StepKind kind, int arity) const {
 
 namespace {
 
+/// Compiles the steps of `body` in `order`; with `reads_delta`, the first
+/// step reads the delta store.
 JoinPlan CompilePlan(const ResolvedAtom& head,
                      const std::vector<ResolvedAtom>& body,
-                     const std::vector<bool>& positive, int delta_position,
+                     const std::vector<bool>& positive,
+                     const std::vector<size_t>& order, bool reads_delta,
                      size_t num_variables) {
   const ExecutorRegistry& registry = ExecutorRegistry::Instance();
   JoinPlan plan;
-  plan.delta_position = delta_position;
   plan.head = head;
   plan.num_variables = num_variables;
   std::vector<bool> bound(num_variables, false);
-  for (size_t pos = 0; pos < body.size(); ++pos) {
+  for (size_t pos : order) {
     const ResolvedAtom& atom = body[pos];
     const size_t arity = atom.const_args.size();
     CompiledStep step;
     step.spec.predicate = atom.predicate;
-    step.spec.is_delta = static_cast<int>(pos) == delta_position;
+    step.spec.is_delta = reads_delta && plan.steps.empty();
     step.spec.actions.resize(arity);
     step.spec.const_args = atom.const_args;
     step.spec.vars = atom.vars;
@@ -236,14 +238,15 @@ JoinPlan CompilePlan(const ResolvedAtom& head,
 CompiledRule CompileRule(const ResolvedAtom& head,
                          const std::vector<ResolvedAtom>& body,
                          const std::vector<bool>& positive,
-                         const std::vector<bool>& body_intensional,
+                         const std::vector<size_t>& full_order,
+                         const std::vector<std::vector<size_t>>& delta_orders,
                          size_t num_variables) {
   CompiledRule compiled;
-  compiled.full = CompilePlan(head, body, positive, -1, num_variables);
-  for (size_t pos = 0; pos < body.size(); ++pos) {
-    if (!positive[pos] || !body_intensional[pos]) continue;
+  compiled.full = CompilePlan(head, body, positive, full_order,
+                              /*reads_delta=*/false, num_variables);
+  for (const std::vector<size_t>& order : delta_orders) {
     compiled.delta_variants.push_back(CompilePlan(
-        head, body, positive, static_cast<int>(pos), num_variables));
+        head, body, positive, order, /*reads_delta=*/true, num_variables));
   }
   return compiled;
 }

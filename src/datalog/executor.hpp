@@ -1,9 +1,9 @@
 // Compiled join executors: each rule body is compiled once — at Prepare
-// time — into nested-index-join plans over the columnar FactStore, one plan
-// per delta position (plus the full plan used by round 0), replacing
-// per-tuple atom interpretation in the semi-naive engine.
+// time — into nested-index-join plans over the columnar FactStore, one
+// delta-first plan per delta variant (plus the full plan used by round 0),
+// replacing per-tuple atom interpretation in the semi-naive engine.
 //
-// A JoinPlan is a sequence of steps in the analyzer's plan order. Each step
+// A JoinPlan is a sequence of steps in one of the analyzer's orders. Each step
 // records, per argument position, what the executor does with it:
 //
 //   kConst       compare against a resolved constant (part of the probe key)
@@ -29,8 +29,9 @@
 // Determinism contract: a probed chain enumerates rows in relation
 // insertion order (FactStore invariant) and a stronger multi-column probe
 // only skips non-matching rows — so a compiled plan yields exactly the match
-// sequence of the interpreted MatchAtom kernel, and model, round, task, and
-// work counters are a pure function of program and data.
+// sequence of the interpreted MatchAtom kernel in the same literal order,
+// and model, round, task, and work counters are a pure function of program
+// and data.
 #ifndef TREEDL_DATALOG_EXECUTOR_HPP_
 #define TREEDL_DATALOG_EXECUTOR_HPP_
 
@@ -106,27 +107,28 @@ struct CompiledStep {
 };
 
 struct JoinPlan {
-  int delta_position = -1;  // -1: the full (round 0) plan
   ResolvedAtom head;
   size_t num_variables = 0;
   std::vector<CompiledStep> steps;
 };
 
-/// All plans of one rule: the full plan plus one variant per positive
-/// intensional body position (ascending). The variants share step structure
-/// — bound-variable sets per position do not depend on which position is
-/// the delta — and differ only in which step reads the delta store.
+/// All plans of one rule: the full plan plus one delta variant per positive
+/// intensional body literal (ProgramInfo::delta_plans). Each variant has its
+/// own join order: step 0 reads the delta store, and the later steps join
+/// outward from the delta's bindings against the full store.
 struct CompiledRule {
   JoinPlan full;
   std::vector<JoinPlan> delta_variants;
 };
 
-/// Compiles one rule's plans from its resolved body (already in plan
-/// order). `positive`/`body_intensional` align with `body`.
+/// Compiles one rule's plans from its resolved body (source order;
+/// `positive` aligns with it), the full plan's order, and one order per
+/// delta variant whose first entry is the variant's delta literal.
 CompiledRule CompileRule(const ResolvedAtom& head,
                          const std::vector<ResolvedAtom>& body,
                          const std::vector<bool>& positive,
-                         const std::vector<bool>& body_intensional,
+                         const std::vector<size_t>& full_order,
+                         const std::vector<std::vector<size_t>>& delta_orders,
                          size_t num_variables);
 
 /// Derived head tuples of one fixpoint round, flat in a round-local arena

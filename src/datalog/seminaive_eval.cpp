@@ -67,9 +67,9 @@ StatusOr<Structure> SemiNaiveEvaluate(const Program& program,
   }
 
   // Delta rounds: for every rule and every delta variant (one per positive
-  // intensional body position, ascending), run the variant's plan with its
-  // delta step against the previous delta and the rest against the full
-  // store. Duplicate derivations are absorbed by the store.
+  // intensional body literal, in full-plan order), run the variant's plan:
+  // its first step reads the previous delta, the rest the full store.
+  // Duplicate derivations are absorbed by the store.
   size_t num_variants = 0;
   for (const CompiledRule& compiled : prep.compiled) {
     num_variants += compiled.delta_variants.size();

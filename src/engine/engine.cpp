@@ -10,7 +10,6 @@
 #include "core/extensions.hpp"
 #include "core/three_color.hpp"
 #include "datalog/eval.hpp"
-#include "datalog/grounder.hpp"
 #include "engine/session_io.hpp"
 #include "graph/gaifman.hpp"
 #include "mso/evaluator.hpp"
@@ -24,17 +23,15 @@ namespace treedl {
 
 namespace {
 
-StatusOr<Structure> RunBackend(const datalog::Program& program,
-                               const Structure& edb, DatalogBackend backend,
-                               WorkBudget* budget, RunStats* stats) {
-  // Evaluate into a local record and fold it in: the public evaluate
-  // functions reset their stats argument at entry, which must not wipe the
-  // counters the engine already recorded for this query.
+StatusOr<Structure> RunFixpoint(const datalog::Program& program,
+                                const Structure& edb, WorkBudget* budget,
+                                RunStats* stats) {
+  // Evaluate into a local record and fold it in: SemiNaiveEvaluate resets
+  // its stats argument at entry, which must not wipe the counters the
+  // engine already recorded for this query.
   RunStats eval_run;
   StatusOr<Structure> result =
-      backend == DatalogBackend::kGrounded
-          ? datalog::GroundedEvaluate(program, edb, &eval_run, budget)
-          : datalog::SemiNaiveEvaluate(program, edb, &eval_run, budget);
+      datalog::SemiNaiveEvaluate(program, edb, &eval_run, budget);
   stats->Accumulate(eval_run);
   return result;
 }
@@ -84,14 +81,6 @@ Status SolveOne(Engine::Problem problem, const Graph& graph,
 constexpr size_t kShardsPerThread = 4;
 
 }  // namespace
-
-const char* DatalogBackendName(DatalogBackend backend) {
-  switch (backend) {
-    case DatalogBackend::kSemiNaive: return "seminaive";
-    case DatalogBackend::kGrounded: return "grounded";
-  }
-  return "?";
-}
 
 Engine::Engine(Schema schema, EngineOptions options)
     : options_(std::move(options)),
@@ -395,20 +384,13 @@ StatusOr<std::vector<bool>> Engine::AllPrimes(RunStats* stats,
 StatusOr<Structure> Engine::EvaluateDatalog(const datalog::Program& program,
                                             RunStats* stats,
                                             WorkBudget* budget) {
-  return EvaluateDatalog(program, options_.backend, stats, budget);
-}
-
-StatusOr<Structure> Engine::EvaluateDatalog(const datalog::Program& program,
-                                            DatalogBackend backend,
-                                            RunStats* stats,
-                                            WorkBudget* budget) {
   return RunQuery(stats, [&](RunStats* s) -> StatusOr<Structure> {
     const Structure* edb = nullptr;
     {
       std::lock_guard<std::mutex> lock(sync_->cache_mu);
       TREEDL_ASSIGN_OR_RETURN(edb, EnsureStructure(s));
     }
-    return RunBackend(program, *edb, backend, budget, s);
+    return RunFixpoint(program, *edb, budget, s);
   });
 }
 
@@ -444,9 +426,8 @@ StatusOr<bool> Engine::EvaluateMso(const mso::FormulaPtr& sentence,
       eval.budget = budget;
       return mso::EvaluateSentence(*a, *sentence, eval);
     }
-    TREEDL_ASSIGN_OR_RETURN(
-        Structure derived,
-        RunBackend(*program, *tau_edb, options_.backend, budget, s));
+    TREEDL_ASSIGN_OR_RETURN(Structure derived,
+                            RunFixpoint(*program, *tau_edb, budget, s));
     TREEDL_ASSIGN_OR_RETURN(PredicateId phi,
                             derived.signature().PredicateIdOf("phi"));
     return derived.HasFact(phi, {});
@@ -485,9 +466,8 @@ StatusOr<std::vector<bool>> Engine::EvaluateMsoUnary(
       }
       return selected;
     }
-    TREEDL_ASSIGN_OR_RETURN(
-        Structure derived,
-        RunBackend(*program, *tau_edb, options_.backend, budget, s));
+    TREEDL_ASSIGN_OR_RETURN(Structure derived,
+                            RunFixpoint(*program, *tau_edb, budget, s));
     TREEDL_ASSIGN_OR_RETURN(PredicateId phi_pred,
                             derived.signature().PredicateIdOf("phi"));
     for (ElementId e = 0; e < a->NumElements(); ++e) {

@@ -12,7 +12,7 @@
 //   engine.IsPrime(a);                       // §5.2 decision
 //   engine.AllPrimes();                      // §5.3 enumeration (memoized)
 //   engine.EvaluateMso(sentence);            // Thm 4.5 route or direct
-//   engine.EvaluateDatalog(program);         // seminaive or grounded
+//   engine.EvaluateDatalog(program);         // semi-naive fixpoint
 //   engine.Solve(Engine::Problem::kThreeColor);  // §5.1 and friends
 //   engine.SolveAll();                       // all five problems, one walk each
 //   engine.SaveSession("warm.tdls");         // persist the decomposition
@@ -139,8 +139,9 @@ class Engine {
   // --- MSO -----------------------------------------------------------------
 
   /// Evaluates an MSO sentence on the session structure: compiled through
-  /// Thm 4.5 into the selected datalog backend over the cached τ_td
-  /// structure, or evaluated directly when the session width is < 1.
+  /// Thm 4.5 into a quasi-guarded datalog program and evaluated semi-naively
+  /// over the cached τ_td structure, or evaluated directly when the session
+  /// width is < 1.
   /// Compiled programs are cached per formula — repeated evaluation of the
   /// same sentence skips the Thm 4.5 construction.
   StatusOr<bool> EvaluateMso(const mso::FormulaPtr& sentence,
@@ -156,13 +157,12 @@ class Engine {
 
   // --- Datalog -------------------------------------------------------------
 
-  /// Evaluates `program` with the session structure as EDB, via the selected
-  /// backend (EngineOptions::backend, overridable per call).
+  /// Evaluates `program` with the session structure as EDB through
+  /// datalog::SemiNaiveEvaluate. Each delta variant joins outward from its
+  /// delta, so quasi-guarded τ_td programs scale linearly
+  /// (bench_quasi_guarded); Thm 4.4's ground + LTUR pipeline,
+  /// datalog::GroundedEvaluate, is a library function and test oracle.
   StatusOr<Structure> EvaluateDatalog(const datalog::Program& program,
-                                      RunStats* stats = nullptr,
-                                      WorkBudget* budget = nullptr);
-  StatusOr<Structure> EvaluateDatalog(const datalog::Program& program,
-                                      DatalogBackend backend,
                                       RunStats* stats = nullptr,
                                       WorkBudget* budget = nullptr);
 

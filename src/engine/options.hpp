@@ -10,15 +10,6 @@
 
 namespace treedl {
 
-/// Which datalog fixpoint engine serves EvaluateDatalog / EvaluateMso. The
-/// naive engine is a test oracle only: call datalog::NaiveEvaluate directly.
-enum class DatalogBackend {
-  kSemiNaive,  // delta-driven (the general default)
-  kGrounded,   // Thm 4.4 two-phase ground + LTUR (quasi-guarded programs only)
-};
-
-const char* DatalogBackendName(DatalogBackend backend);
-
 struct EngineOptions {
   /// Elimination heuristic for the session decomposition.
   TdHeuristic heuristic = TdHeuristic::kMinFill;
@@ -28,8 +19,6 @@ struct EngineOptions {
   /// supplied, loaded or improved) is validated once against the §2.2
   /// conditions; queries then reuse it unchecked.
   std::optional<TreeDecomposition> decomposition;
-  /// Datalog backend for EvaluateDatalog and compiled MSO queries.
-  DatalogBackend backend = DatalogBackend::kSemiNaive;
   /// Extract a witness (e.g. an actual coloring) from Solve when available.
   bool extract_witness = true;
   /// Worker threads of the session's own work-stealing pool: SolveAll's

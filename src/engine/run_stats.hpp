@@ -70,12 +70,12 @@ struct RunStats {
   size_t fixpoint_rounds = 0;
   /// Rule plans the semi-naive engine ran: one full plan per rule in round
   /// 0, then one delta variant per rule x positive intensional body
-  /// position in every delta round. A pure function of the program and the
+  /// literal in every delta round. A pure function of the program and the
   /// round count; the engine charges its WorkBudget one unit per plan.
   size_t fixpoint_rule_tasks = 0;
   /// Join plans compiled by Prepare: one full plan per rule plus one delta
-  /// variant per positive intensional body position. A pure function of the
-  /// program — identical across backends and repeats.
+  /// variant per positive intensional body literal. A pure function of the
+  /// program — identical across repeats.
   size_t plan_compiles = 0;
   /// StepExecutor::Execute invocations by the compiled semi-naive engine —
   /// one per join-plan step entered per prefix binding. When evaluation is

@@ -36,10 +36,6 @@ Server::Server(ServerOptions options) : options_(std::move(options)) {
   pool_options.max_sessions = options_.max_sessions;
   pool_options.table_memory_budget = options_.table_memory_budget;
   pool_options.session_dir = options_.session_dir;
-  pool_options.engine_options = options_.engine_options;
-  // Requests are the unit of parallelism (the front-end's workers); each
-  // pooled engine runs its request sequentially, with no pool of its own.
-  pool_options.engine_options.num_threads = 1;
   pool_ = std::make_unique<SessionPool>(std::move(pool_options));
 }
 

@@ -61,14 +61,6 @@ struct ServerOptions {
   /// OK replies. Off for byte-stable transcripts that must not depend on
   /// cache state.
   bool echo_stats = true;
-  /// Template for pooled engines. Witness extraction defaults off: the
-  /// serving layer prefers evictable tables over coloring witnesses. The
-  /// server overrides num_threads to 1: pooled engines run sequentially.
-  EngineOptions engine_options = [] {
-    EngineOptions options;
-    options.extract_witness = false;
-    return options;
-  }();
 };
 
 /// A point-in-time snapshot of the server counters (the live counters are

@@ -11,6 +11,15 @@ namespace treedl::server {
 
 namespace {
 
+/// Pooled engines run sequentially (requests are the server's unit of
+/// parallelism) and keep evictable tables rather than coloring witnesses.
+const EngineOptions kPooledEngineOptions = [] {
+  EngineOptions options;
+  options.extract_witness = false;
+  options.num_threads = 1;
+  return options;
+}();
+
 bool FileExists(const std::string& path) {
   std::FILE* file = std::fopen(path.c_str(), "rb");
   if (file == nullptr) return false;
@@ -115,7 +124,7 @@ StatusOr<SessionPool::Lease> SessionPool::Acquire(const Structure& structure) {
   bool quarantined = false;
   size_t artifact_loads = 0;
   if (build_status.ok()) {
-    engine = std::make_shared<Engine>(structure, options_.engine_options);
+    engine = std::make_shared<Engine>(structure, kPooledEngineOptions);
     if (!options_.session_dir.empty()) {
       std::string path = SessionFilePath(fingerprint);
       if (FileExists(path)) {

@@ -48,7 +48,6 @@
 
 #include "common/status.hpp"
 #include "engine/engine.hpp"
-#include "engine/options.hpp"
 
 namespace treedl::server {
 
@@ -64,8 +63,6 @@ struct SessionPoolOptions {
   /// Directory of session files ("<16-hex-fingerprint>.tdls"). Empty
   /// disables warm start and Save.
   std::string session_dir;
-  /// Template for pooled engines (the server makes them sequential).
-  EngineOptions engine_options;
 };
 
 struct SessionPoolCounters {

@@ -3,7 +3,7 @@
 // The compiled semi-naive engine (columnar FactStore + JoinPlan executors)
 // is pinned against two independent implementations of the same semantics:
 // the interpreted naive oracle (tuple-at-a-time ApplyRule) and — on
-// quasi-guarded programs — the Thm 4.4 grounded-LTUR backend. Randomized
+// quasi-guarded programs — the Thm 4.4 grounded-LTUR pipeline. Randomized
 // program/EDB instances are generated from TestSeed()-derived seeds, so
 // every failure reproduces from the logged seed; the model must agree
 // across engines and the compiled work counters with the oracle's. Adversarial bound patterns and parser-level garbage
@@ -18,9 +18,15 @@
 #include "datalog/analysis.hpp"
 #include "datalog/database.hpp"
 #include "datalog/eval.hpp"
+#include "datalog/eval_internal.hpp"
 #include "datalog/grounder.hpp"
 #include "datalog/parser.hpp"
+#include "datalog/tau_td.hpp"
+#include "graph/gaifman.hpp"
+#include "graph/generators.hpp"
 #include "structure/structure.hpp"
+#include "td/heuristics.hpp"
+#include "td/normalize.hpp"
 
 #include "test_util.hpp"
 
@@ -128,7 +134,7 @@ struct Instance {
 /// shapes: all-free atoms, repeated variables, constants in any (or every)
 /// position, nullary predicates, extensional negation, ground facts. The
 /// quasi-guarded family puts every rule variable into one extensional guard
-/// atom so the grounded backend is applicable.
+/// atom so the grounded pipeline is applicable.
 Instance RandomInstance(Rng* rng, bool quasi_guarded) {
   const size_t num_elements = 3 + rng->UniformIndex(5);
   std::vector<std::string> elements;
@@ -453,9 +459,9 @@ TEST(DatalogExecutorTest, ParserGarbageCompilesOrRejectsCleanly) {
 
 TEST(DatalogExecutorTest, EdbFirstRecursiveRuleMatchesNaive) {
   // The recursive rule is *written* EDB-first. The analyzer's
-  // intensional-first plan ordering must put path(Y, Z) at plan position 0,
-  // so the delta plan starts from the delta; the model must still equal the
-  // naive oracle's.
+  // intensional-first full plan puts path(Y, Z) at plan position 0 (a delta
+  // variant starts from its delta whatever the full plan's order); the
+  // model must still equal the naive oracle's.
   auto program = ParseProgram(
       "path(X, Y) :- e(X, Y).\n"
       "path(X, Z) :- e(X, Y), path(Y, Z).\n");
@@ -482,6 +488,61 @@ TEST(DatalogExecutorTest, EdbFirstRecursiveRuleMatchesNaive) {
   ASSERT_TRUE(naive.ok());
   EXPECT_TRUE(*naive == *semi);
   EXPECT_EQ(semi_run.derived_facts, n * (n - 1) / 2);
+}
+
+// --- Delta-first variant plans ---------------------------------------------
+
+// Semi-naive stays linear on a quasi-guarded τ_td program: each delta
+// variant starts from its delta literal and joins outward through the
+// child/bag atoms. With the full plan's order for every variant, the branch
+// rule's good(V2) variant would scan all of good(V1) in every round, and
+// executor dispatches would grow about 4x per doubling of the path.
+TEST(DatalogExecutorTest, DeltaFirstVariantsKeepQuasiGuardedFixpointLinear) {
+  auto program = ParseProgram(
+      "good(V) :- bag(V, X0, X1), leaf(V), e(X0, X1).\n"
+      "good(V) :- bag(V, X0, X1), child1(V1, V), good(V1), "
+      "bag(V1, Y0, Y1).\n"
+      "good(V) :- bag(V, X0, X1), child1(V1, V), child2(V2, V), good(V1), "
+      "good(V2), bag(V1, X0, X1), bag(V2, X0, X1).\n"
+      "success :- root(V), good(V).\n");
+  ASSERT_TRUE(program.ok()) << program.status();
+  ASSERT_TRUE(CheckQuasiGuarded(*program).ok());
+
+  size_t previous_dispatches = 0;
+  for (size_t n : {size_t{64}, size_t{128}, size_t{256}}) {
+    SCOPED_TRACE("n = " + std::to_string(n));
+    Structure a = GraphToStructure(PathGraph(n));
+    auto td = DecomposeStructure(a);
+    ASSERT_TRUE(td.ok()) << td.status();
+    auto tuple_td = NormalizeTuple(*td);
+    ASSERT_TRUE(tuple_td.ok()) << tuple_td.status();
+    auto atd = BuildTauTd(a, *tuple_td);
+    ASSERT_TRUE(atd.ok()) << atd.status();
+
+    auto prep = internal::Prepare(*program, atd->structure);
+    ASSERT_TRUE(prep.ok()) << prep.status();
+    const CompiledRule& branch = prep->compiled[2];
+    ASSERT_EQ(branch.delta_variants.size(), 2u);
+    for (const JoinPlan& variant : branch.delta_variants) {
+      for (size_t step = 0; step < variant.steps.size(); ++step) {
+        EXPECT_EQ(variant.steps[step].spec.is_delta, step == 0);
+      }
+    }
+
+    RunStats run;
+    auto semi = SemiNaiveEvaluate(*program, atd->structure, &run);
+    ASSERT_TRUE(semi.ok()) << semi.status();
+    auto grounded = GroundedEvaluate(*program, atd->structure);
+    ASSERT_TRUE(grounded.ok()) << grounded.status();
+    EXPECT_TRUE(*semi == *grounded);
+    EXPECT_GT(run.derived_facts, n);
+    if (previous_dispatches > 0) {
+      EXPECT_LE(2 * run.executor_dispatches, 5 * previous_dispatches)
+          << run.executor_dispatches << " dispatches after "
+          << previous_dispatches;
+    }
+    previous_dispatches = run.executor_dispatches;
+  }
 }
 
 }  // namespace

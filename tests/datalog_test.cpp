@@ -94,10 +94,9 @@ TEST(AnalysisTest, IntensionalClassificationAndMonadicity) {
 }
 
 TEST(AnalysisTest, PlansOrderIntensionalLiteralsFirst) {
-  // The recursive rule is written EDB-first, but the plan must schedule the
-  // intensional literal at position 0: that is where the semi-naive engine's
-  // delta literal has to sit for delta batching to split it into range
-  // tasks.
+  // The recursive rule is written EDB-first, but the full (round 0) plan
+  // schedules the intensional literal at position 0, and so does the rule's
+  // one delta variant, which always starts from its delta literal.
   auto program = ParseProgram(
       "path(X, Y) :- edge(X, Y).\n"
       "path(X, Z) :- edge(X, Y), path(Y, Z).\n");
@@ -107,6 +106,8 @@ TEST(AnalysisTest, PlansOrderIntensionalLiteralsFirst) {
   ASSERT_EQ(info->plans[1].size(), 2u);
   EXPECT_EQ(info->plans[1][0], 1u);  // path(Y, Z) scheduled first
   EXPECT_EQ(info->plans[1][1], 0u);
+  EXPECT_EQ(info->delta_plans[0], std::vector<std::vector<size_t>>{});
+  EXPECT_EQ(info->delta_plans[1], (std::vector<std::vector<size_t>>{{1, 0}}));
 
   // Fully-bound negatives still schedule ahead of intensional positives.
   auto negated = ParseProgram(
@@ -119,6 +120,8 @@ TEST(AnalysisTest, PlansOrderIntensionalLiteralsFirst) {
   EXPECT_EQ(neg_info->plans[1][0], 0u);  // odd(X): intensional, first
   EXPECT_EQ(neg_info->plans[1][1], 1u);  // succ binds Y
   EXPECT_EQ(neg_info->plans[1][2], 2u);  // negative filter last
+  EXPECT_EQ(neg_info->delta_plans[1],
+            (std::vector<std::vector<size_t>>{{0, 1, 2}}));
 }
 
 TEST(AnalysisTest, RejectsUnsafeRules) {

@@ -4,7 +4,9 @@
 
 #include "common/work_budget.hpp"
 #include "core/primality_internal.hpp"
+#include "datalog/analysis.hpp"
 #include "datalog/eval.hpp"
+#include "datalog/grounder.hpp"
 #include "datalog/parser.hpp"
 #include "engine/engine.hpp"
 #include "graph/gaifman.hpp"
@@ -308,6 +310,34 @@ TEST(EngineTest, SolveAllHonorsItsWorkBudget) {
   }
 }
 
+// Witness extraction keeps every DP table live (no eviction), so on a long
+// path the 3COL walk blows through a table-byte cap and sheds with
+// ResourceExhausted instead of growing without bound. An evicting walk on
+// the same Engine stays under the same cap and answers: the abort leaves the
+// session usable.
+TEST(EngineTest, TableBudgetAbortsWitnessExtractionButNotEviction) {
+  constexpr size_t kTableBytesCap = 17000;
+  EngineOptions options;
+  options.extract_witness = true;
+  options.num_threads = 1;
+  Engine engine = Engine::FromGraph(PathGraph(200), options);
+
+  WorkBudget witness_budget;
+  witness_budget.SetTableBytesLimit(kTableBytesCap);
+  auto three_color =
+      engine.Solve(Engine::Problem::kThreeColor, nullptr, &witness_budget);
+  ASSERT_FALSE(three_color.ok());
+  EXPECT_EQ(three_color.status().code(), StatusCode::kResourceExhausted)
+      << three_color.status();
+
+  WorkBudget evicting_budget;
+  evicting_budget.SetTableBytesLimit(kTableBytesCap);
+  auto vc =
+      engine.Solve(Engine::Problem::kVertexCover, nullptr, &evicting_budget);
+  ASSERT_TRUE(vc.ok()) << vc.status();
+  EXPECT_EQ(vc->optimum, 100u);
+}
+
 // A failing walk's status is the answer whichever walk finishes first: on a
 // 65-vertex path only #3COL fails (3 * 2^64 colorings do not fit in 64
 // bits), so SolveAll returns its OutOfRange at 1 and at 4 threads.
@@ -329,8 +359,10 @@ TEST(EngineTest, SolveAllReturnsTheFailingProblemsStatus) {
   }
 }
 
-// --- Datalog backends ---------------------------------------------------------
+// --- Datalog -----------------------------------------------------------------
 
+// The Engine's one datalog route (semi-naive) agrees with the naive oracle
+// and, on a quasi-guarded program, with Thm 4.4's grounded pipeline.
 TEST(EngineTest, DatalogBackendsAgree) {
   Structure edb(Signature::GraphSignature());
   for (int i = 0; i < 5; ++i) edb.AddElement("n" + std::to_string(i));
@@ -339,20 +371,25 @@ TEST(EngineTest, DatalogBackendsAgree) {
   ASSERT_TRUE(edb.AddFactNamed("e", {"n2", "n3"}).ok());
   ASSERT_TRUE(edb.AddFactNamed("e", {"n3", "n1"}).ok());
 
+  // Every rule is guarded by an e-atom over all of its variables.
   auto program = datalog::ParseProgram(R"(
-    path(X, Y) :- e(X, Y).
-    path(X, Y) :- e(X, Z), path(Z, Y).
+    start(X) :- e(X, Y), not e(Y, X).
+    reach(Y) :- start(X), e(X, Y).
+    reach(Y) :- e(X, Y), reach(X).
   )");
   ASSERT_TRUE(program.ok()) << program.status();
+  ASSERT_TRUE(datalog::CheckQuasiGuarded(*program).ok());
 
   Engine engine(edb);
   RunStats naive_stats, semi_stats;
   auto naive = datalog::NaiveEvaluate(*program, edb, &naive_stats);
-  auto semi = engine.EvaluateDatalog(*program, DatalogBackend::kSemiNaive,
-                                     &semi_stats);
+  auto semi = engine.EvaluateDatalog(*program, &semi_stats);
+  auto grounded = datalog::GroundedEvaluate(*program, edb);
   ASSERT_TRUE(naive.ok()) << naive.status();
   ASSERT_TRUE(semi.ok()) << semi.status();
+  ASSERT_TRUE(grounded.ok()) << grounded.status();
   EXPECT_TRUE(*naive == *semi);
+  EXPECT_TRUE(*grounded == *semi);
   EXPECT_GT(naive_stats.derived_facts, 0u);
   EXPECT_EQ(naive_stats.derived_facts, semi_stats.derived_facts);
   // Semi-naive attempts no more rule applications than naive.
@@ -369,7 +406,7 @@ TEST(EngineTest, DatalogBackendsAgree) {
   }
 }
 
-// --- MSO routing and backend equivalence on quasi-guarded programs ------------
+// --- MSO routing on quasi-guarded programs -----------------------------------
 
 TEST(EngineTest, MsoUnaryAgreesAcrossBackendsAndWithDirectEvaluation) {
   // Rank-1 unary query over {p/1} — the regime where the Thm 4.5
@@ -400,21 +437,16 @@ TEST(EngineTest, MsoUnaryAgreesAcrossBackendsAndWithDirectEvaluation) {
   EXPECT_EQ(expected, (std::vector<bool>{false, true, false, false, true,
                                          false}));
 
-  // Compiled route through each backend; the Thm 4.5 program is
-  // quasi-guarded, so even the grounded-LTUR backend applies.
-  for (DatalogBackend backend :
-       {DatalogBackend::kSemiNaive, DatalogBackend::kGrounded}) {
-    EngineOptions options;
-    options.backend = backend;
-    options.decomposition = path_td;
-    Engine engine{Structure(a), options};
-    auto selected = engine.EvaluateMsoUnary(*query, "x");
-    ASSERT_TRUE(selected.ok())
-        << DatalogBackendName(backend) << ": " << selected.status();
-    EXPECT_EQ(*selected, expected) << DatalogBackendName(backend);
-    // The compiled route reuses the session decomposition and τ_td encoding.
-    EXPECT_EQ(engine.CumulativeStats().td_builds, 1u);
-  }
+  // The compiled route: the Thm 4.5 program, evaluated semi-naively over
+  // the session's τ_td encoding.
+  EngineOptions options;
+  options.decomposition = path_td;
+  Engine engine{Structure(a), options};
+  auto selected = engine.EvaluateMsoUnary(*query, "x");
+  ASSERT_TRUE(selected.ok()) << selected.status();
+  EXPECT_EQ(*selected, expected);
+  // The compiled route reuses the session decomposition and τ_td encoding.
+  EXPECT_EQ(engine.CumulativeStats().td_builds, 1u);
 }
 
 TEST(EngineTest, MsoProgramCacheSkipsRepeatedThm45Construction) {

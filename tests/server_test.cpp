@@ -302,12 +302,10 @@ TEST(ServerTest, ReoptZeroUnitsIsANoOp) {
 }
 
 // Requests are the server's unit of parallelism: pooled engines run each
-// request sequentially whatever the engine template asks for, so a request
-// never shards its walk across threads the front-end's workers already use.
+// request sequentially, so a request never spreads its walks across threads
+// the front-end's workers already use.
 TEST(ServerTest, PooledEnginesRunSequentially) {
-  ServerOptions options = QuietOptions();
-  options.engine_options.num_threads = 4;
-  Server server(options);
+  Server server(QuietOptions());
   FrontendOptions frontend_options;
   frontend_options.num_threads = 4;
   Frontend frontend(&server, frontend_options);
