@@ -3,7 +3,8 @@
 // grounded pipeline (ground via the guards + LTUR), the compiled semi-naive
 // engine that the Engine runs (its delta-first variant plans keep it linear
 // too: the growth column should read about 2x per doubling of n), and the
-// naive oracle.
+// naive oracle. Each time is the median of kRepeats runs, so the growth
+// column reads through a noisy host.
 //
 // Flags: --quick shrinks the input ladder for CI; --json <path> writes the
 // deterministic counters of the largest instance (derived facts, fixpoint
@@ -11,9 +12,11 @@
 // no wall-clock, so a 1-CPU runner produces meaningful, comparable
 // artifacts). Every evaluator is called directly (datalog::GroundedEvaluate,
 // SemiNaiveEvaluate, NaiveEvaluate) on one prebuilt τ_td structure.
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <functional>
+#include <vector>
 
 #include "common/logging.hpp"
 #include "common/timer.hpp"
@@ -53,10 +56,19 @@ Structure Atd(size_t n) {
   return std::move(atd->structure);
 }
 
-double Once(const std::function<void()>& run) {
-  Timer timer;
-  run();
-  return timer.ElapsedMillis();
+constexpr int kRepeats = 5;
+
+/// Median wall-clock of kRepeats calls of `run`, in ms.
+double MedianMillis(const std::function<void()>& run) {
+  std::vector<double> millis;
+  for (int i = 0; i < kRepeats; ++i) {
+    Timer timer;
+    run();
+    millis.push_back(timer.ElapsedMillis());
+  }
+  std::nth_element(millis.begin(), millis.begin() + kRepeats / 2,
+                   millis.end());
+  return millis[kRepeats / 2];
 }
 
 using Evaluator = StatusOr<Structure> (*)(const datalog::Program&,
@@ -79,7 +91,8 @@ void RunQuasiGuardedBench(const BenchConfig& config) {
   TREEDL_CHECK(program.ok());
 
   std::printf("Quasi-guarded tau_td over path graphs: grounded LTUR vs "
-              "compiled semi-naive vs naive\n");
+              "compiled semi-naive vs naive (median of %d runs)\n",
+              kRepeats);
   std::printf("%6s %6s %12s %12s %9s %12s\n", "n", "|Atd|", "grounded ms",
               "seminaive ms", "growth", "naive ms");
   double previous_seminaive_ms = -1.0;
@@ -87,10 +100,10 @@ void RunQuasiGuardedBench(const BenchConfig& config) {
     Structure atd = Atd(n);
     Structure grounded_model{Signature()}, seminaive_model{Signature()},
         naive_model{Signature()};
-    double grounded_ms = Once([&] {
+    double grounded_ms = MedianMillis([&] {
       Evaluate(&datalog::GroundedEvaluate, *program, atd, &grounded_model);
     });
-    double seminaive_ms = Once([&] {
+    double seminaive_ms = MedianMillis([&] {
       Evaluate(&datalog::SemiNaiveEvaluate, *program, atd, &seminaive_model);
     });
     // Semi-naive time per doubling of n: about 2x when linear.
@@ -103,7 +116,7 @@ void RunQuasiGuardedBench(const BenchConfig& config) {
     // Naive evaluation is quadratic-ish in rounds; keep sizes smaller.
     double naive_ms = -1.0;
     if (n <= 128) {
-      naive_ms = Once([&] {
+      naive_ms = MedianMillis([&] {
         auto result = datalog::NaiveEvaluate(*program, atd);
         TREEDL_CHECK(result.ok()) << result.status();
         naive_model = std::move(*result);

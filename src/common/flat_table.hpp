@@ -8,18 +8,19 @@
 //               (introduce/forget/join) stream states contiguously instead of
 //               pointer-chasing hash buckets.
 //   slots_    — power-of-two open-addressing index (linear probing); each
-//               slot holds 1 + entry index, 0 = empty. Rehashing on growth
-//               touches only this small array — entries never move on rehash
-//               (they move only on the geometric dense-array growth, by
-//               move-construction).
+//               slot holds 1 + entry index, 0 = empty, at least two slots
+//               per entry of capacity.
 //
-// Both arrays live in the table's own bump Arena (common/arena.hpp): one
-// power-of-two block per growth step instead of one heap node per state,
-// and Release() hands the whole table's blocks back at once — the primitive
-// behind the DP's dead-table eviction. The blocks are recycled through the
-// BlockCache (common/block_cache.hpp), so an evicted table's blocks become
-// the next table's. MemoryBytes() reports the arena footprint, which the
-// tree-DP walk aggregates into DpStats::peak_table_bytes.
+// Both arrays share one allocation in the table's own bump Arena
+// (common/arena.hpp), and Release() hands the whole table's blocks back at
+// once — the primitive behind the DP's dead-table eviction. Reserve(n) sizes
+// that allocation for n entries up front, so a table whose size the caller
+// can bound is allocated once; past its capacity a table doubles, copying
+// its entries into a new allocation (the old one stays in the arena until
+// Release). The blocks are recycled through the BlockCache
+// (common/block_cache.hpp), so an evicted table's blocks become the next
+// table's. MemoryBytes() reports the arena footprint, which the tree-DP walk
+// aggregates into DpStats::peak_table_bytes.
 //
 // Iteration order is insertion order — deterministic given a deterministic
 // emission sequence, identical between sequential and sharded walks
@@ -29,6 +30,7 @@
 #ifndef TREEDL_COMMON_FLAT_TABLE_HPP_
 #define TREEDL_COMMON_FLAT_TABLE_HPP_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -85,6 +87,9 @@ class FlatTable {
   Iterator begin() const { return Iterator{records_}; }
   Iterator end() const { return Iterator{records_ + size_}; }
 
+  /// The i-th entry in insertion order; requires i < size().
+  const Entry& EntryAt(size_t i) const { return records_[i].entry; }
+
   /// Pointer to the value of `state`, or null.
   const Value* Find(const State& state) const {
     if (size_ == 0) return nullptr;
@@ -105,6 +110,13 @@ class FlatTable {
     const Value* value = Find(state);
     TREEDL_CHECK(value != nullptr) << "FlatTable::at: state not present";
     return *value;
+  }
+
+  /// Makes room for `n` entries in one allocation: inserts up to that many
+  /// entries never grow the table. A no-op when the capacity already
+  /// suffices.
+  void Reserve(size_t n) {
+    if (n > entry_capacity_) Resize(n);
   }
 
   /// The emit/merge primitive of the DP transition loops: inserts
@@ -163,22 +175,28 @@ class FlatTable {
   }
 
  private:
-  // Slot count stays >= 2x entry capacity, so the load factor never exceeds
-  // 0.5 and linear probing stays short.
-  void Grow() {
-    size_t new_entry_capacity = entry_capacity_ == 0 ? 8 : entry_capacity_ * 2;
-    size_t new_slot_count = new_entry_capacity * 2;
-    Record* new_records = arena_.template AllocateArray<Record>(
-        new_entry_capacity);
+  void Grow() { Resize(entry_capacity_ == 0 ? 8 : entry_capacity_ * 2); }
+
+  // Moves the entries into one new allocation of `capacity` records and a
+  // slot array of at least 2x that many slots, so the load factor never
+  // exceeds 0.5 and linear probing stays short.
+  void Resize(size_t capacity) {
+    TREEDL_CHECK(capacity <= (size_t{1} << 32) - 1)
+        << "FlatTable capacity " << capacity << " exceeds 32-bit slots";
+    size_t slot_count = std::bit_ceil(capacity * 2);
+    size_t record_bytes = capacity * sizeof(Record);
+    static_assert(alignof(Record) % alignof(uint32_t) == 0);
+    auto* block = static_cast<std::byte*>(arena_.Allocate(
+        record_bytes + slot_count * sizeof(uint32_t), alignof(Record)));
+    Record* new_records = reinterpret_cast<Record*>(block);
+    uint32_t* new_slots = reinterpret_cast<uint32_t*>(block + record_bytes);
     for (size_t i = 0; i < size_; ++i) {
       new (&new_records[i]) Record{records_[i].hash,
                                    std::move(records_[i].entry)};
       records_[i].entry.~Entry();
     }
-    uint32_t* new_slots = arena_.template AllocateArray<uint32_t>(
-        new_slot_count);
-    for (size_t i = 0; i < new_slot_count; ++i) new_slots[i] = 0;
-    size_t mask = new_slot_count - 1;
+    for (size_t i = 0; i < slot_count; ++i) new_slots[i] = 0;
+    size_t mask = slot_count - 1;
     for (size_t i = 0; i < size_; ++i) {
       size_t probe = new_records[i].hash & mask;
       while (new_slots[probe] != 0) probe = (probe + 1) & mask;
@@ -186,7 +204,7 @@ class FlatTable {
     }
     records_ = new_records;
     slots_ = new_slots;
-    entry_capacity_ = new_entry_capacity;
+    entry_capacity_ = capacity;
     slot_mask_ = mask;
   }
 

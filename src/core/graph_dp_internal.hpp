@@ -87,31 +87,17 @@ class ColorProblem {
     return MakeBagContext(node, &graph_);
   }
 
-  // Every colouring of the bag, base-3 odometer order (position 0 fastest),
-  // that is proper on the bag's edges.
+  // Every colouring of the bag that is proper on the bag's edges, in base-3
+  // odometer order (position 0 fastest): positions are coloured from the
+  // highest down, colours 0, 1, 2 at each, and a colour that clashes with an
+  // already coloured bag neighbour cuts its whole branch.
   template <typename Emit>
   void Leaf(const BagContext& ctx, Emit&& emit) const {
-    State s;
-    while (true) {
-      if (ProperOnBag(ctx, s)) emit(s, One());
-      int pos = 0;
-      for (; pos < ctx.size; ++pos) {
-        uint64_t bit = uint64_t{1} << pos;
-        if (s.p1 & bit) {  // 2 -> 0, carry
-          s.p1 &= ~bit;
-          continue;
-        }
-        if (s.p0 & bit) {  // 1 -> 2
-          s.p0 &= ~bit;
-          s.p1 |= bit;
-        } else {  // 0 -> 1
-          s.p0 |= bit;
-        }
-        break;
-      }
-      if (pos == ctx.size) break;
-    }
+    ColourDown(ctx, ctx.size - 1, State{}, emit);
   }
+
+  // The leaf size is known only once the bag's edges have pruned it.
+  size_t LeafStates(const BagContext& /*ctx*/) const { return 0; }
 
   // allowed(s, ·): the new vertex takes each colour no bag neighbour has.
   template <typename Emit>
@@ -123,6 +109,8 @@ class ColorProblem {
     if ((neighbours & open.p0) == 0) emit(child.Open(ctx.pos, 1), value);
     if ((neighbours & open.p1) == 0) emit(child.Open(ctx.pos, 2), value);
   }
+
+  size_t IntroduceFanOut(const BagContext& /*ctx*/) const { return 3; }
 
   template <typename Emit>
   void Forget(const BagContext& ctx, const State& child, const Value& value,
@@ -163,15 +151,24 @@ class ColorProblem {
     }
   }
 
-  static bool ProperOnBag(const BagContext& ctx, const State& s) {
-    uint64_t colour0 = ctx.All() & ~(s.p0 | s.p1);
-    for (int i = 0; i < ctx.size; ++i) {
-      uint64_t same = ((s.p0 >> i) & 1)   ? s.p0
-                      : ((s.p1 >> i) & 1) ? s.p1
-                                          : colour0;
-      if (ctx.adjacent[i] & same) return false;
+  // Colours positions p, p - 1, ..., 0 of `s`, whose positions above p are
+  // coloured, and emits each proper completion.
+  template <typename Emit>
+  static void ColourDown(const BagContext& ctx, int p, const State& s,
+                         Emit& emit) {
+    if (p < 0) {
+      emit(s, One());
+      return;
     }
-    return true;
+    uint64_t bit = uint64_t{1} << p;
+    uint64_t coloured = ctx.adjacent[p] & ~((bit << 1) - 1);
+    if ((coloured & ~(s.p0 | s.p1)) == 0) ColourDown(ctx, p - 1, s, emit);
+    if ((coloured & s.p0) == 0) {
+      ColourDown(ctx, p - 1, State{s.p0 | bit, s.p1}, emit);
+    }
+    if ((coloured & s.p1) == 0) {
+      ColourDown(ctx, p - 1, State{s.p0, s.p1 | bit}, emit);
+    }
   }
 
   const Graph& graph_;
@@ -201,16 +198,15 @@ class SubsetProblem {
     return MakeBagContext(node, &graph_);
   }
 
+  // Every feasible subset of the bag, in increasing mask order: positions
+  // are decided from the highest down, out before in, and a choice that
+  // breaks an edge to an already decided position cuts its whole branch.
   template <typename Emit>
   void Leaf(const BagContext& ctx, Emit&& emit) const {
-    for (uint64_t mask = 0; mask <= ctx.All(); ++mask) {
-      bool feasible = true;
-      for (int p = 0; p < ctx.size && feasible; ++p) {
-        feasible = FeasibleAt(ctx, mask, p);
-      }
-      if (feasible) emit(State{mask}, PopCount(mask));
-    }
+    ChooseDown(ctx, ctx.size - 1, 0, emit);
   }
+
+  size_t LeafStates(const BagContext& /*ctx*/) const { return 0; }
 
   // Child states are feasible on the child's bag, so only the edges at the
   // new position can fail.
@@ -223,6 +219,8 @@ class SubsetProblem {
       if (FeasibleAt(ctx, s, ctx.pos)) emit(State{s}, value + chosen);
     }
   }
+
+  size_t IntroduceFanOut(const BagContext& /*ctx*/) const { return 2; }
 
   template <typename Emit>
   void Forget(const BagContext& ctx, const State& child, const Value& value,
@@ -244,6 +242,26 @@ class SubsetProblem {
   }
 
  private:
+  // Decides positions p, p - 1, ..., 0 given the decided positions above p
+  // in `in_set`, and emits each feasible completion. Each bag edge is tested
+  // once, at its lower end.
+  template <typename Emit>
+  static void ChooseDown(const BagContext& ctx, int p, uint64_t in_set,
+                         Emit& emit) {
+    if (p < 0) {
+      emit(State{in_set}, PopCount(in_set));
+      return;
+    }
+    uint64_t bit = uint64_t{1} << p;
+    uint64_t decided = ctx.adjacent[p] & ~((bit << 1) - 1);
+    if (!kCover || (decided & ~in_set) == 0) {
+      ChooseDown(ctx, p - 1, in_set, emit);
+    }
+    if (kCover || (decided & in_set) == 0) {
+      ChooseDown(ctx, p - 1, in_set | bit, emit);
+    }
+  }
+
   // The bag edges at position p. Vertex cover: p is in the set or every bag
   // neighbour is. Independent set: p is out of the set or no bag neighbour
   // is in it.
@@ -305,6 +323,10 @@ class DominatingProblem {
     }
   }
 
+  size_t LeafStates(const BagContext& ctx) const {
+    return size_t{1} << ctx.size;
+  }
+
   template <typename Emit>
   void Introduce(const BagContext& ctx, const State& child, const Value& value,
                  Emit&& emit) const {
@@ -324,6 +346,8 @@ class DominatingProblem {
     if (neighbours & open.in_set) open.dominated |= bit;
     emit(open, value);
   }
+
+  size_t IntroduceFanOut(const BagContext& /*ctx*/) const { return 2; }
 
   template <typename Emit>
   void Forget(const BagContext& ctx, const State& child, const Value& value,

@@ -21,52 +21,6 @@ using internal::PrimalityProblem;
 using internal::PrimTable;
 using internal::TableMemoryTracker;
 
-/// One node of the top-down solve↓() pass (§5.3): the state set of a node
-/// characterizes the *envelope* T̄_s. Formulated per node — "compute my own
-/// table from my parent's" — so a parents-first chunk of nodes is a valid
-/// schedule for both the sequential walk and the inverted shard schedule.
-/// The step is the parent's kind inverted, run through the same
-/// internal::ApplyStep and PrimalityProblem hooks as the bottom-up pass; at
-/// a branch the sibling's bottom-up table joins in.
-void TopDownStep(const PrimalityProblem& problem,
-                 const NormalizedTreeDecomposition& ntd, TdNodeId x,
-                 const std::vector<PrimTable>& up, std::vector<PrimTable>* down) {
-  PrimTable* out = &(*down)[static_cast<size_t>(x)];
-  const std::vector<ElementId>& bag = ntd.Bag(x);
-  if (x == ntd.root()) {
-    // Base: the envelope of the root is the root node alone — the leaf rule
-    // applied to the root's bag.
-    internal::ApplyStep(problem, NormNodeKind::kLeaf,
-                        problem.Context(NormNodeKind::kLeaf, bag, 0), nullptr,
-                        nullptr, out);
-    return;
-  }
-  TdNodeId parent_id = ntd.node(x).parent;
-  const NormNode& parent = ntd.node(parent_id);
-  TREEDL_CHECK(parent.kind != NormNodeKind::kLeaf) << "leaf with children";
-  // The parent introduced e going up, so going down the envelope forgets it
-  // (e's occurrences all lie inside the envelope of the child); it forgot e
-  // going up, so going down the envelope introduces it fresh (e occurs only
-  // below the child, so only at the child from the envelope's perspective).
-  // A copy stays a copy. At a branch, T̄_child = T̄_parent ∪ T_sibling: the
-  // parent's envelope states join the sibling's subtree states.
-  NormNodeKind kind = parent.kind;
-  if (kind == NormNodeKind::kIntroduce) {
-    kind = NormNodeKind::kForget;
-  } else if (kind == NormNodeKind::kForget) {
-    kind = NormNodeKind::kIntroduce;
-  }
-  const PrimTable* sibling_up = nullptr;
-  if (kind == NormNodeKind::kBranch) {
-    TdNodeId sibling = parent.children[parent.children[0] == x ? 1 : 0];
-    sibling_up = &up[static_cast<size_t>(sibling)];
-  }
-  internal::ApplyStep(problem, kind,
-                      problem.Context(kind, bag, parent.element),
-                      &(*down)[static_cast<size_t>(parent_id)], sibling_up,
-                      out);
-}
-
 /// Top-down pass over one parents-first chunk. Eviction: after node x is
 /// processed, (a) up[sibling(x)] has seen its last read (x's branch join) —
 /// siblings release each other's tables, possibly from concurrent shards,
@@ -80,9 +34,10 @@ void TopDownChunk(const PrimalityProblem& problem,
                   TableMemoryTracker* memory, WorkBudget* budget,
                   std::vector<std::atomic<size_t>>* down_pending,
                   DpStats* stats) {
+  internal::JoinScratch scratch;
   for (TdNodeId x : nodes) {
     if (budget != nullptr && !budget->ConsumeUnit()) continue;
-    TopDownStep(problem, ntd, x, *up, down);
+    internal::TopDownStep(problem, ntd, x, *up, down, &scratch);
     internal::RecordTable((*down)[static_cast<size_t>(x)], memory, budget,
                           stats);
     if (x == ntd.root()) {
@@ -106,6 +61,44 @@ void TopDownChunk(const PrimalityProblem& problem,
 }  // namespace
 
 namespace internal {
+
+void TopDownStep(const PrimalityProblem& problem,
+                 const NormalizedTreeDecomposition& ntd, TdNodeId x,
+                 const std::vector<PrimTable>& up, std::vector<PrimTable>* down,
+                 JoinScratch* scratch) {
+  PrimTable* out = &(*down)[static_cast<size_t>(x)];
+  const std::vector<ElementId>& bag = ntd.Bag(x);
+  if (x == ntd.root()) {
+    // Base: the envelope of the root is the root node alone — the leaf rule
+    // applied to the root's bag.
+    ApplyStep(problem, NormNodeKind::kLeaf,
+              problem.Context(NormNodeKind::kLeaf, bag, 0), nullptr, nullptr,
+              out, scratch);
+    return;
+  }
+  TdNodeId parent_id = ntd.node(x).parent;
+  const NormNode& parent = ntd.node(parent_id);
+  TREEDL_CHECK(parent.kind != NormNodeKind::kLeaf) << "leaf with children";
+  // The parent introduced e going up, so going down the envelope forgets it
+  // (e's occurrences all lie inside the envelope of the child); it forgot e
+  // going up, so going down the envelope introduces it fresh (e occurs only
+  // below the child, so only at the child from the envelope's perspective).
+  // A copy stays a copy. At a branch, T̄_child = T̄_parent ∪ T_sibling: the
+  // parent's envelope states join the sibling's subtree states.
+  NormNodeKind kind = parent.kind;
+  if (kind == NormNodeKind::kIntroduce) {
+    kind = NormNodeKind::kForget;
+  } else if (kind == NormNodeKind::kForget) {
+    kind = NormNodeKind::kIntroduce;
+  }
+  const PrimTable* sibling_up = nullptr;
+  if (kind == NormNodeKind::kBranch) {
+    TdNodeId sibling = parent.children[parent.children[0] == x ? 1 : 0];
+    sibling_up = &up[static_cast<size_t>(sibling)];
+  }
+  ApplyStep(problem, kind, problem.Context(kind, bag, parent.element),
+            &(*down)[static_cast<size_t>(parent_id)], sibling_up, out, scratch);
+}
 
 std::vector<bool> EnumeratePrimesPrepared(const PrimalityContext& context,
                                           const SchemaEncoding& encoding,

@@ -300,6 +300,9 @@ class PrimalityProblem {
     }
   }
 
+  /// The FD subsets the leaf keeps depend on each derivation order.
+  size_t LeafStates(const PrimStep& /*step*/) const { return 0; }
+
   /// Introduction of the step's element. An attribute joins Y, or is
   /// inserted anywhere into Co subject to consistent(FC, Co ⊎ {e}); an FD
   /// with rhs ∈ Y changes nothing, one with rhs ∈ Co is used or not used.
@@ -311,6 +314,13 @@ class PrimalityProblem {
     } else {
       IntroduceFd(step.layout, step.pos, s, emit);
     }
+  }
+
+  /// An attribute joins Y or takes one of at most |bag attributes| Co
+  /// slots; an FD is used or not.
+  size_t IntroduceFanOut(const PrimStep& step) const {
+    return step.attr ? static_cast<size_t>(std::popcount(step.layout.attrs)) + 1
+                     : 2;
   }
 
   /// Removal of the step's element: an attribute in Co must be derived
@@ -470,6 +480,19 @@ bool DecidePrimePrepared(const PrimalityContext& context,
                          const NormalizedTreeDecomposition& ntd,
                          ElementId a_elem, RunStats* stats,
                          const DpExec& exec = {});
+
+/// One node of the top-down solve↓() pass (§5.3): the state set of a node
+/// characterizes the *envelope* T̄_s. Formulated per node — "compute my own
+/// table from my parent's" — so a parents-first chunk of nodes is a valid
+/// schedule for both the sequential walk and the inverted shard schedule.
+/// The step is the parent's kind inverted, run through the same ApplyStep
+/// and PrimalityProblem hooks as the bottom-up pass; at a branch the
+/// sibling's bottom-up table (in `up`) joins in. Fills (*down)[x]; `scratch`
+/// is the chunk's join buffer.
+void TopDownStep(const PrimalityProblem& problem,
+                 const NormalizedTreeDecomposition& ntd, TdNodeId x,
+                 const std::vector<PrimTable>& up, std::vector<PrimTable>* down,
+                 JoinScratch* scratch);
 
 /// §5.3 two-pass enumeration over a prepared decomposition — validated,
 /// rhs-closed, normalized with PrimalityNormalizeOptions(·, true), and within

@@ -10,7 +10,9 @@
 //     using Value = ...;   // e.g. std::monostate (decision), uint64_t (count)
 //     Ctx Context(const NormNode& node);       // the step's context record
 //     template <typename Emit> void Leaf(ctx, Emit&& emit);
+//     size_t LeafStates(ctx);                   // exact leaf size, or 0
 //     template <typename Emit> void Introduce(ctx, state, value, Emit&& emit);
+//     size_t IntroduceFanOut(ctx);              // states per input state
 //     template <typename Emit> void Forget(ctx, state, value, Emit&& emit);
 //     JoinKey KeyOf(state);                     // JoinKey provides hash()/==
 //     template <typename Emit>
@@ -32,23 +34,28 @@
 // is the node's table insert itself (Emit is the walk's lambda, so the
 // transition inlines into the node loop). Merge must be commutative and
 // associative — the walks rely on this for order-independence of the final
-// tables.
+// tables. LeafStates and IntroduceFanOut only size a step's output table
+// (below): a low bound costs a regrowth, a high one memory, never a state.
 //
 // Branch nodes pair each left-child entry with the right-child entries of
 // equal join key, left-major, the right entries in insertion order
 // (internal::ForEachJoinPair). When KeyOf's type is State itself, KeyOf must
 // be the identity: the pair is then found by one probe of the right child's
 // table. Any other key indexes the right table by key into insertion-ordered
-// chains.
+// chains, whose links live in a buffer (internal::JoinScratch) that each
+// chunk of a walk reuses across its joins.
 //
 // State tables are flat, arena-backed open-addressing tables (StateTable =
 // FlatTable, common/flat_table.hpp): states live contiguously per bag in the
-// node's own bump arena — one block per growth step instead of one heap
-// node per state — and a whole table can be released at once, which is the
-// primitive behind dead-table eviction (below). The blocks come from the
-// library's BlockCache (common/block_cache.hpp): a released table's blocks
-// are the next tables' blocks, so a walk touches the same few cache-hot
-// blocks and never hands memory back to the OS mid-query.
+// node's own bump arena, and a whole table can be released at once, which is
+// the primitive behind dead-table eviction (below). Each step allocates its
+// output table once, sized from its inputs (internal::ApplyStep: |input| at
+// forget and copy, |input| × IntroduceFanOut at introduce, the smaller input
+// at a branch, LeafStates at a leaf); only a step that emits past that
+// doubles the table. The blocks come from the library's BlockCache
+// (common/block_cache.hpp): a released table's blocks are the next tables'
+// blocks, so a walk touches the same few cache-hot blocks and never hands
+// memory back to the OS mid-query.
 //
 // RunDp runs every bottom-up tree DP — the five graph DPs and both §5
 // PRIMALITY programs: one problem, one walk, one table per node — the
@@ -75,12 +82,15 @@
 // the whole decomposition, and nothing is left to tear down when the walk
 // ends but the root's table, which is never evicted (the caller reads its
 // answer there). DpStats::peak_table_bytes / tables_evicted report the
-// effect.
+// effect: the peak counts each live table's allocated capacity (its
+// reservation, plus any overflow), and an empty table holds no bytes and
+// is not counted as evicted.
 #ifndef TREEDL_CORE_TREE_DP_HPP_
 #define TREEDL_CORE_TREE_DP_HPP_
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <type_traits>
@@ -129,8 +139,9 @@ struct BagContext {
   uint64_t All() const { return (uint64_t{1} << size) - 1; }
 };
 
-/// The BagContext of `node`; with a `graph`, also its adjacency masks
-/// (|bag|²/2 edge tests at a leaf, |bag| - 1 at an introduce node).
+/// The BagContext of `node`; with a `graph`, also its adjacency masks, read
+/// off the adjacency lists of the bag's vertices — every vertex's at a leaf,
+/// the introduced one's at an introduce node — against the sorted bag.
 /// Requires |bag| <= kMaxDpBagSize.
 inline BagContext MakeBagContext(const NormNode& node,
                                  const Graph* graph = nullptr) {
@@ -142,21 +153,27 @@ inline BagContext MakeBagContext(const NormNode& node,
       node.kind == NormNodeKind::kForget) {
     ctx.pos = static_cast<int>(PositionInBag(node.bag, node.element));
   }
-  if (graph == nullptr) return ctx;
-  auto link = [&](int i, int j) {
-    if (graph->HasEdge(node.bag[static_cast<size_t>(i)],
-                       node.bag[static_cast<size_t>(j)])) {
-      ctx.adjacent[i] |= uint64_t{1} << j;
-      ctx.adjacent[j] |= uint64_t{1} << i;
+  if (graph == nullptr || node.bag.empty()) return ctx;
+  // Mask of the bag positions adjacent to vertex v.
+  auto bag_neighbours = [&](ElementId v) {
+    uint64_t mask = 0;
+    if (v >= graph->NumVertices()) return mask;
+    for (VertexId u : graph->Neighbors(v)) {
+      if (u < node.bag.front() || u > node.bag.back()) continue;
+      size_t p = PositionInBag(node.bag, u);
+      if (node.bag[p] == u) mask |= uint64_t{1} << p;
     }
+    return mask;
   };
   if (node.kind == NormNodeKind::kLeaf) {
     for (int i = 0; i < ctx.size; ++i) {
-      for (int j = i + 1; j < ctx.size; ++j) link(i, j);
+      ctx.adjacent[i] = bag_neighbours(node.bag[static_cast<size_t>(i)]);
     }
   } else if (node.kind == NormNodeKind::kIntroduce) {
-    for (int j = 0; j < ctx.size; ++j) {
-      if (j != ctx.pos) link(ctx.pos, j);
+    uint64_t neighbours = bag_neighbours(node.element);
+    ctx.adjacent[ctx.pos] = neighbours;
+    for (uint64_t rest = neighbours; rest != 0; rest &= rest - 1) {
+      ctx.adjacent[std::countr_zero(rest)] |= uint64_t{1} << ctx.pos;
     }
   }
   return ctx;
@@ -250,16 +267,24 @@ inline size_t HashWords(const uint64_t* words, size_t n) {
   return h;
 }
 
+/// Buffers a walk reuses across its branch joins (ForEachJoinPair). One per
+/// chunk of a walk, so concurrent shards never share one.
+struct JoinScratch {
+  /// next[i]: the right entry after entry i in its key's chain.
+  std::vector<uint32_t> next;
+};
+
 /// The branch-node pairing (header comment): calls pair(a, va, b, vb) for
 /// every entry (a, va) of `left` and (b, vb) of `right` with
 /// key_of(a) == key_of(b) — left-major, each left entry's partners in
 /// right-insertion order. A key of type State is the state itself, so each
 /// left state has at most one partner, found by probing `right`; any other
-/// key indexes `right` into one insertion-ordered chain per key.
+/// key indexes `right` into one insertion-ordered chain per key, in a chain
+/// table sized to |right| and `scratch`'s links.
 template <typename State, typename Value, typename KeyOf, typename Pair>
 void ForEachJoinPair(const FlatTable<State, Value>& left,
                      const FlatTable<State, Value>& right, KeyOf&& key_of,
-                     Pair&& pair) {
+                     Pair&& pair, JoinScratch* scratch) {
   if (left.empty() || right.empty()) return;
   using Key = std::decay_t<std::invoke_result_t<KeyOf&, const State&>>;
   if constexpr (std::is_same_v<Key, State>) {
@@ -273,15 +298,12 @@ void ForEachJoinPair(const FlatTable<State, Value>& left,
       uint32_t first;
       uint32_t last;
     };
-    using Entry = typename FlatTable<State, Value>::Entry;
-    std::vector<const Entry*> entries;
-    entries.reserve(right.size());
-    std::vector<uint32_t> next(right.size());
+    std::vector<uint32_t>& next = scratch->next;
+    next.resize(right.size());
     FlatTable<Key, Chain> chains;
-    for (const Entry& entry : right) {
-      uint32_t i = static_cast<uint32_t>(entries.size());
-      entries.push_back(&entry);
-      chains.Emplace(key_of(entry.first), Chain{i, i},
+    chains.Reserve(right.size());
+    for (uint32_t i = 0; i < right.size(); ++i) {
+      chains.Emplace(key_of(right.EntryAt(i).first), Chain{i, i},
                      [&](const Chain& chain, const Chain& added) {
                        next[chain.last] = added.first;
                        return Chain{chain.first, added.last};
@@ -291,7 +313,8 @@ void ForEachJoinPair(const FlatTable<State, Value>& left,
       const Chain* chain = chains.Find(key_of(state));
       if (chain == nullptr) continue;
       for (uint32_t i = chain->first;; i = next[i]) {
-        pair(state, value, entries[i]->first, entries[i]->second);
+        const auto& [partner, partner_value] = right.EntryAt(i);
+        pair(state, value, partner, partner_value);
         if (i == chain->last) break;
       }
     }
@@ -364,10 +387,17 @@ using TableOf = StateTable<typename Problem::State, typename Problem::Value>;
 /// input of a branch, `second` the right one; a leaf reads neither. RunDp
 /// steps each node from its children's tables, the §5.3 top-down pass each
 /// inverted node from its parent's.
+///
+/// `out` is sized once, before the first emit, from what bounds the step:
+/// |input| at a forget or copy, |input| × IntroduceFanOut at an introduce,
+/// the smaller input at a branch (a state pairs with at most one partner
+/// under an identity key), LeafStates at a leaf. A step that emits more
+/// grows the table by doubling; one that emits nothing keeps no storage, so
+/// only non-empty tables count as evicted.
 template <typename Problem, typename Ctx>
 void ApplyStep(const Problem& problem, NormNodeKind kind, const Ctx& ctx,
                const TableOf<Problem>* first, const TableOf<Problem>* second,
-               TableOf<Problem>* out) {
+               TableOf<Problem>* out, JoinScratch* scratch) {
   using State = typename Problem::State;
   using Value = typename Problem::Value;
   auto emit = [&](const State& state, Value value) {
@@ -378,45 +408,36 @@ void ApplyStep(const Problem& problem, NormNodeKind kind, const Ctx& ctx,
   };
   switch (kind) {
     case NormNodeKind::kLeaf:
+      out->Reserve(problem.LeafStates(ctx));
       problem.Leaf(ctx, emit);
       break;
     case NormNodeKind::kIntroduce:
+      out->Reserve(first->size() * problem.IntroduceFanOut(ctx));
       for (const auto& [state, value] : *first) {
         problem.Introduce(ctx, state, value, emit);
       }
       break;
     case NormNodeKind::kForget:
+      out->Reserve(first->size());
       for (const auto& [state, value] : *first) {
         problem.Forget(ctx, state, value, emit);
       }
       break;
     case NormNodeKind::kCopy:
+      out->Reserve(first->size());
       for (const auto& [state, value] : *first) emit(state, value);
       break;
     case NormNodeKind::kBranch:
+      out->Reserve(std::min(first->size(), second->size()));
       ForEachJoinPair(
           *first, *second,
           [&](const State& s) -> decltype(auto) { return problem.KeyOf(s); },
           [&](const State& a, const Value& va, const State& b,
-              const Value& vb) { problem.Join(ctx, a, va, b, vb, emit); });
+              const Value& vb) { problem.Join(ctx, a, va, b, vb, emit); },
+          scratch);
       break;
   }
-}
-
-/// Computes one node's state table from its children's completed tables.
-template <typename Problem>
-void DpProcessNode(const NormalizedTreeDecomposition& ntd, TdNodeId id,
-                   const Problem& problem,
-                   DpTable<typename Problem::State,
-                           typename Problem::Value>* table) {
-  const NormNode& node = ntd.node(id);
-  auto child = [&](size_t i) -> const TableOf<Problem>* {
-    if (i >= node.children.size()) return nullptr;
-    return &table->nodes[static_cast<size_t>(node.children[i])];
-  };
-  const auto ctx = problem.Context(node);
-  ApplyStep(problem, node.kind, ctx, child(0), child(1),
-            &table->nodes[static_cast<size_t>(id)]);
+  if (out->empty()) out->Release();
 }
 
 /// Eviction step: after node `id` was processed, its children's tables have
@@ -439,7 +460,8 @@ void EvictChildTables(const NormalizedTreeDecomposition& ntd, TdNodeId id,
 }
 
 /// One node step: transition + stats + memory accounting + child eviction
-/// under `retention` — what RunDp runs per node.
+/// under `retention` — what RunDp runs per node, from the node's children's
+/// completed tables.
 ///
 /// Budgeted runs claim one work unit per step and verify the hard live-byte
 /// cap after the node's table lands. An exhausted budget turns remaining
@@ -452,10 +474,17 @@ void DpStepNode(const NormalizedTreeDecomposition& ntd, TdNodeId id,
                 DpTable<typename Problem::State, typename Problem::Value>*
                     table,
                 TableMemoryTracker* memory, TableRetention retention,
-                DpStats* stats, WorkBudget* budget) {
+                DpStats* stats, WorkBudget* budget, JoinScratch* scratch) {
   if (budget != nullptr && !budget->ConsumeUnit()) return;
-  DpProcessNode(ntd, id, problem, table);
-  RecordTable(table->nodes[static_cast<size_t>(id)], memory, budget, stats);
+  const NormNode& node = ntd.node(id);
+  auto child = [&](size_t i) -> const TableOf<Problem>* {
+    if (i >= node.children.size()) return nullptr;
+    return &table->nodes[static_cast<size_t>(node.children[i])];
+  };
+  TableOf<Problem>* out = &table->nodes[static_cast<size_t>(id)];
+  ApplyStep(problem, node.kind, problem.Context(node), child(0), child(1), out,
+            scratch);
+  RecordTable(*out, memory, budget, stats);
   EvictChildTables(ntd, id, retention, table, memory);
 }
 
@@ -581,9 +610,10 @@ DpTable<typename Problem::State, typename Problem::Value> RunDp(
   internal::WalkChunks(
       ntd, exec,
       [&](const std::vector<TdNodeId>& nodes, DpStats* local) {
+        internal::JoinScratch scratch;
         for (TdNodeId id : nodes) {
           internal::DpStepNode(ntd, id, problem, &table, &memory, retention,
-                               local, exec.budget);
+                               local, exec.budget, &scratch);
         }
       },
       stats);

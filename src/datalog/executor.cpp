@@ -91,7 +91,8 @@ class IndexProbeExec final : public StepExecutor {
     const int arity = kStaticArity >= 0
                           ? kStaticArity
                           : static_cast<int>(step.actions.size());
-    ElementId key[32];
+    // Zeroed: an arity-0 probe hands Probe a key it never fills.
+    ElementId key[kStaticArity > 0 ? kStaticArity : 32] = {};
     int k = 0;
     for (int i = 0; i < arity; ++i) {
       size_t pos = static_cast<size_t>(i);

@@ -100,6 +100,55 @@ TEST(FlatTableTest, IterationIsInsertionOrdered) {
   }
 }
 
+// Reserve sizes the table once: inserts up to the reserved count allocate
+// nothing more and keep insertion order; past it the table doubles, and
+// every entry stays findable and in order.
+TEST(FlatTableTest, ReserveAllocatesOnceAndOverflowKeepsEveryEntry) {
+  for (size_t reserved : {1, 3, 24, 100}) {
+    SCOPED_TRACE(reserved);
+    FlatTable<VecState, size_t> table;
+    auto keep_first = [](const size_t& a, const size_t&) { return a; };
+    table.Reserve(reserved);
+    const size_t reserved_bytes = table.MemoryBytes();
+    EXPECT_GT(reserved_bytes, 0u);
+    std::vector<VecState> inserted;
+    auto state = [](size_t i) {
+      return VecState{{static_cast<uint8_t>(i), static_cast<uint8_t>(i >> 8)}};
+    };
+    for (size_t i = 0; i < reserved; ++i) {
+      inserted.push_back(state(i));
+      table.Emplace(inserted.back(), i, keep_first);
+      table.Emplace(inserted.back(), 999, keep_first);  // a merge, not an entry
+      ASSERT_EQ(table.MemoryBytes(), reserved_bytes) << "insert " << i;
+    }
+    table.Reserve(reserved);  // enough capacity already: a no-op
+    EXPECT_EQ(table.MemoryBytes(), reserved_bytes);
+    size_t i = 0;
+    for (const auto& [s, value] : table) {
+      EXPECT_EQ(s, inserted[i]);
+      EXPECT_EQ(value, i);
+      EXPECT_EQ(&table.EntryAt(i).first, &s);
+      ++i;
+    }
+    EXPECT_EQ(i, reserved);
+
+    // Overflow: three times the reservation, through the doubling path.
+    for (size_t j = reserved; j < 3 * reserved + 1; ++j) {
+      inserted.push_back(state(j));
+      table.Emplace(inserted.back(), j, keep_first);
+    }
+    EXPECT_GT(table.MemoryBytes(), reserved_bytes);
+    ASSERT_EQ(table.size(), inserted.size());
+    for (size_t j = 0; j < inserted.size(); ++j) {
+      const size_t* value = table.Find(inserted[j]);
+      ASSERT_NE(value, nullptr) << "entry " << j;
+      EXPECT_EQ(*value, j);
+      EXPECT_EQ(table.EntryAt(j).first, inserted[j]);
+    }
+    EXPECT_EQ(table.Find(state(5000)), nullptr);
+  }
+}
+
 TEST(FlatTableTest, ReleaseFreesEverythingAndTableStaysUsable) {
   Rng rng(TestSeed());
   FlatTable<VecState, uint64_t> table;

@@ -2,6 +2,7 @@
 // state counts for the five problems, and the state layouts' invariants.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <string>
 #include <utility>
 #include <vector>
@@ -10,6 +11,8 @@
 #include "core/graph_dp_internal.hpp"
 #include "engine/engine.hpp"
 #include "graph/generators.hpp"
+#include "td/heuristics.hpp"
+#include "td/normalize.hpp"
 
 #include "test_util.hpp"
 
@@ -113,9 +116,12 @@ TEST(GraphDpTest, GoldenStateCounts) {
 // --- State layouts ----------------------------------------------------------
 
 using core::BagContext;
+using core::internal::ColorProblem;
 using core::internal::ColorState;
 using core::internal::DominatingProblem;
 using core::internal::DomState;
+using core::internal::SubsetProblem;
+using core::internal::SubsetState;
 
 TEST(GraphDpLayoutTest, ColorStateOpensAndDropsAtPositionsZeroAndSixtyTwo) {
   // A 62-position colouring 0,1,2,0,1,2,... on positions 0..61.
@@ -143,6 +149,143 @@ TEST(GraphDpLayoutTest, EachColourEncodesToItsBitPlanes) {
     EXPECT_EQ(s.p0, kPlanes[c].first) << c;
     EXPECT_EQ(s.p1, kPlanes[c].second) << c;
     EXPECT_EQ(s.Colour(0), c);
+  }
+}
+
+// MakeBagContext reads the masks off the bag vertices' adjacency lists; they
+// must equal the pairwise edge tests: every bag edge at a leaf, the new
+// vertex's bag edges (both directions) at an introduce node, none elsewhere.
+TEST(GraphDpLayoutTest, BagContextMasksMatchPairwiseEdgeTests) {
+  Rng rng(TestSeed());
+  for (int trial = 0; trial < 6; ++trial) {
+    Graph graph = RandomPartialKTree(60, 2 + trial % 4, 0.6, &rng);
+    auto td = Decompose(graph);
+    ASSERT_TRUE(td.ok());
+    auto ntd = Normalize(*td);
+    ASSERT_TRUE(ntd.ok());
+    for (size_t id = 0; id < ntd->NumNodes(); ++id) {
+      const NormNode& node = ntd->node(static_cast<TdNodeId>(id));
+      BagContext ctx = core::MakeBagContext(node, &graph);
+      uint64_t expected[core::kMaxDpBagSize] = {};
+      for (int i = 0; i < ctx.size; ++i) {
+        for (int j = 0; j < ctx.size; ++j) {
+          bool tested = node.kind == NormNodeKind::kLeaf ||
+                        (node.kind == NormNodeKind::kIntroduce &&
+                         (i == ctx.pos || j == ctx.pos));
+          if (i != j && tested &&
+              graph.HasEdge(node.bag[static_cast<size_t>(i)],
+                            node.bag[static_cast<size_t>(j)])) {
+            expected[i] |= uint64_t{1} << j;
+          }
+        }
+      }
+      for (int i = 0; i < core::kMaxDpBagSize; ++i) {
+        ASSERT_EQ(ctx.adjacent[i], expected[i])
+            << "trial " << trial << " node " << id << " position " << i;
+      }
+    }
+  }
+}
+
+// The colouring leaf prunes improper prefixes, but it must emit exactly the
+// states of the base-3 odometer (position 0 fastest) that keeps the proper
+// colourings, in the odometer's order — the order fixes every later table.
+TEST(GraphDpLayoutTest, ColouringLeafEmitsTheOdometerSequence) {
+  Rng rng(TestSeed());
+  Graph graph(1);  // the hooks read only the context's masks
+  ColorProblem<false> decide(graph);
+  ColorProblem<true> count(graph);
+  for (int trial = 0; trial < 100; ++trial) {
+    BagContext ctx;
+    ctx.size = static_cast<int>(rng.UniformInt(1, 10));
+    double density = rng.UniformInt(0, 4) / 4.0;
+    for (int i = 0; i < ctx.size; ++i) {
+      for (int j = i + 1; j < ctx.size; ++j) {
+        if (!rng.Bernoulli(density)) continue;
+        ctx.adjacent[i] |= uint64_t{1} << j;
+        ctx.adjacent[j] |= uint64_t{1} << i;
+      }
+    }
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    std::vector<ColorState> expected;
+    int total = 1;
+    for (int i = 0; i < ctx.size; ++i) total *= 3;
+    for (int code = 0; code < total; ++code) {
+      ColorState s;
+      for (int i = 0, rest = code; i < ctx.size; ++i, rest /= 3) {
+        s.p0 |= uint64_t{rest % 3 == 1} << i;
+        s.p1 |= uint64_t{rest % 3 == 2} << i;
+      }
+      bool proper = true;
+      for (int i = 0; i < ctx.size; ++i) {
+        for (int j = i + 1; j < ctx.size; ++j) {
+          if (((ctx.adjacent[i] >> j) & 1) && s.Colour(i) == s.Colour(j)) {
+            proper = false;
+          }
+        }
+      }
+      if (proper) expected.push_back(s);
+    }
+    std::vector<ColorState> decided;
+    decide.Leaf(ctx, [&](const ColorState& s, std::monostate) {
+      decided.push_back(s);
+    });
+    EXPECT_EQ(decided, expected);
+    std::vector<ColorState> counted;
+    count.Leaf(ctx, [&](const ColorState& s, uint64_t value) {
+      EXPECT_EQ(value, 1u);
+      counted.push_back(s);
+    });
+    EXPECT_EQ(counted, expected);
+  }
+}
+
+// The vertex-cover and independent-set leaves prune the same way: they must
+// emit the feasible masks of the plain 0 .. 2^|bag| - 1 loop, in its order.
+TEST(GraphDpLayoutTest, SubsetLeavesEmitFeasibleMasksInIncreasingOrder) {
+  Rng rng(TestSeed());
+  Graph graph(1);
+  SubsetProblem<true> cover(graph);
+  SubsetProblem<false> independent(graph);
+  for (int trial = 0; trial < 100; ++trial) {
+    BagContext ctx;
+    ctx.size = static_cast<int>(rng.UniformInt(1, 10));
+    double density = rng.UniformInt(0, 4) / 4.0;
+    for (int i = 0; i < ctx.size; ++i) {
+      for (int j = i + 1; j < ctx.size; ++j) {
+        if (!rng.Bernoulli(density)) continue;
+        ctx.adjacent[i] |= uint64_t{1} << j;
+        ctx.adjacent[j] |= uint64_t{1} << i;
+      }
+    }
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    std::vector<uint64_t> expected_cover;
+    std::vector<uint64_t> expected_independent;
+    for (uint64_t mask = 0; mask <= ctx.All(); ++mask) {
+      bool covers = true;
+      bool independent_set = true;
+      for (int i = 0; i < ctx.size; ++i) {
+        for (int j = i + 1; j < ctx.size; ++j) {
+          if (!((ctx.adjacent[i] >> j) & 1)) continue;
+          bool in_i = (mask >> i) & 1;
+          bool in_j = (mask >> j) & 1;
+          covers = covers && (in_i || in_j);
+          independent_set = independent_set && !(in_i && in_j);
+        }
+      }
+      if (covers) expected_cover.push_back(mask);
+      if (independent_set) expected_independent.push_back(mask);
+    }
+    auto leaf = [&](const auto& problem) {
+      std::vector<uint64_t> masks;
+      problem.Leaf(ctx, [&](const SubsetState& s, size_t value) {
+        EXPECT_EQ(value, static_cast<size_t>(std::popcount(s.in_set)));
+        masks.push_back(s.in_set);
+      });
+      return masks;
+    };
+    EXPECT_EQ(leaf(cover), expected_cover);
+    EXPECT_EQ(leaf(independent), expected_independent);
   }
 }
 

@@ -1,14 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <variant>
 #include <vector>
 
 #include "core/program_listings.hpp"
 #include "common/thread_pool.hpp"
+#include "core/graph_dp_internal.hpp"
+#include "core/primality_internal.hpp"
 #include "core/tree_dp.hpp"
+#include "engine/engine.hpp"
 #include "graph/generators.hpp"
+#include "schema/encode.hpp"
+#include "schema/generators.hpp"
 #include "td/heuristics.hpp"
 #include "td/shard.hpp"
 
@@ -37,11 +44,13 @@ struct CountProblem {
   void Leaf(const BagContext& ctx, Emit&& emit) const {
     emit(UnitState{Size(ctx)}, Size(ctx));
   }
+  size_t LeafStates(const BagContext&) const { return 1; }
   template <typename Emit>
   void Introduce(const BagContext& ctx, const State&, const Value& value,
                  Emit&& emit) const {
     emit(UnitState{Size(ctx)}, value + 1);
   }
+  size_t IntroduceFanOut(const BagContext&) const { return 1; }
   template <typename Emit>
   void Forget(const BagContext& ctx, const State&, const Value& value,
               Emit&& emit) const {
@@ -173,6 +182,155 @@ TEST(TreeDpTest, ShardedWalkMatchesSequentialWalk) {
       EXPECT_EQ(table.nodes[id].size(), kept ? 1u : 0u) << "node " << id;
     }
     EXPECT_EQ(table.at(ntd->root()).begin()->second, g.NumVertices());
+  }
+}
+
+// --- Table identity ---------------------------------------------------------
+
+// Order-sensitive hash of every node's table: node by node, its size, then
+// each entry's state bytes and value in insertion order.
+struct TableHasher {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  void Mix(uint64_t x) {
+    h = (h ^ x) * 0x100000001b3ULL;
+    h ^= h >> 29;
+  }
+  template <typename State, typename Value>
+  void Add(const FlatTable<State, Value>& table) {
+    static_assert(std::has_unique_object_representations_v<State>);
+    Mix(table.size());
+    for (const auto& [state, value] : table) {
+      uint64_t words[(sizeof(State) + 7) / 8] = {};
+      std::memcpy(words, &state, sizeof(State));
+      for (uint64_t w : words) Mix(w);
+      if constexpr (!std::is_same_v<Value, std::monostate>) {
+        Mix(static_cast<uint64_t>(value));
+      }
+    }
+  }
+};
+
+template <typename Problem>
+uint64_t HashRunDp(const NormalizedTreeDecomposition& ntd,
+                   const Problem& problem) {
+  auto table = RunDp(ntd, problem, {}, nullptr, TableRetention::kAll);
+  TableHasher hasher;
+  for (const auto& node_table : table.nodes) hasher.Add(node_table);
+  return hasher.h;
+}
+
+// Every node's table — states, values and insertion order — of the five
+// graph DPs and of both PRIMALITY programs (the decision walk, and the
+// enumeration's bottom-up and top-down passes) on fixed instances, pinned
+// as one order-sensitive hash per walk. A change to how tables are built
+// (sizing, join indexing, leaf enumeration) must leave every hash alone.
+TEST(TreeDpTest, EveryNodeTableMatchesItsPinnedHash) {
+  struct GraphHashes {
+    const char* name;
+    uint64_t hashes[5];  // 3COL, #3COL, VC, IS, DS
+  };
+  const GraphHashes kGraphs[] = {
+      {"petersen",
+       {3359108459833144521ULL, 9261221518550409042ULL,
+        16776756388805544832ULL, 15731358305945622104ULL,
+        12060568482396018449ULL}},
+      {"grid4x5",
+       {205192180004107653ULL, 5622654351104122180ULL,
+        1543884559772129922ULL, 9497655224191787984ULL,
+        17326731840476326477ULL}},
+      {"pkt3",
+       {6052229428639153935ULL, 3338003751005943516ULL,
+        15651074077207778301ULL, 4399109965417715364ULL,
+        9995899412169046926ULL}},
+      {"pkt5",
+       {6865262517821721008ULL, 12150616636023210038ULL,
+        11843566196316476204ULL, 329241052315692633ULL,
+        1072199705713318515ULL}},
+  };
+  std::vector<Graph> graphs = {PetersenGraph(), GridGraph(4, 5)};
+  for (int k : {3, 5}) {
+    Rng rng(static_cast<uint64_t>(k));
+    graphs.push_back(RandomPartialKTree(60, k, 0.55, &rng));
+  }
+  for (size_t i = 0; i < graphs.size(); ++i) {
+    SCOPED_TRACE(kGraphs[i].name);
+    const Graph& graph = graphs[i];
+    auto td = Decompose(graph);
+    ASSERT_TRUE(td.ok());
+    auto ntd = Normalize(*td);
+    ASSERT_TRUE(ntd.ok());
+    const uint64_t* expected = kGraphs[i].hashes;
+    EXPECT_EQ(HashRunDp(*ntd, internal::ColorProblem<false>(graph)),
+              expected[0]);
+    EXPECT_EQ(HashRunDp(*ntd, internal::ColorProblem<true>(graph)),
+              expected[1]);
+    EXPECT_EQ(HashRunDp(*ntd, internal::SubsetProblem<true>(graph)),
+              expected[2]);
+    EXPECT_EQ(HashRunDp(*ntd, internal::SubsetProblem<false>(graph)),
+              expected[3]);
+    EXPECT_EQ(HashRunDp(*ntd, internal::DominatingProblem(graph)),
+              expected[4]);
+  }
+
+  struct SchemaHashes {
+    const char* name;
+    uint64_t decide, up, down;
+  };
+  const SchemaHashes kSchemas[] = {
+      {"paper", 8059767472933336830ULL, 14432556820192679469ULL,
+       9777572189747425401ULL},
+      {"balanced4", 11183653098895846872ULL, 14752995774959890344ULL,
+       8942886745794092763ULL},
+      {"window1", 11895032097067381214ULL, 5587530848625765214ULL,
+       3082795428846203761ULL},
+      {"window2", 3237479134124671379ULL, 17490386259999021885ULL,
+       15968682249392528023ULL},
+  };
+  std::vector<Schema> schemas = {Schema::PaperExampleSchema(),
+                                 GenerateBalancedInstance(4).schema};
+  for (uint64_t seed : {1, 2}) {
+    Rng rng(seed);
+    schemas.push_back(RandomWindowSchema(12, 10, 4, &rng));
+  }
+  for (size_t i = 0; i < schemas.size(); ++i) {
+    SCOPED_TRACE(kSchemas[i].name);
+    const Schema& schema = schemas[i];
+    SchemaEncoding encoding = EncodeSchema(schema);
+    internal::PrimalityContext context(schema, encoding);
+    internal::PrimalityProblem problem(context);
+    // The decompositions an Engine walks: the session's, rhs-closed, then
+    // re-rooted at attribute 0 (IsPrime) or not (AllPrimes).
+    Engine engine(schema);
+    auto td = engine.Decomposition();
+    ASSERT_TRUE(td.ok());
+    TreeDecomposition closed =
+        internal::CloseBagsForRhs(**td, encoding, context);
+    TreeDecomposition rooted = closed;
+    ASSERT_TRUE(
+        rooted.ReRoot(rooted.FindNodeContaining(encoding.AttrElement(0)))
+            .ok());
+    auto decide = Normalize(rooted, internal::PrimalityNormalizeOptions(
+                                        encoding, /*for_enumeration=*/false));
+    ASSERT_TRUE(decide.ok());
+    EXPECT_EQ(HashRunDp(*decide, problem), kSchemas[i].decide);
+
+    auto enumerate = Normalize(closed, internal::PrimalityNormalizeOptions(
+                                           encoding, /*for_enumeration=*/true));
+    ASSERT_TRUE(enumerate.ok());
+    std::vector<internal::PrimTable> up =
+        RunDp(*enumerate, problem, {}, nullptr, TableRetention::kAll).nodes;
+    std::vector<internal::PrimTable> down(enumerate->NumNodes());
+    std::vector<TdNodeId> order = enumerate->PostOrder();
+    internal::JoinScratch scratch;
+    for (auto it = order.rbegin(); it != order.rend(); ++it) {
+      internal::TopDownStep(problem, *enumerate, *it, up, &down, &scratch);
+    }
+    TableHasher up_hash;
+    for (const auto& table : up) up_hash.Add(table);
+    EXPECT_EQ(up_hash.h, kSchemas[i].up);
+    TableHasher down_hash;
+    for (const auto& table : down) down_hash.Add(table);
+    EXPECT_EQ(down_hash.h, kSchemas[i].down);
   }
 }
 
