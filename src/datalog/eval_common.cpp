@@ -52,11 +52,13 @@ StatusOr<PreparedProgram> Prepare(const Program& program,
     TREEDL_CHECK(copied == e);
   }
   prep.store = FactStore(combined);
-  for (const Fact& fact : edb.AllFacts()) {
-    // EDB predicate ids coincide with combined ids by construction.
-    prep.store.Add(fact.predicate, fact.args);
-    Status st = prep.result.AddFact(fact.predicate, fact.args);
-    TREEDL_CHECK(st.ok()) << st.ToString();
+  // EDB predicate ids coincide with combined ids by construction.
+  for (PredicateId p = 0; p < edb.signature().size(); ++p) {
+    for (const Tuple& fact : edb.Relation(p)) {
+      prep.store.Add(p, fact);
+      Status st = prep.result.AddFact(p, fact);
+      TREEDL_CHECK(st.ok()) << st.ToString();
+    }
   }
 
   // Resolve rules (translating predicate ids and interning constants); ground

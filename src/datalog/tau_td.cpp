@@ -27,9 +27,11 @@ StatusOr<TauTdEncoding> BuildTauTd(const Structure& a,
     ElementId copied = out.AddElement(a.ElementName(e));
     TREEDL_CHECK(copied == e);
   }
-  for (const Fact& fact : a.AllFacts()) {
-    Status st = out.AddFact(fact.predicate, fact.args);
-    TREEDL_CHECK(st.ok()) << st.ToString();
+  for (PredicateId p = 0; p < a.signature().size(); ++p) {
+    for (const Tuple& fact : a.Relation(p)) {
+      Status st = out.AddFact(p, fact);
+      TREEDL_CHECK(st.ok()) << st.ToString();
+    }
   }
 
   // One fresh element per tree node.

@@ -92,8 +92,13 @@ Engine::Engine(Structure structure, EngineOptions options)
       owned_structure_(std::make_unique<Structure>(std::move(structure))),
       sync_(std::make_unique<Sync>()) {}
 
+Engine::Engine(Graph graph, EngineOptions options)
+    : options_(std::move(options)),
+      gaifman_(std::move(graph)),
+      sync_(std::make_unique<Sync>()) {}
+
 Engine Engine::FromGraph(const Graph& graph, EngineOptions options) {
-  return Engine(GraphToStructure(graph), std::move(options));
+  return Engine(graph, std::move(options));
 }
 
 void Engine::Record(const RunStats& stats) {
@@ -143,8 +148,15 @@ StatusOr<const SchemaEncoding*> Engine::EnsureEncoding(RunStats* stats) {
   return encoding_.get();
 }
 
+const Structure& Engine::OwnedStructure() {
+  if (owned_structure_ == nullptr) {
+    owned_structure_ = std::make_unique<Structure>(GraphToStructure(*gaifman_));
+  }
+  return *owned_structure_;
+}
+
 StatusOr<const Structure*> Engine::EnsureStructure(RunStats* stats) {
-  if (owned_structure_ != nullptr) return owned_structure_.get();
+  if (schema_ == nullptr) return &OwnedStructure();
   TREEDL_ASSIGN_OR_RETURN(const SchemaEncoding* encoding,
                           EnsureEncoding(stats));
   return &encoding->structure;
@@ -164,14 +176,15 @@ StatusOr<const TreeDecomposition*> Engine::EnsureTd(RunStats* stats) {
     ++stats->cache_hits;
     return &*td_;
   }
-  TREEDL_ASSIGN_OR_RETURN(const Structure* structure, EnsureStructure(stats));
-  StatusOr<TreeDecomposition> td = [&]() -> StatusOr<TreeDecomposition> {
-    if (options_.decomposition.has_value()) return *options_.decomposition;
-    TREEDL_ASSIGN_OR_RETURN(const Graph* gaifman, EnsureGaifman(stats));
-    return Decompose(*gaifman, options_.heuristic);
-  }();
+  // §2.2: a decomposition of the structure is one of its Gaifman graph, so
+  // building and validating both read the graph only.
+  TREEDL_ASSIGN_OR_RETURN(const Graph* gaifman, EnsureGaifman(stats));
+  StatusOr<TreeDecomposition> td =
+      options_.decomposition.has_value()
+          ? StatusOr<TreeDecomposition>(*options_.decomposition)
+          : Decompose(*gaifman, options_.heuristic);
   TREEDL_RETURN_IF_ERROR(td.status());
-  TREEDL_RETURN_IF_ERROR(ValidateForStructure(*structure, *td));
+  TREEDL_RETURN_IF_ERROR(ValidateForGraph(*gaifman, *td));
   td_ = std::move(td).value();
   ++stats->td_builds;
   ++GlobalEngineCounters().td_builds;
@@ -590,7 +603,6 @@ StatusOr<Engine::ImproveResult> Engine::ImproveDecomposition(
     // and relies on the external-quiescence contract documented in the
     // header — no concurrent query, no outstanding artifact pointers.
     std::lock_guard<std::mutex> lock(sync_->cache_mu);
-    TREEDL_ASSIGN_OR_RETURN(const Structure* structure, EnsureStructure(s));
     TREEDL_ASSIGN_OR_RETURN(const TreeDecomposition* td, EnsureTd(s));
     TREEDL_ASSIGN_OR_RETURN(const Graph* gaifman, EnsureGaifman(s));
     ImproveOptions iopts;
@@ -606,7 +618,7 @@ StatusOr<Engine::ImproveResult> Engine::ImproveDecomposition(
     out.improved = outcome.improved;
     s->improve_rounds += outcome.rounds;
     if (!outcome.improved) return out;
-    TREEDL_RETURN_IF_ERROR(ValidateForStructure(*structure, outcome.td));
+    TREEDL_RETURN_IF_ERROR(ValidateForGraph(*gaifman, outcome.td));
     // Swap in the better decomposition and invalidate everything derived
     // from the old one; the next query lazily re-normalizes (and, for the
     // enumeration, re-shards).
@@ -637,12 +649,17 @@ uint64_t Engine::FingerprintOf(const Schema& schema) {
   return Fnv1a64("schema:" + schema.ToString());
 }
 
-uint64_t Engine::SessionFingerprint() const {
+uint64_t Engine::SessionFingerprint() {
   // Stable across processes: hash a canonical text rendering of the session
-  // input, tagged by session kind. Computable without building any artifact
-  // (a load into a cold engine must not count as a build).
+  // input, tagged by session kind. Builds no counted artifact (a load into a
+  // cold engine must not count as a build).
   if (schema_ != nullptr) return FingerprintOf(*schema_);
-  return FingerprintOf(*owned_structure_);
+  return FingerprintOf(OwnedStructure());
+}
+
+uint64_t Engine::Fingerprint() {
+  std::lock_guard<std::mutex> lock(sync_->cache_mu);
+  return SessionFingerprint();
 }
 
 // --- Accounting ---------------------------------------------------------------
@@ -710,36 +727,37 @@ size_t Engine::ResidentArtifactBytes() const {
 Status Engine::SaveSession(const std::string& path, RunStats* stats) {
   return RunQuery(stats, [&](RunStats* s) -> Status {
     engine::SessionArtifactRefs artifacts;
+    uint64_t fingerprint = 0;
     {
       // Snapshot pointers under the lock: every cache slot is set-once and
       // address-stable for the engine's lifetime, so serialization runs
       // outside the lock with no copies and no stalled queries.
       std::lock_guard<std::mutex> lock(sync_->cache_mu);
+      fingerprint = SessionFingerprint();
       if (td_.has_value()) artifacts.td = &*td_;
       if (primes_.has_value()) artifacts.primes = &*primes_;
     }
     s->artifact_saves += artifacts.Count();
-    return engine::WriteSessionFile(path, SessionFingerprint(), artifacts);
+    return engine::WriteSessionFile(path, fingerprint, artifacts);
   });
 }
 
 Status Engine::LoadSession(const std::string& path, RunStats* stats) {
   return RunQuery(stats, [&](RunStats* s) -> Status {
-    TREEDL_ASSIGN_OR_RETURN(
-        engine::SessionArtifacts artifacts,
-        engine::ReadSessionFile(path, SessionFingerprint()));
+    TREEDL_ASSIGN_OR_RETURN(engine::SessionArtifacts artifacts,
+                            engine::ReadSessionFile(path, Fingerprint()));
     std::lock_guard<std::mutex> lock(sync_->cache_mu);
     // Phase 1 — validate everything, adopt nothing: a file that fails any
     // check below leaves the decomposition and the memo as they were. The
-    // decomposition is checked against the session structure (a schema
-    // session pays its encode build here), so whatever a damaged file still
-    // decodes to is either a valid decomposition or rejected.
+    // decomposition is checked against the session's Gaifman graph (a
+    // schema session pays its encode build here), so whatever a damaged
+    // file still decodes to is either a valid decomposition or rejected.
     bool adopt_td = artifacts.td.has_value() && !td_.has_value();
     bool adopt_primes = artifacts.primes.has_value() && !primes_.has_value() &&
                         schema_ != nullptr;
     if (adopt_td) {
-      TREEDL_ASSIGN_OR_RETURN(const Structure* structure, EnsureStructure(s));
-      TREEDL_RETURN_IF_ERROR(ValidateForStructure(*structure, *artifacts.td));
+      TREEDL_ASSIGN_OR_RETURN(const Graph* gaifman, EnsureGaifman(s));
+      TREEDL_RETURN_IF_ERROR(ValidateForGraph(*gaifman, *artifacts.td));
     }
     if (adopt_primes &&
         artifacts.primes->size() !=

@@ -2,7 +2,7 @@
 //
 // The paper's headline result (§5.3) is that *one* tree decomposition of the
 // encoded input supports many queries in linear time each. The Engine makes
-// that concrete: constructed from a Schema or a τ-structure plus
+// that concrete: constructed from a Schema, a τ-structure or a graph plus
 // EngineOptions, it lazily computes and caches the schema encoding, Gaifman
 // graph, tree decomposition, rhs-closed decomposition, normalized forms, the
 // τ_td structure, the enumeration sharding, and compiled Thm 4.5 MSO programs,
@@ -111,7 +111,14 @@ class Engine {
   /// Structure session: MSO/datalog/graph queries over an arbitrary
   /// τ-structure.
   explicit Engine(Structure structure, EngineOptions options = {});
-  /// Graph session: stores the {e/2} encoding of `graph`.
+  /// Graph session: `graph` itself is the session's Gaifman graph, so the
+  /// graph DPs, decomposition and validation never leave it. The {e/2}
+  /// encoding GraphToStructure(graph) is built on first read only —
+  /// structure(), EvaluateDatalog, EvaluateMso*, Fingerprint, SaveSession,
+  /// LoadSession and ImproveDecomposition (which seeds from the
+  /// fingerprint) — and equals the encoding an Engine(GraphToStructure(
+  /// graph)) session holds, so both report one fingerprint and share
+  /// session files.
   static Engine FromGraph(const Graph& graph, EngineOptions options = {});
 
   Engine(Engine&&) = default;
@@ -245,8 +252,9 @@ class Engine {
   /// Restores the decomposition and primes memo from `path` into this
   /// session's cache (slots that are already built keep the in-memory
   /// artifact). The decomposition is adopted only after it validates
-  /// against the session structure — a schema session pays its one encode
-  /// build here — and the memo only if it has one entry per attribute.
+  /// against the session's Gaifman graph (ValidateForGraph) — a schema
+  /// session pays its one encode build here — and the memo only if it has
+  /// one entry per attribute.
   /// After a load into a cold engine, queries show zero td builds and one
   /// normalize build per normal form on first use. Sections of derived
   /// artifacts written by earlier builds are skipped. Corrupted,
@@ -258,8 +266,9 @@ class Engine {
 
   /// Stable hash of the session input (schema or structure): the value that
   /// stamps and verifies session files, and the key of the serving layer's
-  /// session pool. Computable without building any artifact.
-  uint64_t Fingerprint() const { return SessionFingerprint(); }
+  /// session pool. Builds no counted artifact; a graph session encodes its
+  /// structure here if nothing has yet.
+  uint64_t Fingerprint();
   /// The fingerprint an Engine constructed from the same input would report
   /// — lets a pool key a lookup before paying for Engine construction.
   static uint64_t FingerprintOf(const Structure& structure);
@@ -323,9 +332,14 @@ class Engine {
   /// The lazily created session thread pool, or null when the session is
   /// configured sequential (resolved num_threads <= 1).
   ThreadPool* EnsurePool();
+  /// Graph session: the stored input graph is the Gaifman graph.
+  Engine(Graph graph, EngineOptions options);
+  /// Structure and graph sessions: the owned structure, encoding a graph
+  /// session's input graph on first use.
+  const Structure& OwnedStructure();
   /// Stable hash of the session input (schema or structure) used to stamp
   /// and verify session files.
-  uint64_t SessionFingerprint() const;
+  uint64_t SessionFingerprint();
   /// EngineOptions::num_threads with 0 resolved to hardware concurrency.
   size_t ResolvedNumThreads() const;
   /// True when the MSO query must be answered by direct quantifier
@@ -347,7 +361,8 @@ class Engine {
 
   EngineOptions options_;
   // Owned inputs (unique_ptr keeps references inside cached artifacts stable
-  // across moves).
+  // across moves). A graph session's input is gaifman_, set at construction;
+  // its owned_structure_ is then built lazily like the artifacts below.
   std::unique_ptr<Schema> schema_;
   std::unique_ptr<Structure> owned_structure_;
   // Cached artifacts, built lazily under sync_->cache_mu and immutable

@@ -231,11 +231,13 @@ class Builder {
       if (delta.count(e)) continue;
       delta[e] = w.a.AddElement("m" + std::to_string(w.a.NumElements()));
     }
-    for (const Fact& fact : right.a.AllFacts()) {
-      Tuple args;
-      for (ElementId e : fact.args) args.push_back(delta.at(e));
-      Status st = w.a.AddFact(fact.predicate, std::move(args));
-      TREEDL_CHECK(st.ok()) << st.ToString();
+    for (PredicateId p = 0; p < right.a.signature().size(); ++p) {
+      for (const Tuple& fact : right.a.Relation(p)) {
+        Tuple args;
+        for (ElementId e : fact) args.push_back(delta.at(e));
+        Status st = w.a.AddFact(p, std::move(args));
+        TREEDL_CHECK(st.ok()) << st.ToString();
+      }
     }
     return w;
   }

@@ -26,42 +26,19 @@ Status CheckPermutation(const Graph& graph, const std::vector<VertexId>& order) 
 StatusOr<TreeDecomposition> DecompositionFromOrder(
     const Graph& graph, const std::vector<VertexId>& order) {
   TREEDL_RETURN_IF_ERROR(CheckPermutation(graph, order));
-  TreeDecomposition td;
   if (graph.NumVertices() == 0) {
+    TreeDecomposition td;
     td.AddNode({});
     return td;
   }
-  // Eliminate in order: order[i]'s bag is {v} ∪ N(v) at that point.
-  size_t n = graph.NumVertices();
   internal::EliminationGraph elim(graph, /*track_fill=*/false);
-  std::vector<int> position(n);
-  for (size_t i = 0; i < n; ++i) position[order[i]] = static_cast<int>(i);
-  std::vector<std::vector<ElementId>> bags(n);
-  std::vector<int> attach_position(n, -1);
-  for (size_t i = 0; i < n; ++i) {
-    VertexId v = order[i];
-    bags[i].push_back(v);
-    for (VertexId u : elim.Neighbors(v)) {
-      bags[i].push_back(u);
-      if (attach_position[i] == -1 || position[u] < attach_position[i]) {
-        attach_position[i] = position[u];
-      }
-    }
+  std::vector<std::vector<ElementId>> bags;
+  bags.reserve(order.size());
+  for (VertexId v : order) {
+    bags.push_back(elim.Bag(v));
     elim.Eliminate(v);
   }
-  // Build top-down: the last-eliminated vertex's bag is the root; the bag of
-  // order[i] hangs under the bag of its earliest later-eliminated neighbor
-  // (or under the next bag in order for isolated vertices, keeping one tree).
-  std::vector<TdNodeId> node_of_position(n, kNoTdNode);
-  node_of_position[n - 1] = td.AddNode(std::move(bags[n - 1]));
-  for (size_t i = n - 1; i-- > 0;) {
-    int parent_pos = attach_position[i];
-    if (parent_pos < 0) parent_pos = static_cast<int>(i) + 1;
-    node_of_position[i] =
-        td.AddNode(std::move(bags[i]),
-                   node_of_position[static_cast<size_t>(parent_pos)]);
-  }
-  return td;
+  return internal::TreeFromEliminationBags(std::move(bags));
 }
 
 StatusOr<int> OrderWidth(const Graph& graph,
@@ -77,6 +54,38 @@ StatusOr<int> OrderWidth(const Graph& graph,
 }
 
 namespace internal {
+
+TreeDecomposition TreeFromEliminationBags(
+    std::vector<std::vector<ElementId>> bags) {
+  size_t n = bags.size();
+  std::vector<size_t> position(n);
+  for (size_t i = 0; i < n; ++i) position[bags[i].front()] = i;
+  // Build top-down: the last-eliminated vertex's bag is the root; the bag of
+  // the i-th eliminated vertex hangs under the bag of its earliest
+  // later-eliminated neighbor (or under the next bag in order for isolated
+  // vertices, keeping one tree).
+  TreeDecomposition td;
+  std::vector<TdNodeId> node_of_position(n, kNoTdNode);
+  for (size_t i = n; i-- > 0;) {
+    size_t parent_pos = n;
+    for (size_t j = 1; j < bags[i].size(); ++j) {
+      parent_pos = std::min(parent_pos, position[bags[i][j]]);
+    }
+    if (parent_pos == n) parent_pos = i + 1;  // n for the last bag: the root
+    node_of_position[i] = td.AddNode(
+        std::move(bags[i]),
+        parent_pos < n ? node_of_position[parent_pos] : kNoTdNode);
+  }
+  return td;
+}
+
+std::vector<ElementId> EliminationGraph::Bag(VertexId v) const {
+  std::vector<ElementId> bag;
+  bag.reserve(adj_[v].size() + 1);
+  bag.push_back(v);
+  bag.insert(bag.end(), adj_[v].begin(), adj_[v].end());
+  return bag;
+}
 
 EliminationGraph::EliminationGraph(const Graph& graph, bool track_fill)
     : adj_(graph.NumVertices()),

@@ -41,9 +41,10 @@ class EliminationGraph {
  public:
   EliminationGraph(const Graph& graph, bool track_fill);
 
-  /// Live neighbours of a live vertex, in no particular order.
-  const std::vector<VertexId>& Neighbors(VertexId v) const { return adj_[v]; }
   size_t Degree(VertexId v) const { return adj_[v].size(); }
+  /// {v} ∪ N(v) with v first, then the live neighbours in no particular
+  /// order: the bag eliminating v now would form.
+  std::vector<ElementId> Bag(VertexId v) const;
   /// Requires `track_fill`.
   size_t Fill(VertexId v) const { return fill_[v]; }
 
@@ -64,6 +65,16 @@ class EliminationGraph {
   std::vector<VertexId> touched_;
   bool track_fill_;
 };
+
+/// The tree decomposition of a whole elimination: `bags[i]` (nonempty) is
+/// the EliminationGraph::Bag of the i-th eliminated vertex, taken just
+/// before its elimination. The last bag is the root (node 0); every other
+/// bag hangs under the bag of its earliest later-eliminated neighbour, or
+/// under the next bag in order when it has none, keeping one tree. Node ids
+/// count down the elimination order. DecompositionFromOrder and Decompose
+/// both finish here.
+TreeDecomposition TreeFromEliminationBags(
+    std::vector<std::vector<ElementId>> bags);
 
 }  // namespace internal
 

@@ -11,8 +11,14 @@
 
 namespace treedl {
 
-std::vector<VertexId> HeuristicOrder(const Graph& graph,
-                                     TdHeuristic heuristic) {
+namespace {
+
+/// The greedy elimination behind HeuristicOrder and Decompose. With `bags`,
+/// also records each eliminated vertex's bag ({v} ∪ N(v), taken just before
+/// its elimination) in the same pass.
+std::vector<VertexId> EliminateGreedily(
+    const Graph& graph, TdHeuristic heuristic,
+    std::vector<std::vector<ElementId>>* bags) {
   size_t n = graph.NumVertices();
   bool min_fill = heuristic == TdHeuristic::kMinFill;
   internal::EliminationGraph elim(graph, /*track_fill=*/min_fill);
@@ -32,10 +38,12 @@ std::vector<VertexId> HeuristicOrder(const Graph& graph,
   }
   std::vector<VertexId> order;
   order.reserve(n);
+  if (bags != nullptr) bags->reserve(n);
   while (!queue.empty()) {
     VertexId v = queue.begin()->second;
     queue.erase(queue.begin());
     order.push_back(v);
+    if (bags != nullptr) bags->push_back(elim.Bag(v));
     for (VertexId u : elim.Eliminate(v)) {
       queue.erase(key[u]);
       key[u].first = score(u);
@@ -45,12 +53,24 @@ std::vector<VertexId> HeuristicOrder(const Graph& graph,
   return order;
 }
 
+}  // namespace
+
+std::vector<VertexId> HeuristicOrder(const Graph& graph,
+                                     TdHeuristic heuristic) {
+  return EliminateGreedily(graph, heuristic, /*bags=*/nullptr);
+}
+
 StatusOr<TreeDecomposition> Decompose(const Graph& graph,
                                       TdHeuristic heuristic) {
   if (graph.NumVertices() == 0) {
     return Status::InvalidArgument("cannot decompose the empty graph");
   }
-  return DecompositionFromOrder(graph, HeuristicOrder(graph, heuristic));
+  // One elimination pass: the bags DecompositionFromOrder would rebuild from
+  // the order are recorded as the order is chosen (the adjacency lists
+  // evolve the same way with or without fill tracking).
+  std::vector<std::vector<ElementId>> bags;
+  EliminateGreedily(graph, heuristic, &bags);
+  return internal::TreeFromEliminationBags(std::move(bags));
 }
 
 StatusOr<TreeDecomposition> DecomposeStructure(const Structure& structure,

@@ -39,7 +39,10 @@ enum class TdHeuristic {
 std::vector<VertexId> HeuristicOrder(const Graph& graph, TdHeuristic heuristic);
 
 /// Decomposes `graph` with `heuristic` (default: min-fill, the session
-/// default that transcripts and bench baselines are pinned to).
+/// default that transcripts and bench baselines are pinned to). Node for
+/// node the decomposition DecompositionFromOrder(graph,
+/// HeuristicOrder(graph, heuristic)) builds, from one elimination pass: each
+/// bag is recorded as its vertex is chosen.
 StatusOr<TreeDecomposition> Decompose(const Graph& graph,
                                       TdHeuristic heuristic = TdHeuristic::kMinFill);
 

@@ -1,6 +1,7 @@
 #include "td/normalize.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -169,8 +170,10 @@ StatusOr<NormalizedTreeDecomposition> Normalize(const TreeDecomposition& td,
   if (td.Empty()) {
     return Status::InvalidArgument("cannot normalize empty tree decomposition");
   }
-  TreeDecomposition source =
-      options.ensure_leaf_coverage ? EnsureLeafCoverage(td) : td;
+  // Only leaf coverage rewrites the input; otherwise normalize it in place.
+  std::optional<TreeDecomposition> covered;
+  if (options.ensure_leaf_coverage) covered = EnsureLeafCoverage(td);
+  const TreeDecomposition& source = covered.has_value() ? *covered : td;
 
   NormalizedTreeDecomposition out;
   // tops[raw node] = normalized node whose bag equals the raw bag and which

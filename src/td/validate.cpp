@@ -111,23 +111,25 @@ Status ValidateForStructure(const Structure& structure,
                           }));
   // (2) fact coverage: only the bags of the rarest argument can cover a fact;
   // a fact without arguments is covered by any bag.
+  const Signature& signature = structure.signature();
   std::vector<ElementId> args;
-  for (const Fact& fact : structure.AllFacts()) {
-    args.assign(fact.args.begin(), fact.args.end());
-    std::sort(args.begin(), args.end());
-    args.erase(std::unique(args.begin(), args.end()), args.end());
-    if (args.empty()) continue;
-    const auto& candidates = occurrences[Rarest(occurrences, args)];
-    bool covered = std::any_of(
-        candidates.begin(), candidates.end(), [&](TdNodeId id) {
-          const auto& bag = td.Bag(id);
-          return std::includes(bag.begin(), bag.end(), args.begin(),
-                               args.end());
-        });
-    if (!covered) {
-      return Status::InvalidArgument(
-          "fact not covered by any bag: predicate " +
-          structure.signature().name(fact.predicate));
+  for (PredicateId p = 0; p < signature.size(); ++p) {
+    for (const Tuple& fact : structure.Relation(p)) {
+      args.assign(fact.begin(), fact.end());
+      std::sort(args.begin(), args.end());
+      args.erase(std::unique(args.begin(), args.end()), args.end());
+      if (args.empty()) continue;
+      const auto& candidates = occurrences[Rarest(occurrences, args)];
+      bool covered = std::any_of(
+          candidates.begin(), candidates.end(), [&](TdNodeId id) {
+            const auto& bag = td.Bag(id);
+            return std::includes(bag.begin(), bag.end(), args.begin(),
+                                 args.end());
+          });
+      if (!covered) {
+        return Status::InvalidArgument(
+            "fact not covered by any bag: predicate " + signature.name(p));
+      }
     }
   }
   return Status::OK();
@@ -141,16 +143,21 @@ Status ValidateForGraph(const Graph& graph, const TreeDecomposition& td) {
                             return "vertex not covered by any bag: v" +
                                    std::to_string(v);
                           }));
-  for (auto [u, v] : graph.Edges()) {
-    ElementId rare = occurrences[u].size() <= occurrences[v].size() ? u : v;
-    ElementId other = rare == u ? v : u;
-    const auto& candidates = occurrences[rare];
-    if (std::none_of(candidates.begin(), candidates.end(), [&](TdNodeId id) {
-          return td.BagContains(id, other);
-        })) {
-      return Status::InvalidArgument("edge not covered by any bag: {v" +
-                                     std::to_string(u) + ", v" +
-                                     std::to_string(v) + "}");
+  // (2) edge coverage, each edge once from its smaller end: only the bags of
+  // the rarer end can cover it.
+  for (VertexId u = 0; u < graph.NumVertices(); ++u) {
+    for (VertexId v : graph.Neighbors(u)) {
+      if (v < u) continue;
+      ElementId rare = occurrences[u].size() <= occurrences[v].size() ? u : v;
+      ElementId other = rare == u ? v : u;
+      const auto& candidates = occurrences[rare];
+      if (std::none_of(candidates.begin(), candidates.end(), [&](TdNodeId id) {
+            return td.BagContains(id, other);
+          })) {
+        return Status::InvalidArgument("edge not covered by any bag: {v" +
+                                       std::to_string(u) + ", v" +
+                                       std::to_string(v) + "}");
+      }
     }
   }
   return Status::OK();

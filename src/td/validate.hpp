@@ -19,7 +19,12 @@ namespace treedl {
 Status ValidateForStructure(const Structure& structure,
                             const TreeDecomposition& td);
 
-/// Graph version: condition (2) ranges over edges.
+/// Graph version: condition (2) ranges over edges, read off the adjacency
+/// lists in place. By the Helly property of subtrees (pairwise-intersecting
+/// subtrees of a tree share a node), a decomposition is valid for a
+/// structure exactly when ValidateForGraph accepts it on the structure's
+/// Gaifman graph: the Engine validates every decomposition it adopts this
+/// way, and ValidateForStructure remains the fact-level oracle.
 Status ValidateForGraph(const Graph& graph, const TreeDecomposition& td);
 
 }  // namespace treedl

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <string>
 
 #include "common/work_budget.hpp"
 #include "core/primality_internal.hpp"
@@ -403,6 +405,93 @@ TEST(EngineTest, DatalogBackendsAgree) {
                           std::to_string(run->fixpoint_rounds) + " ");
     EXPECT_NE(at, std::string::npos) << text;
     EXPECT_EQ(text.find("rounds=", at + 8), std::string::npos) << text;
+  }
+}
+
+// --- Graph sessions keep their graph -------------------------------------------
+
+// A FromGraph session decomposes, validates and solves on its input graph and
+// encodes the {e/2} structure only when something reads it. Everything it
+// reports must equal a session over that encoding: answers, decomposition,
+// fingerprint, the structure itself and datalog results, and a session file
+// saved by either must load into the other.
+TEST(EngineTest, GraphSessionMatchesTheSessionOverItsEncoding) {
+  Rng rng(TestSeed());
+  auto program = datalog::ParseProgram(R"(
+    two(X, Z) :- e(X, Y), e(Y, Z).
+    tri(X) :- two(X, Z), e(Z, X).
+  )");
+  ASSERT_TRUE(program.ok()) << program.status();
+  for (int trial = 0; trial < 4; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    Graph graph = RandomPartialKTree(20 + 15 * trial, 2 + trial % 3, 0.6, &rng);
+    for (int i = 0; i < trial; ++i) graph.AddVertex();  // isolated vertices
+    Structure encoded = GraphToStructure(graph);
+    Engine from_graph = Engine::FromGraph(graph);
+    Engine from_structure(encoded);
+
+    auto got = from_graph.SolveAll();
+    auto want = from_structure.SolveAll();
+    ASSERT_TRUE(got.ok()) << got.status();
+    ASSERT_TRUE(want.ok()) << want.status();
+    ExpectSameAnswers(*got, *want);
+    // Both hold the same graph, decomposition and normal form; only the
+    // structure session holds the encoding.
+    EXPECT_EQ(from_structure.ResidentArtifactBytes() -
+                  from_graph.ResidentArtifactBytes(),
+              Engine::EstimateStructureBytes(encoded));
+
+    auto got_td = from_graph.Decomposition();
+    auto want_td = from_structure.Decomposition();
+    ASSERT_TRUE(got_td.ok() && want_td.ok());
+    ASSERT_EQ((*got_td)->NumNodes(), (*want_td)->NumNodes());
+    EXPECT_EQ((*got_td)->root(), (*want_td)->root());
+    for (size_t i = 0; i < (*want_td)->NumNodes(); ++i) {
+      TdNodeId id = static_cast<TdNodeId>(i);
+      EXPECT_EQ((*got_td)->Bag(id), (*want_td)->Bag(id)) << "node " << i;
+      EXPECT_EQ((*got_td)->node(id).parent, (*want_td)->node(id).parent);
+    }
+
+    EXPECT_EQ(from_graph.Fingerprint(), from_structure.Fingerprint());
+    EXPECT_EQ(from_graph.Fingerprint(), Engine::FingerprintOf(encoded));
+    EXPECT_EQ(from_graph.ResidentArtifactBytes(),
+              from_structure.ResidentArtifactBytes());
+    auto structure = from_graph.structure();
+    ASSERT_TRUE(structure.ok()) << structure.status();
+    EXPECT_TRUE(**structure == encoded);
+
+    auto got_derived = from_graph.EvaluateDatalog(*program);
+    auto want_derived = from_structure.EvaluateDatalog(*program);
+    ASSERT_TRUE(got_derived.ok()) << got_derived.status();
+    ASSERT_TRUE(want_derived.ok()) << want_derived.status();
+    EXPECT_TRUE(*got_derived == *want_derived);
+
+    // Session files interchange both ways; the loaded session decomposes
+    // nothing. A session file numbers the decomposition's nodes its own
+    // way, so the two loaded sessions (which read the same decomposition)
+    // must agree exactly, and with the saving sessions up to the witness.
+    std::string graph_file = ::testing::TempDir() + "/graph_kind.tdls";
+    std::string structure_file = ::testing::TempDir() + "/structure_kind.tdls";
+    ASSERT_TRUE(from_graph.SaveSession(graph_file).ok());
+    ASSERT_TRUE(from_structure.SaveSession(structure_file).ok());
+    Engine loaded_structure(encoded);
+    Engine loaded_graph = Engine::FromGraph(graph);
+    ASSERT_TRUE(loaded_structure.LoadSession(graph_file).ok());
+    ASSERT_TRUE(loaded_graph.LoadSession(structure_file).ok());
+    std::vector<Engine::SolveAllResult> reloaded;
+    for (Engine* loaded : {&loaded_structure, &loaded_graph}) {
+      RunStats run;
+      auto again = loaded->SolveAll(&run);
+      ASSERT_TRUE(again.ok()) << again.status();
+      EXPECT_EQ(run.td_builds, 0u);
+      Engine::SolveAllResult unwitnessed = *again;
+      unwitnessed.coloring = want->coloring;
+      ExpectSameAnswers(unwitnessed, *want);
+      reloaded.push_back(*std::move(again));
+    }
+    ExpectSameAnswers(reloaded[0], reloaded[1]);
+    std::remove(graph_file.c_str());
+    std::remove(structure_file.c_str());
   }
 }
 

@@ -61,7 +61,9 @@ TEST(FlatTableTest, MatchesHashMapReferenceOnRandomMergeStreams) {
       auto ref_it = reference.find(probe);
       const uint64_t* found = flat.Find(probe);
       ASSERT_EQ(found != nullptr, ref_it != reference.end()) << "trial " << trial;
-      if (found != nullptr) EXPECT_EQ(*found, ref_it->second);
+      if (found != nullptr) {
+        EXPECT_EQ(*found, ref_it->second);
+      }
     }
 
     ASSERT_EQ(flat.size(), reference.size()) << "trial " << trial;

@@ -146,8 +146,9 @@ EdgeCase MakeEdgeCase(const std::string& facts,
   EXPECT_TRUE(parsed.ok()) << parsed.status();
   EdgeCase out{std::move(parsed).value(), Graph(), TreeDecomposition()};
   out.graph = Graph(out.structure.NumElements());
-  for (const Fact& fact : out.structure.AllFacts()) {
-    out.graph.AddEdge(fact.args[0], fact.args[1]);
+  PredicateId e = Signature::GraphSignature().PredicateIdOf("e").value();
+  for (const Tuple& fact : out.structure.Relation(e)) {
+    out.graph.AddEdge(fact[0], fact[1]);
   }
   for (size_t i = 0; i < bags.size(); ++i) {
     std::vector<ElementId> bag;
@@ -435,6 +436,152 @@ TEST(OrderOracleTest, OrdersAndDecompositionsMatchTheRescan) {
       EXPECT_EQ(OrderWidth(graph, order).value(), want.Width());
     }
   }
+}
+
+// `a` and `b` side by side plus `isolated` edgeless vertices, with vertex ids
+// shuffled so no component occupies a contiguous id range.
+Graph ScatteredUnion(const Graph& a, const Graph& b, size_t isolated,
+                     Rng* rng) {
+  size_t n = a.NumVertices() + b.NumVertices() + isolated;
+  std::vector<VertexId> id(n);
+  for (size_t i = 0; i < n; ++i) id[i] = static_cast<VertexId>(i);
+  for (size_t i = n; i > 1; --i) std::swap(id[i - 1], id[rng->UniformIndex(i)]);
+  Graph out(n);
+  for (auto [u, v] : a.Edges()) out.AddEdge(id[u], id[v]);
+  size_t offset = a.NumVertices();
+  for (auto [u, v] : b.Edges()) out.AddEdge(id[offset + u], id[offset + v]);
+  return out;
+}
+
+// Decompose records its bags in the greedy elimination pass itself; it must
+// build node for node (bags, parents, children, root) what
+// DecompositionFromOrder builds from the same order in a second pass.
+TEST(OrderOracleTest, DecomposeBuildsTheDecompositionOfItsOrder) {
+  Rng rng(TestSeed());
+  std::vector<Graph> family = OracleFamily(&rng);
+  for (int i = 0; i < 12; ++i) {
+    Graph a = RandomPartialKTree(10 + 5 * i, 1 + i % 4, 0.6, &rng);
+    Graph b = RandomGnp(8 + i, 0.3, &rng);
+    family.push_back(ScatteredUnion(a, b, static_cast<size_t>(i % 5), &rng));
+  }
+  family.push_back(ScatteredUnion(Graph(1), Graph(1), 3, &rng));
+  for (size_t g = 0; g < family.size(); ++g) {
+    SCOPED_TRACE("graph " + std::to_string(g));
+    const Graph& graph = family[g];
+    for (TdHeuristic h : {TdHeuristic::kMinDegree, TdHeuristic::kMinFill}) {
+      SCOPED_TRACE("heuristic " + std::to_string(static_cast<int>(h)));
+      auto got = Decompose(graph, h);
+      if (graph.NumVertices() == 0) {
+        EXPECT_FALSE(got.ok());
+        continue;
+      }
+      ASSERT_TRUE(got.ok()) << got.status();
+      auto want = DecompositionFromOrder(graph, HeuristicOrder(graph, h));
+      ASSERT_TRUE(want.ok()) << want.status();
+      ExpectSameDecomposition(*want, *got);
+      EXPECT_EQ(want->root(), got->root());
+      for (size_t i = 0; i < want->NumNodes(); ++i) {
+        TdNodeId id = static_cast<TdNodeId>(i);
+        EXPECT_EQ(want->node(id).children, got->node(id).children)
+            << "node " << i;
+      }
+      EXPECT_TRUE(ValidateForGraph(graph, *got).ok());
+    }
+  }
+}
+
+// --- ValidateForGraph against the fact-level oracle ---------------------------
+
+// A structure over predicates of arity 0 to 3 whose arguments are drawn with
+// repetition (so e.g. t(a, a, b) and b(c, c) occur).
+Structure RandomMixedArityStructure(Rng* rng) {
+  auto signature = Signature::Make({{"z", 0}, {"u", 1}, {"b", 2}, {"t", 3}});
+  EXPECT_TRUE(signature.ok()) << signature.status();
+  Structure s(*signature);
+  size_t n = 1 + rng->UniformIndex(10);
+  for (size_t i = 0; i < n; ++i) s.AddElement("a" + std::to_string(i));
+  size_t facts = rng->UniformIndex(3 * n + 1);
+  for (size_t f = 0; f < facts; ++f) {
+    PredicateId p = static_cast<PredicateId>(rng->UniformIndex(4));
+    Tuple args;
+    for (int i = 0; i < s.signature().arity(p); ++i) {
+      args.push_back(static_cast<ElementId>(rng->UniformIndex(n)));
+    }
+    EXPECT_TRUE(s.AddFact(p, std::move(args)).ok());
+  }
+  return s;
+}
+
+// `td` without the non-root node `drop`: its children hang under its parent.
+TreeDecomposition WithoutNode(const TreeDecomposition& td, TdNodeId drop) {
+  TreeDecomposition out;
+  std::vector<TdNodeId> renamed(td.NumNodes(), kNoTdNode);
+  for (TdNodeId t : td.PreOrder()) {
+    if (t == drop) continue;
+    TdNodeId parent = td.node(t).parent;
+    if (parent == drop) parent = td.node(drop).parent;
+    renamed[static_cast<size_t>(t)] = out.AddNode(
+        td.Bag(t),
+        parent == kNoTdNode ? kNoTdNode : renamed[static_cast<size_t>(parent)]);
+  }
+  return out;
+}
+
+// By the Helly property of subtrees, a decomposition covers every fact of a
+// structure exactly when it covers every edge of the Gaifman graph, so the
+// Engine's graph validator must accept and reject what the fact-level
+// validator does: on valid decompositions and on three mutations of them.
+TEST(ValidateTest, GraphValidatorAgreesWithTheStructureOracle) {
+  Rng rng(TestSeed());
+  size_t accepted = 0;
+  size_t rejected = 0;
+  auto expect_agree = [&](const Structure& s, const Graph& gaifman,
+                          const TreeDecomposition& td, const char* what) {
+    Status by_graph = ValidateForGraph(gaifman, td);
+    Status by_structure = ValidateForStructure(s, td);
+    EXPECT_EQ(by_graph.ok(), by_structure.ok())
+        << what << ": graph says " << by_graph.ToString() << ", structure says "
+        << by_structure.ToString() << "\n" << FormatStructure(s);
+    ++(by_structure.ok() ? accepted : rejected);
+  };
+  for (int trial = 0; trial < 400; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    Structure s = RandomMixedArityStructure(&rng);
+    Graph gaifman = GaifmanGraph(s);
+    size_t n = s.NumElements();
+    std::vector<VertexId> order(n);
+    for (size_t i = 0; i < n; ++i) order[i] = static_cast<VertexId>(i);
+    for (size_t i = n; i > 1; --i) {
+      std::swap(order[i - 1], order[rng.UniformIndex(i)]);
+    }
+    auto valid = DecompositionFromOrder(gaifman, order);
+    ASSERT_TRUE(valid.ok()) << valid.status();
+    expect_agree(s, gaifman, *valid, "valid");
+    TdNodeId t = static_cast<TdNodeId>(rng.UniformIndex(valid->NumNodes()));
+
+    // An element dropped from a bag.
+    std::vector<ElementId> bag = valid->Bag(t);
+    bag.erase(bag.begin() + static_cast<ptrdiff_t>(rng.UniformIndex(bag.size())));
+    TreeDecomposition dropped = *valid;
+    dropped.SetBag(t, bag);
+    expect_agree(s, gaifman, dropped, "element dropped");
+
+    // A subtree broken: an element added to a bag that may not touch its
+    // occurrences.
+    bag = valid->Bag(t);
+    bag.push_back(static_cast<ElementId>(rng.UniformIndex(n)));
+    TreeDecomposition broken = *valid;
+    broken.SetBag(t, bag);
+    expect_agree(s, gaifman, broken, "subtree broken");
+
+    // A bag removed.
+    if (valid->NumNodes() > 1) {
+      TdNodeId drop = t == valid->root() ? valid->node(t).children.front() : t;
+      expect_agree(s, gaifman, WithoutNode(*valid, drop), "bag removed");
+    }
+  }
+  EXPECT_GT(accepted, 100u);
+  EXPECT_GT(rejected, 100u);
 }
 
 TEST(HeuristicsTest, KnownWidths) {
