@@ -4,7 +4,10 @@
 // live-table peak and the tables the walks evicted; the minor page
 // faults of a warm DS solve (the library recycles its table memory, so a
 // warm solve faults almost nothing in); and the SaveSession/LoadSession cost
-// next to the artifact-build cost it amortizes away.
+// next to the artifact-build cost it amortizes away; and one warm 3COL
+// walk on tree fans of doubling size (graph/generators.hpp: a hub adjacent
+// to every vertex of a binary tree, width 2), with the growth per doubling:
+// a linear walk reads about 2x.
 //
 // Caches are warmed before timing, so the SolveAll rows time pure traversal
 // work. At 1 thread SolveAll runs exactly the five Solve walks one after
@@ -13,13 +16,16 @@
 //
 // Flags: --quick shrinks the instance for CI; --json <path> additionally
 // writes the deterministic counters (states, traversals, table bytes,
-// evictions — no wall-clock and no page faults, so a 1-CPU runner produces
-// meaningful, comparable artifacts).
+// evictions — no wall-clock, no page faults and no fan rows, so a 1-CPU
+// runner produces meaningful, comparable artifacts).
 #include <sys/resource.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "common/timer.hpp"
 #include "engine/engine.hpp"
@@ -109,6 +115,43 @@ void BenchSessionIo(const Graph& graph) {
       build_millis, save_run.artifact_saves, save_millis, load_millis);
 }
 
+/// Median of five warm 3COL walks (one sequential Solve each) on tree fans
+/// of 5k to 40k vertices, the ratio to the previous size, and the mean
+/// growth per doubling over the whole range. The hub is in about n/2 leaf
+/// bags, so a walk whose node steps paid its degree would grow about 4x per
+/// doubling. Printed only, not in --json.
+void BenchFanWalks() {
+  std::printf("  3COL walk on tree fans (hub adjacent to all, width 2):\n");
+  const size_t kSizes[] = {5000, 10000, 20000, 40000};
+  double first = 0;
+  double previous = 0;
+  for (size_t n : kSizes) {
+    EngineOptions options;
+    options.num_threads = 1;
+    options.extract_witness = false;
+    Engine engine = Engine::FromGraph(TreeFanGraph(n), options);
+    TREEDL_CHECK(engine.Solve(Engine::Problem::kThreeColor).ok());  // warm
+    std::vector<double> millis;
+    for (int repeat = 0; repeat < 5; ++repeat) {
+      Timer timer;
+      TREEDL_CHECK(engine.Solve(Engine::Problem::kThreeColor).ok());
+      millis.push_back(timer.ElapsedMillis());
+    }
+    std::sort(millis.begin(), millis.end());
+    double median = millis[2];
+    if (previous > 0) {
+      std::printf("    n=%6zu  %8.2f ms  x%.2f\n", n, median,
+                  median / previous);
+    } else {
+      std::printf("    n=%6zu  %8.2f ms\n", n, median);
+      first = median;
+    }
+    previous = median;
+  }
+  std::printf("    mean growth per doubling: x%.2f\n",
+              std::cbrt(previous / first));
+}
+
 void WriteJson(const BenchConfig& config, const RunStats& sequential,
                const RunStats& parallel) {
   FILE* out = std::fopen(config.json_path, "w");
@@ -146,6 +189,7 @@ void RunSolveAllBench(const BenchConfig& config) {
   RunStats parallel = BenchOneThreadCount(config, graph, 4);
   BenchWarmFaults(config, graph);
   BenchSessionIo(graph);
+  BenchFanWalks();
   if (config.json_path != nullptr) {
     WriteJson(config, sequential, parallel);
   }

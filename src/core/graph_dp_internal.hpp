@@ -13,7 +13,8 @@
 // Introduce opens a bit at the new position (OpenBit) and forget drops the
 // element's bit (DropBit), so every table holds the same states, in the same
 // insertion order, as a byte-per-position encoding would. The edge tests read
-// the node's BagContext masks (MakeBagContext); nothing survives the step.
+// the node's BagContext masks, which MakeBagContext probes from the EdgeIndex
+// each problem builds over its graph; nothing of a context survives the step.
 #ifndef TREEDL_CORE_GRAPH_DP_INTERNAL_HPP_
 #define TREEDL_CORE_GRAPH_DP_INTERNAL_HPP_
 
@@ -25,6 +26,7 @@
 #include <variant>
 
 #include "core/tree_dp.hpp"
+#include "graph/edge_index.hpp"
 #include "graph/graph.hpp"
 
 namespace treedl::core::internal {
@@ -81,10 +83,10 @@ class ColorProblem {
   using State = ColorState;
   using Value = std::conditional_t<kCounting, uint64_t, std::monostate>;
 
-  explicit ColorProblem(const Graph& graph) : graph_(graph) {}
+  explicit ColorProblem(const Graph& graph) : edges_(graph) {}
 
   BagContext Context(const NormNode& node) const {
-    return MakeBagContext(node, &graph_);
+    return MakeBagContext(node, &edges_);
   }
 
   // Every colouring of the bag that is proper on the bag's edges, in base-3
@@ -171,7 +173,7 @@ class ColorProblem {
     }
   }
 
-  const Graph& graph_;
+  EdgeIndex edges_;
 };
 
 /// Membership flags of the bag (header comment).
@@ -192,10 +194,10 @@ class SubsetProblem {
   using State = SubsetState;
   using Value = size_t;
 
-  explicit SubsetProblem(const Graph& graph) : graph_(graph) {}
+  explicit SubsetProblem(const Graph& graph) : edges_(graph) {}
 
   BagContext Context(const NormNode& node) const {
-    return MakeBagContext(node, &graph_);
+    return MakeBagContext(node, &edges_);
   }
 
   // Every feasible subset of the bag, in increasing mask order: positions
@@ -274,7 +276,7 @@ class SubsetProblem {
     }
   }
 
-  const Graph& graph_;
+  EdgeIndex edges_;
 };
 
 /// Per bag position: in the dominating set, already dominated, or waiting
@@ -303,10 +305,10 @@ class DominatingProblem {
   using State = DomState;
   using Value = size_t;
 
-  explicit DominatingProblem(const Graph& graph) : graph_(graph) {}
+  explicit DominatingProblem(const Graph& graph) : edges_(graph) {}
 
   BagContext Context(const NormNode& node) const {
-    return MakeBagContext(node, &graph_);
+    return MakeBagContext(node, &edges_);
   }
 
   // Every subset of the bag, with bag-internal domination.
@@ -373,7 +375,7 @@ class DominatingProblem {
   Value Merge(const Value& a, const Value& b) const { return std::min(a, b); }
 
  private:
-  const Graph& graph_;
+  EdgeIndex edges_;
 };
 
 }  // namespace treedl::core::internal

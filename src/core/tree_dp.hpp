@@ -28,7 +28,11 @@
 // (core/primality_internal.hpp: the bag's FD layout and the element's
 // position). States name bag *positions*, never element ids, so a state is a
 // few words and a transition is a handful of word operations. Nothing of the
-// context outlives the step.
+// context outlives the step. The masks come from O(1) probes of an EdgeIndex
+// (graph/edge_index.hpp) that each graph problem builds over its graph, one
+// per bag pair a transition may test, so a step's cost depends on its bag
+// and never on the degree of a vertex in it: a hub that sits in every bag
+// costs no more than any other vertex, and the walk stays linear.
 //
 // `emit(state, value)` may be called any number of times per transition; it
 // is the node's table insert itself (Emit is the walk's lambda, so the
@@ -90,7 +94,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <cstdint>
 #include <functional>
 #include <type_traits>
@@ -104,7 +107,7 @@
 #include "common/timer.hpp"
 #include "common/work_budget.hpp"
 #include "engine/run_stats.hpp"
-#include "graph/graph.hpp"
+#include "graph/edge_index.hpp"
 #include "td/normalize.hpp"
 #include "td/shard.hpp"
 
@@ -130,50 +133,48 @@ struct BagContext {
   /// for forget (the insertion point in this bag); -1 at other nodes.
   int pos = -1;
   /// adjacent[i] = mask of the bag positions adjacent to position i, over
-  /// the bag edges a transition may test (MakeBagContext with a graph): all
+  /// the bag edges a transition may test (MakeBagContext with an index): all
   /// of them at a leaf, those at `pos` at an introduce node (the child's
-  /// states already satisfy the rest), none elsewhere.
-  uint64_t adjacent[kMaxDpBagSize] = {};
+  /// states already satisfy the rest), none elsewhere. MakeBagContext sets
+  /// only positions i < size and leaves the rest uninitialized (they are
+  /// never read); a context built by hand starts as `BagContext ctx{}`.
+  uint64_t adjacent[kMaxDpBagSize];
 
   /// Mask of every bag position.
   uint64_t All() const { return (uint64_t{1} << size) - 1; }
 };
 
-/// The BagContext of `node`; with a `graph`, also its adjacency masks, read
-/// off the adjacency lists of the bag's vertices — every vertex's at a leaf,
-/// the introduced one's at an introduce node — against the sorted bag.
-/// Requires |bag| <= kMaxDpBagSize.
+/// The BagContext of `node`; with an `edges` index of the graph, also its
+/// adjacency masks, probed pair by pair: the |bag|·(|bag|−1)/2 bag pairs at
+/// a leaf, the introduced vertex's |bag|−1 at an introduce node, none
+/// elsewhere. No adjacency list is read, so a hub costs what any vertex
+/// costs. Requires |bag| <= kMaxDpBagSize.
 inline BagContext MakeBagContext(const NormNode& node,
-                                 const Graph* graph = nullptr) {
+                                 const EdgeIndex* edges = nullptr) {
   TREEDL_CHECK(node.bag.size() <= static_cast<size_t>(kMaxDpBagSize))
       << "bag of " << node.bag.size() << " elements exceeds the graph-DP limit";
   BagContext ctx;
   ctx.size = static_cast<int>(node.bag.size());
+  std::fill_n(ctx.adjacent, ctx.size, uint64_t{0});
   if (node.kind == NormNodeKind::kIntroduce ||
       node.kind == NormNodeKind::kForget) {
     ctx.pos = static_cast<int>(PositionInBag(node.bag, node.element));
   }
-  if (graph == nullptr || node.bag.empty()) return ctx;
-  // Mask of the bag positions adjacent to vertex v.
-  auto bag_neighbours = [&](ElementId v) {
-    uint64_t mask = 0;
-    if (v >= graph->NumVertices()) return mask;
-    for (VertexId u : graph->Neighbors(v)) {
-      if (u < node.bag.front() || u > node.bag.back()) continue;
-      size_t p = PositionInBag(node.bag, u);
-      if (node.bag[p] == u) mask |= uint64_t{1} << p;
+  if (edges == nullptr) return ctx;
+  auto link = [&](int i, int j) {
+    if (edges->Contains(node.bag[static_cast<size_t>(i)],
+                        node.bag[static_cast<size_t>(j)])) {
+      ctx.adjacent[i] |= uint64_t{1} << j;
+      ctx.adjacent[j] |= uint64_t{1} << i;
     }
-    return mask;
   };
   if (node.kind == NormNodeKind::kLeaf) {
     for (int i = 0; i < ctx.size; ++i) {
-      ctx.adjacent[i] = bag_neighbours(node.bag[static_cast<size_t>(i)]);
+      for (int j = i + 1; j < ctx.size; ++j) link(i, j);
     }
   } else if (node.kind == NormNodeKind::kIntroduce) {
-    uint64_t neighbours = bag_neighbours(node.element);
-    ctx.adjacent[ctx.pos] = neighbours;
-    for (uint64_t rest = neighbours; rest != 0; rest &= rest - 1) {
-      ctx.adjacent[std::countr_zero(rest)] |= uint64_t{1} << ctx.pos;
+    for (int i = 0; i < ctx.size; ++i) {
+      if (i != ctx.pos) link(ctx.pos, i);
     }
   }
   return ctx;

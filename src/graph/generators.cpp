@@ -28,6 +28,13 @@ Graph CompleteGraph(size_t n) {
   return g;
 }
 
+Graph TreeFanGraph(size_t n) {
+  Graph g(n);
+  for (VertexId v = 1; v < n; ++v) g.AddEdge(0, v);
+  for (VertexId v = 2; v < n; ++v) g.AddEdge(v, v / 2);
+  return g;
+}
+
 Graph GridGraph(size_t rows, size_t cols) {
   Graph g(rows * cols);
   auto id = [cols](size_t r, size_t c) {

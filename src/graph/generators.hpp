@@ -14,6 +14,11 @@ namespace treedl {
 Graph PathGraph(size_t n);
 Graph CycleGraph(size_t n);
 Graph CompleteGraph(size_t n);
+/// A fan whose rim is a binary tree: vertex 0, the hub, is adjacent to every
+/// other vertex, and vertices 1..n-1 form the tree v -- v/2 (heap order).
+/// Treewidth 2 for n >= 3; the hub has degree n - 1 and sits in every bag of
+/// a decomposition that branches with the tree, about n/2 of them leaves.
+Graph TreeFanGraph(size_t n);
 /// The n x m grid; treewidth min(n, m).
 Graph GridGraph(size_t rows, size_t cols);
 /// The Petersen graph (10 vertices, 3-regular, 3-chromatic, treewidth 4).

@@ -24,7 +24,6 @@ bool Graph::AddEdge(VertexId u, VertexId v) {
 
 bool Graph::HasEdge(VertexId u, VertexId v) const {
   if (u >= NumVertices() || v >= NumVertices()) return false;
-  // Scan the smaller adjacency list; graphs here are small and sparse.
   const auto& list =
       adjacency_[u].size() <= adjacency_[v].size() ? adjacency_[u] : adjacency_[v];
   VertexId target = adjacency_[u].size() <= adjacency_[v].size() ? v : u;

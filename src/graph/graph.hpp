@@ -30,6 +30,10 @@ class Graph {
   /// (set semantics); returns true iff a new edge was inserted.
   bool AddEdge(VertexId u, VertexId v);
 
+  /// Scans the shorter of the two adjacency lists, so a test at a hub can
+  /// cost up to the other end's degree. Kept for graph construction and the
+  /// FTA baseline; the graph DPs test bag edges through an EdgeIndex
+  /// (graph/edge_index.hpp) instead.
   bool HasEdge(VertexId u, VertexId v) const;
 
   /// Neighbors of v in insertion order (no duplicates, no self).

@@ -10,6 +10,7 @@
 #include "common/rng.hpp"
 #include "core/graph_dp_internal.hpp"
 #include "engine/engine.hpp"
+#include "graph/edge_index.hpp"
 #include "graph/generators.hpp"
 #include "td/heuristics.hpp"
 #include "td/normalize.hpp"
@@ -152,22 +153,35 @@ TEST(GraphDpLayoutTest, EachColourEncodesToItsBitPlanes) {
   }
 }
 
-// MakeBagContext reads the masks off the bag vertices' adjacency lists; they
-// must equal the pairwise edge tests: every bag edge at a leaf, the new
-// vertex's bag edges (both directions) at an introduce node, none elsewhere.
+// MakeBagContext probes the masks from an EdgeIndex; they must equal the
+// pairwise edge tests: every bag edge at a leaf, the new vertex's bag edges
+// (both directions) at an introduce node, none elsewhere. Positions past the
+// bag are unspecified and not compared. Besides random partial k-trees, two
+// graphs with a hub: a fan, and a partial 3-tree with vertex 0 joined to
+// every vertex.
 TEST(GraphDpLayoutTest, BagContextMasksMatchPairwiseEdgeTests) {
   Rng rng(TestSeed());
+  std::vector<Graph> graphs;
   for (int trial = 0; trial < 6; ++trial) {
-    Graph graph = RandomPartialKTree(60, 2 + trial % 4, 0.6, &rng);
+    graphs.push_back(RandomPartialKTree(60, 2 + trial % 4, 0.6, &rng));
+  }
+  graphs.push_back(TreeFanGraph(60));
+  Graph hub = RandomPartialKTree(60, 3, 0.6, &rng);
+  for (VertexId v = 1; v < hub.NumVertices(); ++v) hub.AddEdge(0, v);
+  graphs.push_back(std::move(hub));
+  for (size_t trial = 0; trial < graphs.size(); ++trial) {
+    const Graph& graph = graphs[trial];
+    EdgeIndex edges(graph);
     auto td = Decompose(graph);
     ASSERT_TRUE(td.ok());
     auto ntd = Normalize(*td);
     ASSERT_TRUE(ntd.ok());
     for (size_t id = 0; id < ntd->NumNodes(); ++id) {
       const NormNode& node = ntd->node(static_cast<TdNodeId>(id));
-      BagContext ctx = core::MakeBagContext(node, &graph);
-      uint64_t expected[core::kMaxDpBagSize] = {};
+      BagContext ctx = core::MakeBagContext(node, &edges);
+      ASSERT_EQ(ctx.size, static_cast<int>(node.bag.size()));
       for (int i = 0; i < ctx.size; ++i) {
+        uint64_t expected = 0;
         for (int j = 0; j < ctx.size; ++j) {
           bool tested = node.kind == NormNodeKind::kLeaf ||
                         (node.kind == NormNodeKind::kIntroduce &&
@@ -175,13 +189,11 @@ TEST(GraphDpLayoutTest, BagContextMasksMatchPairwiseEdgeTests) {
           if (i != j && tested &&
               graph.HasEdge(node.bag[static_cast<size_t>(i)],
                             node.bag[static_cast<size_t>(j)])) {
-            expected[i] |= uint64_t{1} << j;
+            expected |= uint64_t{1} << j;
           }
         }
-      }
-      for (int i = 0; i < core::kMaxDpBagSize; ++i) {
-        ASSERT_EQ(ctx.adjacent[i], expected[i])
-            << "trial " << trial << " node " << id << " position " << i;
+        ASSERT_EQ(ctx.adjacent[i], expected)
+            << "graph " << trial << " node " << id << " position " << i;
       }
     }
   }
@@ -196,7 +208,7 @@ TEST(GraphDpLayoutTest, ColouringLeafEmitsTheOdometerSequence) {
   ColorProblem<false> decide(graph);
   ColorProblem<true> count(graph);
   for (int trial = 0; trial < 100; ++trial) {
-    BagContext ctx;
+    BagContext ctx{};
     ctx.size = static_cast<int>(rng.UniformInt(1, 10));
     double density = rng.UniformInt(0, 4) / 4.0;
     for (int i = 0; i < ctx.size; ++i) {
@@ -248,7 +260,7 @@ TEST(GraphDpLayoutTest, SubsetLeavesEmitFeasibleMasksInIncreasingOrder) {
   SubsetProblem<true> cover(graph);
   SubsetProblem<false> independent(graph);
   for (int trial = 0; trial < 100; ++trial) {
-    BagContext ctx;
+    BagContext ctx{};
     ctx.size = static_cast<int>(rng.UniformInt(1, 10));
     double density = rng.UniformInt(0, 4) / 4.0;
     for (int i = 0; i < ctx.size; ++i) {
@@ -296,7 +308,7 @@ TEST(GraphDpLayoutTest, DominatingSetTransitionsKeepInSetAndDominatedDisjoint) {
   Graph graph(1);  // the hooks read only the context's masks
   DominatingProblem problem(graph);
   for (int trial = 0; trial < 200; ++trial) {
-    BagContext ctx;
+    BagContext ctx{};
     ctx.size = static_cast<int>(rng.UniformInt(1, 10));
     ctx.pos = static_cast<int>(rng.UniformInt(0, ctx.size - 1));
     for (int i = 0; i < ctx.size; ++i) {

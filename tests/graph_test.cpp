@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <set>
+#include <utility>
+
+#include "graph/edge_index.hpp"
 #include "graph/gaifman.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
@@ -31,8 +35,53 @@ TEST(GraphTest, EdgesListNormalized) {
   for (auto [u, v] : edges) EXPECT_LT(u, v);
 }
 
+// The index answers exactly the graph's edges, in both argument orders, on
+// random graphs where a random share of the vertices (the first and last id
+// among them, on some trials) is isolated; every non-edge, every self pair
+// and every id out of range answers false.
+TEST(EdgeIndexTest, AnswersExactlyTheEdgesInBothOrders) {
+  Rng rng(TestSeed());
+  for (int trial = 0; trial < 200; ++trial) {
+    size_t n = rng.UniformIndex(60) + 1;
+    std::vector<bool> isolated(n);
+    for (size_t v = 0; v < n; ++v) isolated[v] = rng.Bernoulli(0.3);
+    if (trial % 4 == 0) isolated[0] = isolated[n - 1] = true;
+    if (trial % 4 == 1) isolated[0] = isolated[n - 1] = false;
+    double p = rng.UniformDouble() * 0.5;
+    Graph g(n);
+    for (VertexId u = 0; u < n; ++u) {
+      for (VertexId v = u + 1; v < n; ++v) {
+        if (!isolated[u] && !isolated[v] && rng.Bernoulli(p)) g.AddEdge(v, u);
+      }
+    }
+    std::set<std::pair<VertexId, VertexId>> edges;
+    for (auto edge : g.Edges()) edges.insert(edge);
+    EdgeIndex index(g);
+    auto id = static_cast<VertexId>(n);
+    size_t answered = 0;
+    for (VertexId u = 0; u < id + 2; ++u) {
+      EXPECT_FALSE(index.Contains(u, u)) << "trial " << trial << " " << u;
+      for (VertexId v = 0; v < id + 2; ++v) {
+        bool edge = edges.count({std::min(u, v), std::max(u, v)}) > 0;
+        ASSERT_EQ(index.Contains(u, v), edge)
+            << "trial " << trial << " n=" << n << " {" << u << ", " << v
+            << "}";
+        answered += edge;
+      }
+    }
+    EXPECT_EQ(answered, 2 * g.NumEdges()) << "trial " << trial;
+  }
+  EXPECT_FALSE(EdgeIndex().Contains(0, 1));
+  EXPECT_FALSE(EdgeIndex(Graph(4)).Contains(0, 3));
+}
+
 TEST(GeneratorsTest, FamiliesHaveExpectedShape) {
   EXPECT_EQ(PathGraph(5).NumEdges(), 4u);
+  Graph fan = TreeFanGraph(7);
+  EXPECT_EQ(fan.NumEdges(), 6u + 5u);
+  EXPECT_EQ(fan.Degree(0), 6u);
+  EXPECT_TRUE(fan.HasEdge(6, 3));
+  EXPECT_FALSE(fan.HasEdge(3, 4));
   EXPECT_EQ(CycleGraph(5).NumEdges(), 5u);
   EXPECT_EQ(CompleteGraph(5).NumEdges(), 10u);
   EXPECT_EQ(GridGraph(3, 4).NumEdges(), 3u * 3u + 2u * 4u);

@@ -246,12 +246,17 @@ TEST(TreeDpTest, EveryNodeTableMatchesItsPinnedHash) {
        {6865262517821721008ULL, 12150616636023210038ULL,
         11843566196316476204ULL, 329241052315692633ULL,
         1072199705713318515ULL}},
+      {"treefan50",
+       {2571892282494232503ULL, 11550353021869162484ULL,
+        12232744635135980605ULL, 5841593131250141677ULL,
+        11987983196230934532ULL}},
   };
   std::vector<Graph> graphs = {PetersenGraph(), GridGraph(4, 5)};
   for (int k : {3, 5}) {
     Rng rng(static_cast<uint64_t>(k));
     graphs.push_back(RandomPartialKTree(60, k, 0.55, &rng));
   }
+  graphs.push_back(TreeFanGraph(50));  // a hub in every bag, many leaves
   for (size_t i = 0; i < graphs.size(); ++i) {
     SCOPED_TRACE(kGraphs[i].name);
     const Graph& graph = graphs[i];
